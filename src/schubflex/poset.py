@@ -15,6 +15,13 @@ Facts the implementation leans on:
 * Quotient Bruhat order is the restriction of Bruhat order to minimal
   representatives; ``leq`` implements the standard lifting recursion on
   w^{-1}(rho) vectors.
+* Covers need no comparisons (lifting property, Bjorner-Brenti GTM 231,
+  Prop. 2.2.7).  If u's minimal word ends in s = s_i, then us is u's BFS
+  parent and lower_covers(u) = [us] + [ys for y in lower_covers(us) if
+  coordinate i of y's fingerprint is positive]: that sign says exactly that
+  y -> ys stays in W^P and goes up.  If u covers z and z != us, then
+  lifting forces zs < z and zs covered by us; conversely y covered by us with
+  ys > y gives ys <= u by lifting.  In BFS order that costs O(#covers * rank).
 * For quotients by a minuscule maximal parabolic, the projective degree of a
   Schubert variety in the minimal homogeneous embedding equals the number of
   saturated chains from the bottom of its lower order ideal.  Degrees are
@@ -32,6 +39,11 @@ from . import weyl
 from .weyl import CartanDatum
 
 DEFAULT_SIZE_CAP = 10**6
+
+
+class InternalError(RuntimeError):
+    """A structural invariant of a quotient poset failed: a bug, not bad input."""
+
 
 # Marked nodes (Bourbaki) whose maximal parabolic quotient carries a minuscule
 # weight, so chain counts are honest projective degrees.
@@ -100,7 +112,8 @@ class QuotientPoset:
 
     def top(self) -> SchubertNode:
         tops = [n for n in self.nodes if n.dim == self.dimension]
-        assert len(tops) == 1, "BUG: quotient poset must have a unique maximum"
+        if len(tops) != 1:
+            raise InternalError(f"quotient poset has {len(tops)} maximal classes")
         return tops[0]
 
     def nodes_by_dim(self, dim: int) -> list[SchubertNode]:
@@ -130,9 +143,15 @@ class QuotientPoset:
         return [self._by_id[i] for i in self._down[self.node(ref).id]]
 
     def lower_interval(self, ref) -> list[SchubertNode]:
-        """All classes <= ref, in id order (includes ref itself)."""
-        apex = self.node(ref)
-        return [n for n in self.nodes if n.dim <= apex.dim and self.leq(n, apex)]
+        """All classes <= ref, in id order (includes ref itself): its down-closure."""
+        below = {self.node(ref).id}
+        stack = list(below)
+        while stack:
+            for lo in self._down[stack.pop()]:
+                if lo not in below:
+                    below.add(lo)
+                    stack.append(lo)
+        return [n for n in self.nodes if n.id in below]
 
     # -- duality ----------------------------------------------------------
 
@@ -142,9 +161,8 @@ class QuotientPoset:
         w0 = weyl.longest_element(self.datum, range(1, self.datum.rank + 1))
         fp = weyl.act(self.datum, w0, node.fingerprint)
         dual = self._by_fp[fp]
-        assert dual.dim == self.dimension - node.dim, (
-            f"BUG: dual of {node.id} (dim {node.dim}) landed on dim {dual.dim}"
-        )
+        if dual.dim != self.dimension - node.dim:
+            raise InternalError(f"dual of {node.id} (dim {node.dim}) landed on dim {dual.dim}")
         return dual
 
     # -- export -----------------------------------------------------------
@@ -225,9 +243,8 @@ def build_quotient_poset(
                         nxt.append((child, cword, crv))
         frontier = nxt
 
-    assert len(records) == expected, (
-        f"BUG: enumerated {len(records)} cosets, order formula says {expected}"
-    )
+    if len(records) != expected:
+        raise InternalError(f"enumerated {len(records)} cosets, order formula says {expected}")
 
     width = max(3, len(str(len(records) - 1)))
     nodes = [
@@ -241,30 +258,30 @@ def build_quotient_poset(
         for idx, (fp, word, rv, dim) in enumerate(records)
     ]
 
-    poset = QuotientPoset(datum, marked, nodes, covers=[])
-    covers = _compute_covers(poset)
-    poset.covers.extend(covers)
-    for lo, hi in covers:
-        poset._up[lo].append(hi)
-        poset._down[hi].append(lo)
-
+    down = _lower_covers(datum, records, fingerprints)
+    # Ids are zero-padded BFS indices, so sorting by id sorts by (dim, lo, hi).
+    covers = sorted((nodes[lo].id, n.id) for n, los in zip(nodes, down) for lo in los)
+    poset = QuotientPoset(datum, marked, nodes, covers)
     if minuscule(datum, marked):
         _fill_chain_degrees(poset)
     return poset
 
 
-def _compute_covers(poset: QuotientPoset) -> list[tuple[str, str]]:
-    by_dim: dict[int, list[SchubertNode]] = {}
-    for n in poset.nodes:
-        by_dim.setdefault(n.dim, []).append(n)
-    covers = []
-    for d in sorted(by_dim):
-        for lo in by_dim[d]:
-            for hi in by_dim.get(d + 1, ()):
-                if poset.leq(lo, hi):
-                    covers.append((lo.id, hi.id))
-    covers.sort(key=lambda pair: (poset._by_id[pair[0]].dim, pair[0], pair[1]))
-    return covers
+def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
+    """Lower-cover indices of each BFS record, by the lifting recursion."""
+    down: list[list[int]] = [[]]
+    try:
+        for fp, word, _, _ in records[1:]:
+            i = word[-1]
+            parent = index[weyl.reflect(datum, i, fp)]
+            down.append([parent] + [
+                index[weyl.reflect(datum, i, records[y][0])]
+                for y in down[parent]
+                if records[y][0][i - 1] > 0
+            ])
+    except KeyError as exc:
+        raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
+    return down
 
 
 def _fill_chain_degrees(poset: QuotientPoset) -> None:
@@ -275,39 +292,13 @@ def _fill_chain_degrees(poset: QuotientPoset) -> None:
             n.degree = sum(poset.node(lo).degree for lo in poset._down[n.id])
 
 
-def bfs_edges(poset: QuotientPoset) -> list[tuple[str, str]]:
-    """Edges of the simple-step graph: coset -> coset * s_i when length goes up.
-
-    On minuscule-type quotients these coincide with the Bruhat covers; the
-    agreement is asserted by tests, not assumed here.
-    """
-    edges = []
-    for n in poset.nodes:
-        for i in range(1, poset.datum.rank + 1):
-            if n.fingerprint[i - 1] > 0:
-                child = poset.node_by_fingerprint(
-                    weyl.reflect(poset.datum, i, n.fingerprint)
-                )
-                edges.append((n.id, child.id))
-    return sorted(set(edges), key=lambda pair: (poset._by_id[pair[0]].dim, pair[0], pair[1]))
-
-
 def interval_chain_counts(poset: QuotientPoset, apex) -> dict[str, int]:
     """Saturated-chain counts from the bottom, restricted to the interval below apex.
 
     Defined for any quotient; used to grade intervals of quotients whose global
     chain counts are not projective degrees.
     """
-    apex = poset.node(apex)
-    members = {n.id for n in poset.lower_interval(apex)}
     counts: dict[str, int] = {}
-    for n in sorted(poset.nodes, key=lambda x: x.dim):
-        if n.id not in members:
-            continue
-        if n.dim == 0:
-            counts[n.id] = 1
-        else:
-            counts[n.id] = sum(
-                counts[lo] for lo in poset._down[n.id] if lo in members
-            )
+    for n in poset.lower_interval(apex):  # down-closed, in BFS (dim) order
+        counts[n.id] = sum(counts[lo] for lo in poset._down[n.id]) if n.dim else 1
     return counts

@@ -3,14 +3,44 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubflex import weyl
 from schubflex.poset import (
-    bfs_edges,
+    InternalError,
     build_quotient_poset,
     interval_chain_counts,
     minuscule,
 )
+
+
+def _by_dim_then_ids(poset, pairs):
+    return sorted(pairs, key=lambda pair: (poset.node(pair[0]).dim, pair[0], pair[1]))
+
+
+def pairwise_covers(poset):
+    """Oracle: every pair of classes in adjacent ranks, compared with ``leq``."""
+    covers = []
+    for lo in poset.nodes:
+        for hi in poset.nodes_by_dim(lo.dim + 1):
+            if poset.leq(lo, hi):
+                covers.append((lo.id, hi.id))
+    return _by_dim_then_ids(poset, covers)
+
+
+def bfs_edges(poset):
+    """Edges of the simple-step graph: coset -> coset * s_i when length goes up.
+
+    On minuscule-type quotients these coincide with the Bruhat covers.
+    """
+    edges = set()
+    for n in poset.nodes:
+        for i in range(1, poset.datum.rank + 1):
+            if n.fingerprint[i - 1] > 0:
+                child = poset.node_by_fingerprint(weyl.reflect(poset.datum, i, n.fingerprint))
+                edges.add((n.id, child.id))
+    return _by_dim_then_ids(poset, edges)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +161,71 @@ def test_covers_equal_simple_step_edges_on_minuscule():
     for family, rank, marked in cases:
         p = build_quotient_poset(weyl.build_cartan(family, rank), marked)
         assert sorted(p.covers) == sorted(bfs_edges(p)), f"{family}{rank}/{sorted(marked)}"
+
+
+ORACLE_CASES = [
+    ("A", 1, {1}),
+    ("A", 4, {2}),
+    ("A", 5, {1, 3}),
+    ("A", 4, {1, 2, 3, 4}),  # full flag variety
+    ("B", 2, {1, 2}),
+    ("B", 3, {1}),
+    ("B", 3, {3}),
+    ("B", 4, {1, 2, 3, 4}),
+    ("C", 3, {1, 2}),
+    ("C", 3, {3}),
+    ("C", 4, {2, 4}),
+    ("D", 4, {1, 3, 4}),
+    ("D", 4, {2}),
+    ("D", 5, {5}),
+    ("E", 6, {2}),
+    ("E", 6, {1, 6}),
+    ("E", 7, {7}),
+    ("E", 7, {6}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, rank, marked",
+    ORACLE_CASES,
+    ids=[f"{f}{r}-{'.'.join(map(str, sorted(m)))}" for f, r, m in ORACLE_CASES],
+)
+def test_covers_equal_pairwise_leq_oracle(family, rank, marked):
+    p = build_quotient_poset(weyl.build_cartan(family, rank), marked)
+    assert p.covers == pairwise_covers(p)
+
+
+@st.composite
+def small_quotients(draw):
+    family = draw(st.sampled_from("ABCDE"))
+    low, high = {"A": (1, 7), "B": (2, 4), "C": (2, 4), "D": (3, 5), "E": (6, 7)}[family]
+    rank = draw(st.integers(low, high))
+    marked = draw(st.sets(st.integers(1, rank), min_size=1))
+    datum = weyl.build_cartan(family, rank)
+    gens = [i for i in range(1, rank + 1) if i not in marked]
+    size = weyl.weyl_order(datum) // (weyl.levi_order(datum, gens) if gens else 1)
+    return datum, marked, size
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_quotients().filter(lambda q: q[2] <= 300))
+def test_covers_equal_pairwise_leq_oracle_random(quotient):
+    datum, marked, _ = quotient
+    p = build_quotient_poset(datum, marked)
+    assert p.covers == pairwise_covers(p), f"{p.type_label()}/{sorted(marked)}"
+
+
+def test_lower_interval_equals_leq_filter(e6, e7p7, e7p1):
+    for p in (e6, e7p7, e7p1):
+        for apex in p.nodes:
+            assert p.lower_interval(apex) == [n for n in p.nodes if p.leq(n, apex)]
+
+
+def test_order_formula_mismatch_raises_internal_error(monkeypatch):
+    # A3/P2 has 6 cosets; a wrong Levi order makes the formula say 3.
+    monkeypatch.setattr(weyl, "levi_order", lambda datum, generators: 8)
+    with pytest.raises(InternalError, match="enumerated 6 cosets, order formula says 3"):
+        build_quotient_poset(weyl.build_cartan("A", 3), {2})
 
 
 def test_degree_definedness_follows_minusculity():
