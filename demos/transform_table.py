@@ -25,8 +25,8 @@ def main():
     e7p7 = build_quotient_poset(e7, {7})
     e7p1 = build_quotient_poset(e7, {1})
 
-    ctx = make_context(e7, {7}, {1}, p_poset=e7p7, q_poset=e7p1)
-    reverse = make_context(e7, {1}, {7}, p_poset=e7p1, q_poset=e7p7)
+    ctx = make_context(e7, {7}, {1})
+    reverse = make_context(e7, {1}, {7})
     apex = transform(reverse, e7p7.bottom())
     print(f"apex of the interval: {apex.id}, dimension {apex.dim} in E7/P1")
 

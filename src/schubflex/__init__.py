@@ -3,7 +3,8 @@
 Subpackages by capability:
 
 * :mod:`schubflex.weyl` -- Cartan matrices, reflections, words, root counts.
-* :mod:`schubflex.poset` -- parabolic-quotient Hasse diagrams, degrees, duals.
+* :mod:`schubflex.poset` -- parabolic-quotient Hasse diagrams, degrees, duals;
+  each quotient is built once per process and shared, immutable.
 * :mod:`schubflex.classical` -- index arithmetic for Grassmannian, Lagrangian,
   orthogonal and quadric Schubert classes.
 * :mod:`schubflex.rigidity` -- multi-rigidity classifiers for all families.

@@ -67,17 +67,6 @@ def grouped(lam) -> tuple[tuple[int, int], ...]:
     return tuple((v, m) for v, m in runs)
 
 
-def ungroup(groups) -> tuple[int, ...]:
-    """Inverse of :func:`grouped`: rebuild lambda from (value, multiplicity) runs."""
-    out = []
-    pos = 0
-    for v, m in groups:
-        for _ in range(m):
-            pos += 1
-            out.append(v + pos)
-    return tuple(out)
-
-
 def gr_dimension(idx: GrIndex) -> int:
     return sum(shifted(idx.lam))
 
@@ -99,15 +88,6 @@ def ann_index(idx: GrIndex) -> GrIndex:
     """
     complement = [x for x in range(1, idx.n + 1) if x not in set(idx.lam)]
     return GrIndex(idx.n - idx.k, idx.n, tuple(sorted(idx.n + 1 - x for x in complement)))
-
-
-def gr_pairing(a: GrIndex, b: GrIndex) -> int:
-    """Intersection number sigma_a . sigma_b in complementary dimensions (0 or 1)."""
-    if (a.k, a.n) != (b.k, b.n):
-        raise ValueError("indices live on different Grassmannians")
-    if gr_dimension(a) + gr_dimension(b) != a.k * (a.n - a.k):
-        raise ValueError("pairing needs complementary dimensions")
-    return 1 if b.lam == dual_index(a).lam else 0
 
 
 def gr_to_fingerprint(idx: GrIndex) -> tuple[int, ...]:

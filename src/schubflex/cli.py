@@ -15,7 +15,8 @@ Class specs name a family and a class in one colon-joined argument:
     e7:22:5586          same on the 56-class poset
 
 Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
-quad:7  e6  e7.
+quad:7  e6  e7.  QUOTIENTS is the one table from a family to its quotient;
+every command that needs a family's poset goes through :func:`quotient`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .classical import (
     dual_index,
     gr_degree,
     gr_dimension,
-    gr_to_fingerprint,
     isotropic_dimension,
     isotropic_dual,
     og_to_fingerprint,
@@ -41,18 +41,27 @@ from .classical import (
     quadric_dual,
     quadric_poset_family,
 )
-from .golden import GoldenDataError, TokenError, node_token, resolve_token
+from .golden import GOLDEN_POSETS, GoldenDataError, TokenError, node_token, resolve_token
 from .poset import DEFAULT_SIZE_CAP, QuotientPoset, build_quotient_poset
 from .rigidity import classify
 from .tits import context_json_dict, make_context, transform_rows
-from .verify import verify_all, verify_e6, verify_e7, verify_table1
+from .verify import certificates, verify_all, verify_e6, verify_e7, verify_table1
 from .witnesses import (
     moduli_witness_gr,
     moduli_witness_isotropic,
     quadric_witness,
 )
 
-EXCEPTIONAL = {"e6": ("E", 6, 6), "e7": ("E", 7, 7)}
+# Family head -> (Cartan family, rank, marked node) of its quotient, as a
+# function of the selector's integer parameters (gr:k,n lg:n og:n quad:n e6 e7).
+QUOTIENTS = {
+    "gr": lambda k, n: ("A", n - 1, k),
+    "lg": lambda n: ("C", n, n),
+    "og": lambda n: ("D", n, n),
+    "quad": lambda n: (*quadric_poset_family(n), 1),
+    "e6": lambda: ("E", 6, 6),
+    "e7": lambda: ("E", 7, 7),
+}
 
 
 class SpecError(ValueError):
@@ -74,7 +83,7 @@ def parse_class_spec(spec: str):
     head, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
-    if head in EXCEPTIONAL:
+    if head in GOLDEN_POSETS:
         return (head, rest)
     params, _, body = rest.partition(":")
     if head == "gr":
@@ -106,34 +115,28 @@ def parse_class_spec(spec: str):
     raise SpecError(f"unknown family {head!r} (want gr, lg, og, quad, e6 or e7)")
 
 
-def _build_selector(selector: str, size_cap: int) -> QuotientPoset:
-    head, _, params = selector.partition(":")
-    if head in EXCEPTIONAL:
-        family, rank, marked = EXCEPTIONAL[head]
-        return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
-    if head == "gr":
-        k, n = (int(x) for x in params.split(","))
-        if not 1 <= k <= n - 1:
-            raise SpecError(f"need 1 <= k <= n-1 in {selector!r}")
-        return build_quotient_poset(weyl.build_cartan("A", n - 1), {k}, size_cap)
-    if head == "lg":
-        n = int(params)
-        return build_quotient_poset(weyl.build_cartan("C", n), {n}, size_cap)
-    if head == "og":
-        n = int(params)
-        return build_quotient_poset(weyl.build_cartan("D", n), {n}, size_cap)
-    if head == "quad":
-        family, rank = quadric_poset_family(int(params))
-        return build_quotient_poset(weyl.build_cartan(family, rank), {1}, size_cap)
-    raise SpecError(f"unknown poset selector {selector!r}")
+def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
+    """The shared quotient poset of a family head and its parameters."""
+    family, rank, marked = QUOTIENTS[head](*params)
+    return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
 
 def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
+    head, _, params = selector.partition(":")
+    if head not in QUOTIENTS:
+        raise SpecError(f"unknown poset selector {selector!r}")
     try:
-        return _build_selector(selector, size_cap)
+        if head in GOLDEN_POSETS:
+            return quotient(head, size_cap=size_cap)
+        if head == "gr":
+            k, n = (int(x) for x in params.split(","))
+            if not 1 <= k <= n - 1:
+                raise SpecError(f"need 1 <= k <= n-1 in {selector!r}")
+            return quotient(head, k, n, size_cap=size_cap)
+        return quotient(head, int(params), size_cap=size_cap)
+    except SpecError:
+        raise
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, SpecError):
-            raise
         raise SpecError(f"bad selector {selector!r}: {exc}") from None
 
 
@@ -166,17 +169,6 @@ def cmd_hasse(args) -> int:
     return 0
 
 
-def _node_for_classical(idx):
-    """Poset node for indices whose quotient embeds minusculely, else None."""
-    if isinstance(idx, GrIndex):
-        poset = build_quotient_poset(weyl.build_cartan("A", idx.n - 1), {idx.k})
-        return poset, poset.node_by_fingerprint(gr_to_fingerprint(idx))
-    if isinstance(idx, IsotropicIndex) and idx.family == "og":
-        poset = build_quotient_poset(weyl.build_cartan("D", idx.n), {idx.n})
-        return poset, poset.node_by_fingerprint(og_to_fingerprint(idx))
-    return None, None
-
-
 def _classical_dimension(idx) -> int:
     if isinstance(idx, GrIndex):
         return gr_dimension(idx)
@@ -203,11 +195,8 @@ def cmd_classify(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
         target, token = parsed
-        family, rank, marked = EXCEPTIONAL[target]
-        poset = build_quotient_poset(weyl.build_cartan(family, rank), {marked})
-        node = resolve_token(poset, token)
-        report = verify_e6(args.golden_dir) if target == "e6" else verify_e7(args.golden_dir)
-        row = next(r for r in report.rows if r["node"] == node.id)
+        node = resolve_token(quotient(target), token)
+        row = certificates(target, args.golden_dir).row(node)
         print(f"class: {target}:{row['token']}")
         print(f"dimension: {row['dim']}")
         print(f"degree: {row['degree']}")
@@ -237,9 +226,7 @@ def cmd_degree(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
         target, token = parsed
-        family, rank, marked = EXCEPTIONAL[target]
-        poset = build_quotient_poset(weyl.build_cartan(family, rank), {marked})
-        print(resolve_token(poset, token).degree)
+        print(resolve_token(quotient(target), token).degree)
         return 0
     if isinstance(parsed, GrIndex):
         print(gr_degree(parsed))
@@ -248,8 +235,7 @@ def cmd_degree(args) -> int:
         print(quadric_degree(parsed))
         return 0
     if parsed.family == "og":
-        _, node = _node_for_classical(parsed)
-        print(node.degree)
+        print(quotient("og", parsed.n).node_by_fingerprint(og_to_fingerprint(parsed)).degree)
         return 0
     raise SpecError(
         "degree is not implemented for lg classes (the minimal embedding is not minuscule)"
@@ -260,8 +246,7 @@ def cmd_dual(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
         target, token = parsed
-        family, rank, marked = EXCEPTIONAL[target]
-        poset = build_quotient_poset(weyl.build_cartan(family, rank), {marked})
+        poset = quotient(target)
         node = resolve_token(poset, token)
         print(f"{target}:{node_token(poset, poset.poincare_dual(node))}")
         return 0

@@ -35,11 +35,8 @@ DECORATIONS = ("rigid", "plus", "star", "T")
 
 GOLDEN_ENV_VAR = "SCHUBFLEX_GOLDEN_DIR"
 
-#: verify-target name -> (golden file stem, family, rank, marked node)
-GOLDEN_POSETS = {
-    "e6": ("e6_p6", "E", 6, 6),
-    "e7": ("e7_p7", "E", 7, 7),
-}
+#: verify-target name -> golden file stem
+GOLDEN_POSETS = {"e6": "e6_p6", "e7": "e7_p7"}
 
 
 class GoldenDataError(Exception):
@@ -115,7 +112,7 @@ def _read_rows(path: Path, n_fields: int) -> list[list[str]]:
 
 def load_golden_poset(target: str, directory=None) -> GoldenPoset:
     """Load and statically validate e6/e7 golden decorations."""
-    stem = GOLDEN_POSETS[target][0]
+    stem = GOLDEN_POSETS[target]
     path = golden_dir(directory) / f"{stem}.tsv"
     rows = []
     for node_id, dim_s, deg_s, deco, comment in _read_rows(path, 5):

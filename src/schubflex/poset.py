@@ -28,21 +28,23 @@ Facts the implementation leans on:
   computed exactly there (arbitrary-precision ints) and left as None
   otherwise; intervals of non-minuscule quotients can still be given relative
   chain counts via :func:`interval_chain_counts`.
+
+:func:`build_quotient_poset` is the one way to obtain a quotient.  It keeps
+each poset it builds for the life of the process, so all callers share one
+object per quotient, which is therefore immutable (frozen nodes, tuples of
+nodes and covers, degrees fixed at construction).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import weyl
-from .weyl import CartanDatum
+from .weyl import CartanDatum, InternalError
 
 DEFAULT_SIZE_CAP = 10**6
-
-
-class InternalError(RuntimeError):
-    """A structural invariant of a quotient poset failed: a bug, not bad input."""
 
 
 # Marked nodes (Bourbaki) whose maximal parabolic quotient carries a minuscule
@@ -64,7 +66,7 @@ def minuscule(datum: CartanDatum, marked) -> bool:
     return node in _MINUSCULE_NODES[datum.family](datum.rank)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchubertNode:
     """One Schubert class: a coset of W_P in W."""
 
@@ -81,9 +83,12 @@ class SchubertNode:
 
 
 class QuotientPoset:
-    """Bruhat poset of W_P \\ W for a marked node set, built by build_quotient_poset."""
+    """Bruhat poset of W_P \\ W for a marked node set, built by build_quotient_poset.
 
-    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes, covers):
+    Shared between callers, so never mutated after construction.
+    """
+
+    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, covers: tuple):
         self.datum = datum
         self.marked = marked
         self.nodes = nodes
@@ -207,9 +212,10 @@ class QuotientPoset:
 def build_quotient_poset(
     datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP
 ) -> QuotientPoset:
-    """Enumerate W_P \\ W and assemble its Hasse diagram.
+    """The Hasse diagram of W_P \\ W, built on first request and shared after.
 
-    Raises ValueError if the quotient would exceed ``size_cap`` cosets.
+    Raises ValueError if the quotient would exceed ``size_cap`` cosets.  The
+    cap and the coset count are checked on every call, cached or not.
     """
     marked = frozenset(weyl._check_marked(datum, marked))
     generators = [i for i in range(1, datum.rank + 1) if i not in marked]
@@ -220,7 +226,15 @@ def build_quotient_poset(
         raise ValueError(
             f"quotient would have {expected} cosets, above the cap of {size_cap}"
         )
+    poset = _quotient(datum, marked)
+    if len(poset.nodes) != expected:
+        raise InternalError(f"enumerated {len(poset.nodes)} cosets, order formula says {expected}")
+    return poset
 
+
+@lru_cache(maxsize=None)
+def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
+    """Enumerate the cosets by BFS and assemble the immutable poset."""
     lam = tuple(1 if (i + 1) in marked else 0 for i in range(datum.rank))
     r = weyl.rho(datum)
 
@@ -243,28 +257,28 @@ def build_quotient_poset(
                         nxt.append((child, cword, crv))
         frontier = nxt
 
-    if len(records) != expected:
-        raise InternalError(f"enumerated {len(records)} cosets, order formula says {expected}")
+    down = _lower_covers(datum, records, fingerprints)
+    degrees = [None] * len(records)
+    if minuscule(datum, marked):
+        # BFS order lists every lower cover before the class it lies under.
+        for idx, los in enumerate(down):
+            degrees[idx] = sum(degrees[lo] for lo in los) if los else 1
 
     width = max(3, len(str(len(records) - 1)))
-    nodes = [
+    nodes = tuple(
         SchubertNode(
             id=f"n{idx:0{width}d}",
             dim=dim,
             fingerprint=fp,
             min_word=word,
             rho_vector=rv,
+            degree=deg,
         )
-        for idx, (fp, word, rv, dim) in enumerate(records)
-    ]
-
-    down = _lower_covers(datum, records, fingerprints)
+        for idx, ((fp, word, rv, dim), deg) in enumerate(zip(records, degrees))
+    )
     # Ids are zero-padded BFS indices, so sorting by id sorts by (dim, lo, hi).
-    covers = sorted((nodes[lo].id, n.id) for n, los in zip(nodes, down) for lo in los)
-    poset = QuotientPoset(datum, marked, nodes, covers)
-    if minuscule(datum, marked):
-        _fill_chain_degrees(poset)
-    return poset
+    covers = tuple(sorted((nodes[lo].id, n.id) for n, los in zip(nodes, down) for lo in los))
+    return QuotientPoset(datum, marked, nodes, covers)
 
 
 def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
@@ -282,14 +296,6 @@ def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
     except KeyError as exc:
         raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
     return down
-
-
-def _fill_chain_degrees(poset: QuotientPoset) -> None:
-    for n in sorted(poset.nodes, key=lambda x: x.dim):
-        if n.dim == 0:
-            n.degree = 1
-        else:
-            n.degree = sum(poset.node(lo).degree for lo in poset._down[n.id])
 
 
 def interval_chain_counts(poset: QuotientPoset, apex) -> dict[str, int]:

@@ -79,12 +79,14 @@ def classify_gr(idx: GrIndex) -> Verdict:
 
 
 def classify_lg(idx: IsotropicIndex) -> Verdict:
-    assert idx.family == "lg"
+    if idx.family != "lg":
+        raise ValueError(f"classify_lg needs an lg index, got {idx}")
     return _classify_isotropic(idx, tail_bound=idx.n, tail_margin=2)
 
 
 def classify_og(idx: IsotropicIndex) -> Verdict:
-    assert idx.family == "og"
+    if idx.family != "og":
+        raise ValueError(f"classify_og needs an og index, got {idx}")
     return _classify_isotropic(idx, tail_bound=idx.n - 1, tail_margin=3)
 
 

@@ -16,6 +16,9 @@ which is looked up in the target poset.  The dimension shift
 is an upper bound for the dimension gain; the transform of a single class is
 injective (fiber sweep generically finite) exactly when dim T(S) = dim S +
 d_tau, which is what injectivity_check tests.
+
+A context's two posets come from build_quotient_poset, so they are the same
+shared objects every other caller gets for those quotients.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
 @dataclass
 class TitsContext:
     datum: CartanDatum
-    p_marked: frozenset[int]
-    q_marked: frozenset[int]
     p_poset: QuotientPoset
     q_poset: QuotientPoset
     w0q_word: tuple[int, ...]
@@ -46,50 +47,25 @@ class TitsContext:
     _targets: dict[str, str] = field(default_factory=dict, repr=False)
 
     def label(self) -> str:
-        p = ",".join(map(str, sorted(self.p_marked)))
-        q = ",".join(map(str, sorted(self.q_marked)))
+        p = ",".join(map(str, sorted(self.p_poset.marked)))
+        q = ",".join(map(str, sorted(self.q_poset.marked)))
         return f"{self.p_poset.type_label()}(P={{{p}}},Q={{{q}}})"
 
 
-def make_context(
-    datum: CartanDatum,
-    p_marked,
-    q_marked,
-    p_poset: QuotientPoset | None = None,
-    q_poset: QuotientPoset | None = None,
-) -> TitsContext:
-    p_marked = frozenset(weyl._check_marked(datum, p_marked))
-    q_marked = frozenset(weyl._check_marked(datum, q_marked))
-    if p_poset is None:
-        p_poset = build_quotient_poset(datum, p_marked)
-    if q_poset is None:
-        q_poset = build_quotient_poset(datum, q_marked)
-    assert p_poset.marked == p_marked and q_poset.marked == q_marked, (
-        "BUG: supplied posets do not match the marked sets"
-    )
-    unmarked = [i for i in range(1, datum.rank + 1) if i not in q_marked]
+def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
+    p_poset = build_quotient_poset(datum, p_marked)
+    q_poset = build_quotient_poset(datum, q_marked)
+    unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
     w0q_word = weyl.longest_element(datum, unmarked)
-    lam_p = tuple(1 if (i + 1) in p_marked else 0 for i in range(datum.rank))
+    lam_p = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
     return TitsContext(
         datum=datum,
-        p_marked=p_marked,
-        q_marked=q_marked,
         p_poset=p_poset,
         q_poset=q_poset,
         w0q_word=w0q_word,
         w0q_lambda_ip=weyl.act(datum, w0q_word, lam_p),
-        d_tau=transform_shift(datum, p_marked, q_marked),
+        d_tau=transform_shift(datum, p_poset.marked, q_poset.marked),
     )
-
-
-def max_rep_word(ctx: TitsContext, ref) -> tuple[int, ...]:
-    """Reduced word for the maximal representative of a G/Q coset."""
-    node = ctx.q_poset.node(ref)
-    word = ctx.w0q_word + tuple(node.min_word)
-    assert weyl.is_reduced(ctx.datum, word), (
-        f"BUG: lengths must add for w0_Q * u at {node.id}"
-    )
-    return word
 
 
 def transform(ctx: TitsContext, ref) -> SchubertNode:
@@ -127,8 +103,8 @@ def context_json_dict(ctx: TitsContext) -> dict:
     return {
         "context": {
             "type": ctx.p_poset.type_label(),
-            "P": sorted(ctx.p_marked),
-            "Q": sorted(ctx.q_marked),
+            "P": sorted(ctx.p_poset.marked),
+            "Q": sorted(ctx.q_poset.marked),
             "d_tau": ctx.d_tau,
         },
         "rows": transform_rows(ctx),

@@ -2,8 +2,10 @@
 
 Every class of the two exceptional posets carries a frozen decoration:
 "rigid", "plus" (Bertini-movable), "star" (cone-movable) or "T"
-(transform-movable).  Verification rebuilds the posets, runs every witness
-engine from scratch, and holds the decorations to the following rules:
+(transform-movable).  :func:`certificates` is the one pipeline that runs
+every witness engine from scratch on the shared posets; verification holds
+the decorations it collects to the following rules, and ``classify`` prints
+the same row for a single class:
 
 * a rigid class must collect no certificate at all;
 * a non-rigid class must collect at least one;
@@ -31,7 +33,7 @@ from .golden import (
     resolve_token,
     check_against,
 )
-from .poset import QuotientPoset, build_quotient_poset
+from .poset import QuotientPoset, SchubertNode, build_quotient_poset
 from .rigidity import classify_og
 from .tits import (
     TitsContext,
@@ -108,10 +110,6 @@ def _basic_certificates(poset: QuotientPoset) -> dict[str, list[Witness]]:
     return certs
 
 
-def _add(certs: dict[str, list[Witness]], node_id: str, w: Witness) -> None:
-    certs.setdefault(node_id, []).append(w)
-
-
 def _cone_certificates(
     certs: dict[str, list[Witness]],
     problems: list[str],
@@ -131,9 +129,7 @@ def _cone_certificates(
     for s in sub.nodes:
         if not base_is_flexible(s):
             continue
-        _add(
-            certs,
-            phi[s.id],
+        certs[phi[s.id]].append(
             Witness(
                 "Cone",
                 {
@@ -146,7 +142,7 @@ def _cone_certificates(
                         "representative of the base class"
                     ),
                 },
-            ),
+            )
         )
 
 
@@ -156,7 +152,7 @@ def _tits_certificates(
     for node in ctx.p_poset.nodes:
         w = tits_flexibility_witness(ctx, node, oracle)
         if w is not None:
-            _add(certs, node.id, w)
+            certs[node.id].append(w)
 
 
 def depth2_oracle(rev: TitsContext):
@@ -204,30 +200,109 @@ def interval_oracle(ctx: TitsContext, psi: dict[str, str], flexible_sub_ids):
     return oracle
 
 
-def _apply_rules(
-    report: VerifyReport,
-    golden: GoldenPoset,
-    poset: QuotientPoset,
-    certs: dict[str, list[Witness]],
-) -> None:
-    counts = {"rigid": 0, "plus": 0, "star": 0, "T": 0}
-    for node in poset.nodes:
-        deco = golden.decoration(node.id)
-        counts[deco] += 1
-        witnesses = certs.get(node.id, [])
-        kinds = sorted({w.kind for w in witnesses})
-        token = node_token(poset, node)
-        report.rows.append(
-            {
-                "node": node.id,
-                "token": token,
-                "dim": node.dim,
-                "degree": node.degree,
-                "decoration": deco,
-                "certificates": kinds,
-                "details": [dict(kind=w.kind, **w.payload) for w in witnesses],
-            }
+@dataclass
+class Certificates:
+    """Every engine's witnesses on one decorated poset; built by certificates()."""
+
+    poset: QuotientPoset
+    golden: GoldenPoset
+    witnesses: dict[str, list[Witness]]
+    problems: list[str]
+
+    def row(self, node: SchubertNode) -> dict:
+        """The verify row of one class: its decoration and what certifies it."""
+        witnesses = self.witnesses[node.id]
+        return {
+            "node": node.id,
+            "token": node_token(self.poset, node),
+            "dim": node.dim,
+            "degree": node.degree,
+            "decoration": self.golden.decoration(node.id),
+            "certificates": sorted({w.kind for w in witnesses}),
+            "details": [dict(kind=w.kind, **w.payload) for w in witnesses],
+        }
+
+
+def _e7_interval(e6p6: QuotientPoset, problems: list[str]):
+    """The sweep E7/P1 -> E7/P7 and the 27-class copy psi inside E7/P1.
+
+    psi maps the 27-class poset onto the interval below the sweep of the
+    E7/P7 bottom class into E7/P1; it is None, with a problem noted, when the
+    interval carries no graded copy.
+    """
+    datum = weyl.build_cartan("E", 7)
+    ctx71 = make_context(datum, {7}, {1})
+    ctx17 = make_context(datum, {1}, {7})
+    apex = transform(ctx17, ctx17.q_poset.bottom())
+    psi = interval_isomorphism(e6p6, ctx71.q_poset, apex)
+    if psi is None:
+        problems.append(
+            f"no graded copy of the 27-class poset under the interval apex {apex.id}"
         )
+    return ctx71, psi
+
+
+def certificates(target: str, golden_dir=None) -> Certificates:
+    """Run every witness engine on the e6 or e7 poset.
+
+    Both targets load and check the 27-class table: e7's cone and interval
+    gates read its decorations.
+    """
+    problems: list[str] = []
+    e6 = weyl.build_cartan("E", 6)
+    e6p6 = build_quotient_poset(e6, {6})
+    golden6 = load_golden_poset("e6", golden_dir)
+    check_against(golden6, e6p6)
+
+    if target == "e6":
+        certs = _basic_certificates(e6p6)
+        _cone_certificates(
+            certs,
+            problems,
+            e6p6,
+            build_quotient_poset(weyl.build_cartan("D", 5), {5}),
+            resolve_token(e6p6, "11:12"),
+            lambda s: not classify_og(fingerprint_to_og(5, s.fingerprint)).rigid,
+            "the 10-dimensional spinor quotient",
+        )
+        ctx61 = make_context(e6, {6}, {1})
+        _tits_certificates(certs, ctx61, lambda src: basic_witness_homes(ctx61.q_poset, src))
+        ctx65 = make_context(e6, {6}, {5})
+        _tits_certificates(certs, ctx65, depth2_oracle(make_context(e6, {5}, {6})))
+        return Certificates(e6p6, golden6, certs, problems)
+
+    e7 = weyl.build_cartan("E", 7)
+    e7p7 = build_quotient_poset(e7, {7})
+    golden7 = load_golden_poset("e7", golden_dir)
+    check_against(golden7, e7p7)
+
+    certs = _basic_certificates(e7p7)
+    flexible6 = {n.id for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"}
+    _cone_certificates(
+        certs,
+        problems,
+        e7p7,
+        e6p6,
+        resolve_token(e7p7, "17:78"),
+        lambda s: s.id in flexible6,
+        "the 16-dimensional 27-class quotient",
+    )
+    ctx71, psi = _e7_interval(e6p6, problems)
+    if psi is not None:
+        _tits_certificates(certs, ctx71, interval_oracle(ctx71, psi, flexible6))
+    ctx76 = make_context(e7, {7}, {6})
+    _tits_certificates(certs, ctx76, depth2_oracle(make_context(e7, {6}, {7})))
+    return Certificates(e7p7, golden7, certs, problems)
+
+
+def _apply_rules(report: VerifyReport, found: Certificates) -> None:
+    report.problems.extend(found.problems)
+    counts = {"rigid": 0, "plus": 0, "star": 0, "T": 0}
+    for node in found.poset.nodes:
+        row = found.row(node)
+        report.rows.append(row)
+        token, deco, kinds = row["token"], row["decoration"], row["certificates"]
+        counts[deco] += 1
         if deco == "rigid":
             if kinds:
                 report.problems.append(
@@ -243,41 +318,14 @@ def _apply_rules(
             report.problems.append(f"{token} is decorated star without a Cone certificate")
         elif deco == "T" and "Tits" not in kinds:
             report.problems.append(f"{token} is decorated T without a Tits certificate")
-    report.summary["classes"] = len(poset.nodes)
+    report.summary["classes"] = len(found.poset.nodes)
     report.summary.update(counts)
 
 
 def verify_e6(golden_dir=None) -> VerifyReport:
-    """Check the 27-class decorations with every engine rebuilt from scratch."""
+    """Check the 27-class decorations with every engine run from scratch."""
     report = VerifyReport("e6")
-    datum = weyl.build_cartan("E", 6)
-    e6p6 = build_quotient_poset(datum, {6})
-    golden = load_golden_poset("e6", golden_dir)
-    check_against(golden, e6p6)
-
-    certs = _basic_certificates(e6p6)
-
-    og510 = build_quotient_poset(weyl.build_cartan("D", 5), {5})
-    _cone_certificates(
-        certs,
-        report.problems,
-        e6p6,
-        og510,
-        resolve_token(e6p6, "11:12"),
-        lambda s: not classify_og(fingerprint_to_og(5, s.fingerprint)).rigid,
-        "the 10-dimensional spinor quotient",
-    )
-
-    e6p1 = build_quotient_poset(datum, {1})
-    ctx61 = make_context(datum, {6}, {1}, p_poset=e6p6, q_poset=e6p1)
-    _tits_certificates(certs, ctx61, lambda src: basic_witness_homes(e6p1, src))
-
-    e6p5 = build_quotient_poset(datum, {5})
-    ctx65 = make_context(datum, {6}, {5}, p_poset=e6p6, q_poset=e6p5)
-    rev56 = make_context(datum, {5}, {6}, p_poset=e6p5, q_poset=e6p6)
-    _tits_certificates(certs, ctx65, depth2_oracle(rev56))
-
-    _apply_rules(report, golden, e6p6, certs)
+    _apply_rules(report, certificates("e6", golden_dir))
     return report
 
 
@@ -291,78 +339,29 @@ def verify_e7(golden_dir=None, e6_report: VerifyReport | None = None) -> VerifyR
             "the 27-class decorations failed verification and cannot gate "
             "the cone and interval certificates here"
         )
-
-    datum = weyl.build_cartan("E", 7)
-    e7p7 = build_quotient_poset(datum, {7})
-    golden7 = load_golden_poset("e7", golden_dir)
-    check_against(golden7, e7p7)
-    golden6 = load_golden_poset("e6", golden_dir)
-
-    certs = _basic_certificates(e7p7)
-
-    e6p6 = build_quotient_poset(weyl.build_cartan("E", 6), {6})
-    flexible6 = {
-        n.id for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"
-    }
-    _cone_certificates(
-        certs,
-        report.problems,
-        e7p7,
-        e6p6,
-        resolve_token(e7p7, "17:78"),
-        lambda s: s.id in flexible6,
-        "the 16-dimensional 27-class quotient",
-    )
-
-    e7p1 = build_quotient_poset(datum, {1})
-    ctx71 = make_context(datum, {7}, {1}, p_poset=e7p7, q_poset=e7p1)
-    ctx17 = make_context(datum, {1}, {7}, p_poset=e7p1, q_poset=e7p7)
-    apex = transform(ctx17, e7p7.bottom())
-    psi = interval_isomorphism(e6p6, e7p1, apex)
-    if psi is None:
-        report.problems.append(
-            f"no graded copy of the 27-class poset under the interval apex {apex.id}"
-        )
-    else:
-        _tits_certificates(certs, ctx71, interval_oracle(ctx71, psi, flexible6))
-
-    e7p6 = build_quotient_poset(datum, {6})
-    ctx76 = make_context(datum, {7}, {6}, p_poset=e7p7, q_poset=e7p6)
-    rev67 = make_context(datum, {6}, {7}, p_poset=e7p6, q_poset=e7p7)
-    _tits_certificates(certs, ctx76, depth2_oracle(rev67))
-
-    _apply_rules(report, golden7, e7p7, certs)
+    _apply_rules(report, certificates("e7", golden_dir))
     return report
 
 
 def verify_table1(golden_dir=None) -> VerifyReport:
     """Replay the frozen transform table through the live sweep."""
     report = VerifyReport("table1")
-    e6 = weyl.build_cartan("E", 6)
-    e7 = weyl.build_cartan("E", 7)
-    e6p6 = build_quotient_poset(e6, {6})
-    e7p7 = build_quotient_poset(e7, {7})
-    e7p1 = build_quotient_poset(e7, {1})
+    e6p6 = build_quotient_poset(weyl.build_cartan("E", 6), {6})
+    e7p7 = build_quotient_poset(weyl.build_cartan("E", 7), {7})
     golden6 = load_golden_poset("e6", golden_dir)
     golden7 = load_golden_poset("e7", golden_dir)
     check_against(golden6, e6p6)
     check_against(golden7, e7p7)
 
-    ctx71 = make_context(e7, {7}, {1}, p_poset=e7p7, q_poset=e7p1)
-    ctx17 = make_context(e7, {1}, {7}, p_poset=e7p1, q_poset=e7p7)
-    apex = transform(ctx17, e7p7.bottom())
-    psi = interval_isomorphism(e6p6, e7p1, apex)
+    ctx71, psi = _e7_interval(e6p6, report.problems)
     if psi is None:
-        report.problems.append(
-            f"no graded copy of the 27-class poset under the interval apex {apex.id}"
-        )
         return report
 
     rows = load_transform_table(golden_dir)
     targets = set()
     for r in rows:
         y = resolve_token(e6p6, r.y_token)
-        src = e7p1.node(psi[y.id])
+        src = ctx71.q_poset.node(psi[y.id])
         dst = transform(ctx71, src)
         t = resolve_token(e7p7, r.t_token)
         injective = injectivity_check(ctx71, src)

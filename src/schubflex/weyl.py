@@ -33,6 +33,10 @@ _POSITIVE_ROOT_COUNTS = {
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}
 
 
+class InternalError(RuntimeError):
+    """A structural invariant failed: a bug in the package, not bad input."""
+
+
 @dataclass(frozen=True)
 class CartanDatum:
     """A validated Cartan matrix plus the family/rank it came from."""
@@ -87,7 +91,8 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     # roots and counting them exercises the whole matrix, so it runs once here.
     expected = _POSITIVE_ROOT_COUNTS[family](rank)
     actual = len(positive_roots(datum))
-    assert actual == expected, f"BUG: {family}{rank} produced {actual} positive roots, expected {expected}"
+    if actual != expected:
+        raise InternalError(f"{family}{rank} produced {actual} positive roots, expected {expected}")
     return datum
 
 
@@ -111,27 +116,6 @@ def act(datum: CartanDatum, word, v: tuple[int, ...]) -> tuple[int, ...]:
 def rho(datum: CartanDatum) -> tuple[int, ...]:
     """Sum of fundamental weights: the all-ones vector."""
     return (1,) * datum.rank
-
-
-def length(datum: CartanDatum, word) -> int:
-    """Coxeter length of the element spelled by ``word`` (which may be unreduced).
-
-    Works by peeling descents off d = w^{-1}(rho) until it returns to rho;
-    each peel shortens the element by exactly one.
-    """
-    r = rho(datum)
-    d = act(datum, tuple(reversed(tuple(word))), r)
-    steps = 0
-    while d != r:
-        i = next(k for k in range(datum.rank) if d[k] < 0)
-        d = reflect(datum, i + 1, d)
-        steps += 1
-    return steps
-
-
-def is_reduced(datum: CartanDatum, word) -> bool:
-    word = tuple(word)
-    return length(datum, word) == len(word)
 
 
 def longest_element(datum: CartanDatum, generators) -> tuple[int, ...]:
@@ -226,30 +210,6 @@ def levi_order(datum: CartanDatum, generators) -> int:
     for comp in _components(datum, gens):
         order *= _component_order(datum, comp)
     return order
-
-
-def levi_orbit_order(datum: CartanDatum, generators) -> int:
-    """Order of the same parabolic subgroup, counted as a weight orbit.
-
-    Independent of :func:`levi_order`: the orbit of the strictly dominant
-    weight sum(omega_i for i in generators) under the subgroup is free, so its
-    size equals the group order.  Exponential in the component sizes; meant as
-    a cross-check on small generator sets.
-    """
-    gens = sorted(set(generators))
-    start = tuple(1 if (i + 1) in gens else 0 for i in range(datum.rank))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in gens:
-                w = reflect(datum, i, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen)
 
 
 def _components(datum: CartanDatum, gens: list[int]) -> list[list[int]]:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, ann_index, grouped
 from .poset import QuotientPoset, interval_chain_counts
 from .rigidity import classify_gr, classify_lg, classify_og, classify_quadric
+from .weyl import InternalError
 
 
 @dataclass
@@ -143,7 +144,8 @@ def moduli_witness_gr(idx: GrIndex) -> Witness | None:
         )
     other = ann_index(idx)
     u = _case1_position(other)
-    assert u is not None, f"BUG: flexible {idx} with no movable entry on either side"
+    if u is None:
+        raise InternalError(f"flexible {idx} with no movable entry on either side")
     return Witness(
         "ModuliGr",
         {
@@ -173,7 +175,8 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
         embedded = GrIndex(s, n, lam)
         if not classify_gr(embedded).rigid:
             inner = moduli_witness_gr(embedded)
-            assert inner is not None
+            if inner is None:
+                raise InternalError(f"movable embedding {embedded} of {idx} has no witness")
             payload = {
                 "index": str(idx),
                 "branch": "a",
@@ -187,7 +190,8 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
     if not lg and s >= 1 and lam[-1] == n - 2:
         extended = GrIndex(s + 1, n, lam + (n,))
         inner = moduli_witness_gr(extended)
-        assert inner is not None, f"BUG: extension of {idx} is not movable"
+        if inner is None:
+            raise InternalError(f"extension of {idx} is not movable")
         return Witness(
             "ModuliIsotropic",
             {
@@ -225,7 +229,7 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
                 },
             )
 
-    raise AssertionError(f"BUG: flexible isotropic class {idx} matched no branch")
+    raise InternalError(f"flexible isotropic class {idx} matched no branch")
 
 
 def quadric_witness(idx: QuadricIndex) -> Witness | None:
@@ -245,7 +249,8 @@ def quadric_witness(idx: QuadricIndex) -> Witness | None:
                     ),
                 },
             )
-        assert n % 2 == 1 and 2 * j == n + 1, f"BUG: unexpected flexible {idx}"
+        if n % 2 == 0 or 2 * j != n + 1:
+            raise InternalError(f"unexpected flexible {idx}")
         return Witness(
             "ModuliQuadric",
             {

@@ -11,8 +11,10 @@ import sys
 import jsonschema
 import pytest
 
+from schubflex import poset
 from schubflex.cli import main
 from schubflex.golden import golden_dir
+from schubflex.verify import verify_e6, verify_e7
 
 SCHEMA_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -113,6 +115,43 @@ def test_classify_exceptional_transform_class(capsys):
     assert "decoration: T" in out
     assert "certificates: Tits" in out
     assert "[Tits]" in out
+
+
+def _classify_lines(target, row):
+    """The classify output of one verify row, rendered independently."""
+    certs = ", ".join(row["certificates"]) or "none"
+    lines = [
+        f"class: {target}:{row['token']}",
+        f"dimension: {row['dim']}",
+        f"degree: {row['degree']}",
+        f"decoration: {row['decoration']}",
+        f"certificates: {certs}",
+    ]
+    for detail in row["details"]:
+        lines.append(f"  [{detail['kind']}]")
+        lines += [f"    {key}: {detail[key]}" for key in sorted(detail) if key != "kind"]
+    return lines
+
+
+def test_classify_exceptional_equals_verify_row(capsys):
+    # Cone, Tits and no certificates, on both posets
+    for target, tokens, report in (
+        ("e6", ("6:3", "9:9", "4:1a"), verify_e6()),
+        ("e7", ("7:3", "17:442", "22:5586"), verify_e7()),
+    ):
+        rows = {row["token"]: row for row in report.rows}
+        for token in tokens:
+            rc, out, err = run(["classify", f"{target}:{token}"], capsys)
+            assert rc == 0 and err == ""
+            assert out.splitlines() == _classify_lines(target, rows[token])
+
+
+def test_classify_e7_builds_only_what_its_row_needs(capsys):
+    # E7/P7, E6/P6 (cone base and interval model), E7/P1 and E7/P6
+    poset._quotient.cache_clear()
+    rc, _, _ = run(["classify", "e7:22:5586"], capsys)
+    assert rc == 0
+    assert poset._quotient.cache_info().misses == 4
 
 
 def test_classify_quadric(capsys):
@@ -271,6 +310,13 @@ def test_verify_cli_corrupted_degree_exits_3(tmp_path, capsys):
     rc, _, err = run(["verify", "e6", "--golden-dir", str(dst)], capsys)
     assert rc == 3
     assert "data error:" in err
+
+
+def test_classify_e7_checks_the_e6_table(tmp_path, capsys):
+    dst = _tamper(tmp_path, 2, "999")
+    rc, out, err = run(["classify", "e7:22:5586", "--golden-dir", str(dst)], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("data error: e6_p6: n011")
 
 
 def test_golden_dir_env_variable(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Unit tests for quotient-poset construction, order, degrees, duality."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubflex import weyl
+from oracles import is_reduced
+from schubflex import poset, weyl
 from schubflex.poset import (
     InternalError,
     build_quotient_poset,
@@ -113,7 +115,7 @@ def test_min_words_are_reduced_and_consistent(e6):
     datum = e6.datum
     lam = (0, 0, 0, 0, 0, 1)
     for n in e6.nodes:
-        assert weyl.is_reduced(datum, n.min_word)
+        assert is_reduced(datum, n.min_word)
         assert len(n.min_word) == n.dim
         assert weyl.act(datum, tuple(reversed(n.min_word)), lam) == n.fingerprint
         assert weyl.act(datum, tuple(reversed(n.min_word)), weyl.rho(datum)) == n.rho_vector
@@ -192,7 +194,7 @@ ORACLE_CASES = [
 )
 def test_covers_equal_pairwise_leq_oracle(family, rank, marked):
     p = build_quotient_poset(weyl.build_cartan(family, rank), marked)
-    assert p.covers == pairwise_covers(p)
+    assert list(p.covers) == pairwise_covers(p)
 
 
 @st.composite
@@ -212,7 +214,7 @@ def small_quotients(draw):
 def test_covers_equal_pairwise_leq_oracle_random(quotient):
     datum, marked, _ = quotient
     p = build_quotient_poset(datum, marked)
-    assert p.covers == pairwise_covers(p), f"{p.type_label()}/{sorted(marked)}"
+    assert list(p.covers) == pairwise_covers(p), f"{p.type_label()}/{sorted(marked)}"
 
 
 def test_lower_interval_equals_leq_filter(e6, e7p7, e7p1):
@@ -222,10 +224,36 @@ def test_lower_interval_equals_leq_filter(e6, e7p7, e7p1):
 
 
 def test_order_formula_mismatch_raises_internal_error(monkeypatch):
-    # A3/P2 has 6 cosets; a wrong Levi order makes the formula say 3.
+    # A3/P2 has 6 cosets; a wrong Levi order makes the formula say 3.  The
+    # cache is emptied around the test, so the check meets a fresh
+    # enumeration whatever other tests have built (the g24 fixture caches
+    # A3/P2), and nothing built under the patched formula outlives it.
+    poset._quotient.cache_clear()
     monkeypatch.setattr(weyl, "levi_order", lambda datum, generators: 8)
-    with pytest.raises(InternalError, match="enumerated 6 cosets, order formula says 3"):
-        build_quotient_poset(weyl.build_cartan("A", 3), {2})
+    try:
+        with pytest.raises(InternalError, match="enumerated 6 cosets, order formula says 3"):
+            build_quotient_poset(weyl.build_cartan("A", 3), {2})
+    finally:
+        poset._quotient.cache_clear()
+
+
+def test_repeat_build_returns_the_shared_poset():
+    g24 = build_quotient_poset(weyl.build_cartan("A", 3), {2})
+    assert build_quotient_poset(weyl.build_cartan("A", 3), [2]) is g24
+    assert isinstance(g24.nodes, tuple) and isinstance(g24.covers, tuple)
+
+
+def test_size_cap_checked_for_cached_quotient():
+    e6 = build_quotient_poset(weyl.build_cartan("E", 6), {6})
+    assert build_quotient_poset(e6.datum, {6}, size_cap=27) is e6
+    with pytest.raises(ValueError, match="27 cosets, above the cap of 26"):
+        build_quotient_poset(e6.datum, {6}, size_cap=26)
+
+
+def test_nodes_are_frozen(e6):
+    with pytest.raises(FrozenInstanceError):
+        e6.top().degree = 1
+    assert e6.top().degree == 78
 
 
 def test_degree_definedness_follows_minusculity():

@@ -12,6 +12,7 @@ import shutil
 
 import pytest
 
+from schubflex import poset
 from schubflex.golden import GoldenDataError, golden_dir
 from schubflex.verify import verify_all, verify_e6, verify_e7, verify_table1
 
@@ -157,6 +158,13 @@ def test_verify_all_covers_three_targets():
     reports = verify_all()
     assert [r.target for r in reports] == ["e6", "e7", "table1"]
     assert all(r.ok for r in reports)
+
+
+def test_verify_all_builds_each_quotient_once():
+    # E6/P6, D5/P5, E6/P1, E6/P5, E7/P7, E7/P1 and E7/P6
+    poset._quotient.cache_clear()
+    verify_all()
+    assert poset._quotient.cache_info().misses == 7
 
 
 def test_report_serialization_round_trips(report_e6):
