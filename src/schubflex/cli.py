@@ -127,6 +127,8 @@ def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientP
         raise SpecError(f"unknown poset selector {selector!r}")
     try:
         if head in GOLDEN_POSETS:
+            if params:
+                raise SpecError(f"selector {head!r} takes no parameters, got {selector!r}")
             return quotient(head, size_cap=size_cap)
         if head == "gr":
             k, n = (int(x) for x in params.split(","))

@@ -14,6 +14,12 @@ Conventions (Bourbaki numbering throughout):
 * B_n has the doubled entry cartan[n-2][n-1] == -2 (short root alpha_n);
   C_n is its transpose; D_n is the path 1..n-1 with node n attached to n-2;
   E6/E7 use edges (1,3),(3,4),(4,5),(5,6),(2,4) and, for E7, (6,7).
+
+Building a datum costs O(rank^2): the matrix, plus a check that the diagram
+read back from it has the family's group order.  Roots are enumerated only on
+request (:func:`positive_roots`, memoised), and only :func:`quotient_dimension`
+asks for them, so the size cap of a quotient is checked from the closed-form
+orders before any root exists.
 """
 
 from __future__ import annotations
@@ -21,14 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-_POSITIVE_ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63}[n],
-}
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}
 
@@ -87,12 +85,13 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
         rows[i][j] = cij
         rows[j][i] = cji
     datum = CartanDatum(family, rank, tuple(tuple(r) for r in rows))
-    # The positive-root count is a closed-form fact per family; generating the
-    # roots and counting them exercises the whole matrix, so it runs once here.
-    expected = _POSITIVE_ROOT_COUNTS[family](rank)
-    actual = len(positive_roots(datum))
+    # Reading the components back from the matrix and recognising their shapes
+    # must give the family's closed-form group order: a dropped edge splits the
+    # diagram and a misplaced branch changes its type.  O(rank^2), no roots.
+    expected = weyl_order(datum)
+    actual = levi_order(datum, range(1, rank + 1))
     if actual != expected:
-        raise InternalError(f"{family}{rank} produced {actual} positive roots, expected {expected}")
+        raise InternalError(f"{family}{rank} diagram has group order {actual}, expected {expected}")
     return datum
 
 
@@ -142,7 +141,12 @@ def longest_element(datum: CartanDatum, generators) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
-    """All positive roots in simple-root coordinates, sorted by (height, coords)."""
+    """All positive roots in simple-root coordinates, sorted by (height, coords).
+
+    Enumerated on first request per datum, at O(rank^4) for the classical
+    families (O(rank^2) roots, each reflected in rank directions at O(rank)
+    apiece), so nothing on the way to a size-capped quotient calls it.
+    """
     n = datum.rank
     cartan = datum.cartan
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -249,7 +253,7 @@ def _component_order(datum: CartanDatum, comp: list[int]) -> int:
     if not branch:
         return math.factorial(r + 1)  # simply-laced path: type A_r
     if len(branch) > 1 or neighbour_counts[branch[0]] > 3:
-        raise ValueError(f"unsupported diagram shape on nodes {comp}")
+        raise InternalError(f"unsupported diagram shape on nodes {comp}")
     arms = sorted(_arm_lengths(datum, comp, branch[0]))
     if arms[0] == 1 and arms[1] == 1:
         return (2 ** (r - 1)) * math.factorial(r)  # type D_r
@@ -257,7 +261,7 @@ def _component_order(datum: CartanDatum, comp: list[int]) -> int:
         return 51840  # type E6
     if arms == [1, 2, 3]:
         return 2903040  # type E7
-    raise ValueError(f"unsupported diagram shape on nodes {comp}")
+    raise InternalError(f"unsupported diagram shape on nodes {comp}")
 
 
 def _arm_lengths(datum: CartanDatum, comp: list[int], branch: int) -> list[int]:

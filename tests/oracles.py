@@ -10,6 +10,17 @@ from __future__ import annotations
 from schubflex.classical import GrIndex, dual_index, gr_dimension
 from schubflex.weyl import CartanDatum, act, reflect, rho
 
+# Number of positive roots per family and rank (Humphreys, Reflection Groups
+# and Coxeter Groups, 3.18): the check that an enumeration of the roots read
+# the whole Cartan matrix right.
+POSITIVE_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63}[n],
+}
+
 
 def length(datum: CartanDatum, word) -> int:
     """Coxeter length of the element spelled by ``word`` (which may be unreduced).

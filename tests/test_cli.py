@@ -11,7 +11,7 @@ import sys
 import jsonschema
 import pytest
 
-from schubflex import poset
+from schubflex import poset, weyl
 from schubflex.cli import main
 from schubflex.golden import golden_dir
 from schubflex.verify import verify_e6, verify_e7
@@ -81,6 +81,46 @@ def test_hasse_dot_output(capsys):
     assert 'n000 [label="0:1"];' in out
     assert "n000 -> n001;" in out
     assert out.endswith("}\n")
+
+
+@pytest.mark.parametrize(
+    "selector", ["e6:1", "e6:6", "e7:x", "e7:7,1", "zz", "gr:0,4", "gr:2", "og:x"]
+)
+def test_malformed_hasse_selector_is_usage_error(selector, capsys):
+    rc, out, err = run(["hasse", selector], capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_hasse_never_enumerates_roots(monkeypatch, capsys):
+    # The size cap is checked from closed-form orders, so no hasse selector,
+    # under the cap or over it, needs the positive roots.  The Cartan cache is
+    # emptied around the test so every datum is built under the patch.
+    def no_roots(datum):
+        raise AssertionError(f"positive_roots({datum}) called")
+
+    weyl.build_cartan.cache_clear()
+    monkeypatch.setattr(weyl, "positive_roots", no_roots)
+    try:
+        for argv, code in [
+            (["gr:1,64"], 0),
+            (["quad:80", "--json"], 0),
+            (["og:40"], 2),
+            (["gr:20,40"], 2),
+            (["lg:30"], 2),
+        ]:
+            rc, out, err = run(["hasse", *argv], capsys)
+            assert rc == code, f"hasse {argv}: exit {rc}, stderr {err!r}"
+            if code == 0:
+                assert out and err == ""
+            else:
+                assert out == "" and "above the cap" in err
+        rc, out, _ = run(["hasse", "gr:1,300"], capsys)
+        assert rc == 0
+        assert out.splitlines()[0] == "A299 / P[1]: 300 classes, 299 covers, dimension 299"
+    finally:
+        weyl.build_cartan.cache_clear()
 
 
 def test_classify_flexible_grassmannian(capsys):

@@ -23,16 +23,18 @@ def test_package_has_no_assert():
 
 
 def test_verify_all_is_the_same_under_python_O():
+    # hasse gr:1,64 also runs build_cartan's diagram-order check for A63.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "schubflex.cli", "verify", "all"],
-            capture_output=True,
-            env=env,
-            timeout=120,
-        )
-        for flags in ([], ["-O"])
-    ]
-    for run in runs:
-        assert run.returncode == 0, run.stderr.decode()
-    assert runs[1].stdout == runs[0].stdout
+    for argv in (["verify", "all"], ["hasse", "gr:1,64", "--json"]):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "schubflex.cli", *argv],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        for run in runs:
+            assert run.returncode == 0, run.stderr.decode()
+        assert runs[1].stdout == runs[0].stdout, f"{argv} differs under python -O"

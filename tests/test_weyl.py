@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_reduced, length, levi_orbit_order
+from oracles import POSITIVE_ROOT_COUNTS, is_reduced, length, levi_orbit_order
 from schubflex import weyl
 
 SMALL_DATA = [
@@ -63,10 +63,16 @@ def test_build_cartan_rejects_bad_input():
         weyl.build_cartan("D", 2)
 
 
-@pytest.mark.parametrize(
-    "family,rank,count",
-    [("A", 3, 6), ("A", 5, 15), ("B", 3, 9), ("C", 4, 16), ("D", 4, 12), ("D", 5, 20), ("E", 6, 36), ("E", 7, 63)],
-)
+# Every family at every rank from its minimum up to 10, with its closed-form
+# positive-root count.
+ROOT_COUNTS_TO_RANK_10 = [
+    (family, rank, POSITIVE_ROOT_COUNTS[family](rank))
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(low, 11)
+] + [("E", rank, POSITIVE_ROOT_COUNTS["E"](rank)) for rank in (6, 7)]
+
+
+@pytest.mark.parametrize("family,rank,count", ROOT_COUNTS_TO_RANK_10)
 def test_positive_root_counts(family, rank, count):
     d = weyl.build_cartan(family, rank)
     roots = weyl.positive_roots(d)
@@ -75,6 +81,41 @@ def test_positive_root_counts(family, rank, count):
     # the simple roots are present
     for i in range(rank):
         assert tuple(1 if j == i else 0 for j in range(rank)) in roots
+
+
+def _drop_last_edge(edges):
+    return edges[:-1]
+
+
+def _branch_to(node):
+    """D_n with node n joined to ``node`` (1-based) instead of to n-2."""
+    return lambda edges: edges[:-1] + [(node - 1, edges[-1][1], -1, -1)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,mistake",
+    [
+        pytest.param("A", 5, _drop_last_edge, id="A5-edge-dropped"),
+        pytest.param("B", 4, _drop_last_edge, id="B4-edge-dropped"),
+        pytest.param("D", 4, _drop_last_edge, id="D4-branch-dropped"),
+        pytest.param("E", 7, _drop_last_edge, id="E7-edge-dropped"),
+        pytest.param("D", 4, _branch_to(3), id="D4-branch-at-end"),  # a path: A4
+        pytest.param("D", 6, _branch_to(3), id="D6-branch-moved"),  # arms 1, 2, 2: E6
+        pytest.param("D", 7, _branch_to(4), id="D7-branch-moved"),  # arms 1, 2, 3: E7
+        pytest.param("D", 9, _branch_to(6), id="D9-branch-moved"),  # arms 1, 2, 5: no type
+    ],
+)
+def test_wrong_diagram_raises_internal_error(monkeypatch, family, rank, mistake):
+    # The Cartan cache is emptied around the test, so the check meets the
+    # wrong diagram and nothing built from it outlives the test.
+    edges = weyl._edges
+    weyl.build_cartan.cache_clear()
+    monkeypatch.setattr(weyl, "_edges", lambda f, r: mistake(edges(f, r)))
+    try:
+        with pytest.raises(weyl.InternalError):
+            weyl.build_cartan(family, rank)
+    finally:
+        weyl.build_cartan.cache_clear()
 
 
 def test_act_worked_example_a2():
