@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +115,22 @@ def fingerprint_to_gr(k: int, n: int, fingerprint) -> GrIndex:
     raise ValueError(f"fingerprint {fp} does not encode a {k}-subset of 1..{n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def standard_tableau_count(shape: tuple[int, ...]) -> int:
-    """Number of standard fillings of a partition shape, by corner-peeling recursion."""
-    shape = tuple(x for x in shape if x > 0)
-    if not shape:
-        return 1
-    total = 0
-    for i in range(len(shape)):
-        if i == len(shape) - 1 or shape[i] > shape[i + 1]:
-            smaller = list(shape)
-            smaller[i] -= 1
-            total += standard_tableau_count(tuple(smaller))
-    return total
+    """Number of standard fillings of a partition shape (weakly decreasing rows).
+
+    Hook length formula (Frame, Robinson and Thrall 1954): cells! divided by
+    the product of the hook lengths, exact in integers and O(cells).
+    """
+    columns = [0] * max(shape, default=0)
+    for row in shape:
+        for j in range(row):
+            columns[j] += 1
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + columns[j] - i - 1
+    return factorial(sum(shape)) // hooks
 
 
 def gr_degree(idx: GrIndex) -> int:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification target fails, 2 on usage
 errors (including malformed or ambiguous class specs), 3 when the shipped
-decoration tables are unreadable or internally inconsistent.
+decoration tables are unreadable or internally inconsistent, 141 (128 +
+SIGPIPE) when the reader of stdout closes it early, as ``| head`` does; that
+exit prints nothing on stderr.
 
 Class specs name a family and a class in one colon-joined argument:
 
@@ -22,7 +24,9 @@ every command that needs a family's poset goes through :func:`quotient`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import weyl
@@ -356,11 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; argparse keeps no per-parse state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (SpecError, TokenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -370,6 +381,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit stays quiet
+        # (the recipe in the Python docs on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

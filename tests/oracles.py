@@ -7,6 +7,8 @@ compare the two.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from schubflex.classical import GrIndex, dual_index, gr_dimension
 from schubflex.weyl import CartanDatum, act, reflect, rho
 
@@ -93,3 +95,22 @@ def gr_pairing(a: GrIndex, b: GrIndex) -> int:
     if gr_dimension(a) + gr_dimension(b) != a.k * (a.n - a.k):
         raise ValueError("pairing needs complementary dimensions")
     return 1 if b.lam == dual_index(a).lam else 0
+
+
+@lru_cache(maxsize=None)
+def corner_peeling_count(shape: tuple[int, ...]) -> int:
+    """Standard tableaux of a partition shape: sum over the shapes with one corner removed.
+
+    The cell holding the largest entry of a standard filling is a corner, so
+    the count is the sum of the counts of the shapes left after removing one.
+    """
+    shape = tuple(x for x in shape if x > 0)
+    if not shape:
+        return 1
+    total = 0
+    for i in range(len(shape)):
+        if i == len(shape) - 1 or shape[i] > shape[i + 1]:
+            smaller = list(shape)
+            smaller[i] -= 1
+            total += corner_peeling_count(tuple(smaller))
+    return total

@@ -1,12 +1,13 @@
 """Unit tests for classical index arithmetic."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gr_pairing, ungroup
+from oracles import corner_peeling_count, gr_pairing, ungroup
 from schubflex import classical, weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
 from schubflex.poset import build_quotient_poset
@@ -126,6 +127,46 @@ def test_standard_tableau_counts_known():
     assert classical.standard_tableau_count((3, 3, 3)) == 42
     assert classical.standard_tableau_count((4, 4, 4)) == 462
     assert classical.standard_tableau_count((5, 4, 3, 2, 1)) == 292864
+
+
+def _partitions(cells, largest):
+    """Partitions of ``cells`` with parts at most ``largest``, as decreasing tuples."""
+    if cells == 0:
+        yield ()
+        return
+    for part in range(min(cells, largest), 0, -1):
+        for rest in _partitions(cells - part, part):
+            yield (part, *rest)
+
+
+def test_standard_tableau_count_matches_corner_peeling():
+    shapes = [shape for cells in range(17) for shape in _partitions(cells, cells)]
+    assert len(shapes) == 915  # sum of p(n) for n = 0..16
+    for shape in shapes:
+        expected = corner_peeling_count(shape)
+        assert classical.standard_tableau_count(shape) == expected, shape
+        # gr_degree passes the zero rows of the shifted index along.
+        assert classical.standard_tableau_count(shape + (0, 0)) == expected, shape
+
+
+def test_standard_tableau_count_of_large_shapes():
+    # Thousands of cells: a recursion that peels one cell per call fails here.
+    def catalan(c):
+        return comb(2 * c, c) // (c + 1)
+
+    assert classical.standard_tableau_count((1500, 1500)) == catalan(1500)
+    assert classical.gr_degree(GrIndex(2, 3002, (3001, 3002))) == catalan(3000)
+    assert classical.gr_degree(GrIndex(1, 3001, (3001,))) == 1
+
+
+def test_gr_degree_memo_holds_only_the_queried_shape():
+    classical.standard_tableau_count.cache_clear()
+    try:
+        full = GrIndex(6, 12, tuple(range(7, 13)))
+        assert classical.gr_degree(full) == corner_peeling_count((6,) * 6)
+        assert classical.standard_tableau_count.cache_info().currsize == 1
+    finally:
+        classical.standard_tableau_count.cache_clear()
 
 
 def test_gr_degrees_known():

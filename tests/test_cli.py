@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import os
 import shutil
@@ -10,10 +13,12 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schubflex import poset, weyl
+from schubflex import cli, poset, weyl
 from schubflex.cli import main
-from schubflex.golden import golden_dir
+from schubflex.golden import golden_dir, node_token
 from schubflex.verify import verify_e6, verify_e7
 
 SCHEMA_DIR = os.path.join(
@@ -382,6 +387,151 @@ def test_output_is_byte_deterministic_across_processes():
         a = subprocess.run(cmd, capture_output=True, env=env0, check=True)
         b = subprocess.run(cmd, capture_output=True, env=env1, check=True)
         assert a.stdout == b.stdout, f"BUG: {argv} output depends on hash seed"
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+REUSE_ARGVS = [
+    ["hasse", "gr:2,4"],
+    ["hasse", "e6", "--json"],
+    ["classify", "gr:2,5:1,3"],
+    ["degree", "e7:22:5586"],
+    ["dual", "og:5:2,3"],
+    ["tits", "a2", "1", "2"],
+    ["classify", "gr:2,5:3,1"],
+    [],
+    ["bogus"],
+    ["hasse"],
+    ["verify", "nope"],
+    ["hasse", "gr:2,4", "--json", "--dot"],
+    ["--help"],
+    ["degree", "--help"],
+]
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        argvs = REUSE_ARGVS * 2
+        shared = [_outcome(argv, capsys) for argv in argvs]
+        assert len(built) == 1
+        for argv, outcome in zip(argvs, shared):
+            cli._parser.cache_clear()
+            assert outcome == _outcome(argv, capsys), argv
+    finally:
+        cli._parser.cache_clear()
+    assert {code for code, _, _ in shared} == {0, 2}
+    # The benchmark's tracer wraps parse_args on each parser build_parser
+    # returns; a shared one would collect a wrapper per call.
+    assert real() is not real()
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["hasse", "gr:2,100"], "1"),
+        (["hasse", "gr:2,100"], ""),
+        (["hasse", "gr:6,12", "--json"], ""),
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv, unbuffered):
+    # Each output is larger than the pipe and stdout buffers together, so the
+    # writer is still writing when the reader closes its end.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubflex.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first and err == b""
+
+
+def _joined(elements):
+    return elements.map(lambda xs: ",".join(map(str, xs)))
+
+
+HEADS = ["gr", "lg", "og", "quad", "e6", "e7"] * 3 + ["", "xx", "GR", "e8"]
+# Every number stays small (digits 1 and 2 in the free text): the size cap is
+# checked only after the rank x rank Cartan matrix is built, so a huge rank
+# (`degree og:920277:1`, `hasse gr:1,100000`) is unbounded work, not a refusal.
+INT_LIST = _joined(st.lists(st.integers(-2, 12), max_size=4))
+JUNK = st.text(alphabet=",:-ab12", max_size=3)
+
+
+@functools.lru_cache(maxsize=None)
+def _tokens(head):
+    poset = cli.quotient(head)
+    return sorted({node_token(poset, node) for node in poset.nodes})
+
+
+@st.composite
+def _shaped_spec(draw, head):
+    """Parameters and class body of the form the head expects; they may still name no class."""
+    if head in ("e6", "e7"):
+        return draw(st.sampled_from(_tokens(head))).split(":")
+    n = draw(st.integers(-1, 12))
+    if head == "gr":
+        k = draw(st.integers(-1, 7))
+        size = max(0, min(k, n))
+        lam = draw(st.sets(st.integers(1, max(n, 1)), min_size=size, max_size=size))
+        return f"{k},{n}", ",".join(map(str, sorted(lam)))
+    if head == "quad":
+        kind = draw(st.sampled_from(["max-plus", "max-minus", "linear", "colinear"]))
+        if kind in ("linear", "colinear"):
+            kind += f"-{draw(st.integers(-1, 8))}"
+        return str(n), kind
+    lam = draw(st.sets(st.integers(1, max(n, 1)), max_size=max(n, 0)))
+    return str(n), ",".join(map(str, sorted(lam)))
+
+
+@st.composite
+def cli_requests(draw):
+    head = draw(st.sampled_from(HEADS))
+    command = draw(st.sampled_from(["classify", "degree", "dual", "hasse"]))
+    params, body = draw(_shaped_spec(head if head in cli.QUOTIENTS else "og"))
+    if command == "hasse":
+        params = draw(st.sampled_from([params, draw(INT_LIST)]))
+        return ["hasse", ":".join([head, params][: draw(st.integers(1, 2))])]
+    params = draw(st.sampled_from([params, params, draw(INT_LIST), draw(JUNK)]))
+    body = draw(st.sampled_from([body, body, draw(INT_LIST), draw(JUNK)]))
+    parts = draw(st.sampled_from([1, 2, 3, 3, 3, 3]))
+    return [command, ":".join([head, params, body][:parts])]
+
+
+@given(cli_requests())
+@settings(max_examples=400, deadline=None)
+def test_spec_grammar_answers_or_refuses_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out and err == "", argv
+    else:
+        assert code == 2, (argv, code, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 if __name__ == "__main__":
