@@ -4,12 +4,13 @@ The poset skeletons (node ids, dimensions, degrees) are recomputed from the
 library; the decorations and the transform table are the hand-checked
 reference classification embedded below, keyed by class token.  Output is
 byte-deterministic, so rerunning this script on an unchanged library is a
-no-op, and any skeleton drift shows up as a git diff.
+no-op, and any skeleton drift shows up as a git diff.  tests/test_golden.py
+runs it into a temporary directory and compares the bytes, so drift also
+fails the test suite.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 from schubflex.golden import node_token
@@ -152,7 +153,9 @@ def write_poset_tsv(rank: int, marked: int, decorations: dict, out_name: str) ->
         deco, comment = decorations[tok]
         seen.add(tok)
         lines.append(f"{node.id}\t{node.dim}\t{node.degree}\t{deco}\t{comment}")
-    assert seen == set(decorations), sorted(set(decorations) - seen)
+    extra = sorted(set(decorations) - seen)
+    if extra:
+        raise ValueError(f"decorations name no class of E{rank}/P{marked}: {extra}")
     path = OUT_DIR / out_name
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(poset.nodes)} rows)")

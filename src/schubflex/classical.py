@@ -72,10 +72,6 @@ def gr_dimension(idx: GrIndex) -> int:
     return sum(shifted(idx.lam))
 
 
-def gr_codimension(idx: GrIndex) -> int:
-    return idx.k * (idx.n - idx.k) - gr_dimension(idx)
-
-
 def dual_index(idx: GrIndex) -> GrIndex:
     """Poincare dual on G(k,n): lambda*_i = n + 1 - lambda_{k+1-i}."""
     return GrIndex(idx.k, idx.n, tuple(idx.n + 1 - x for x in reversed(idx.lam)))
@@ -98,21 +94,6 @@ def gr_to_fingerprint(idx: GrIndex) -> tuple[int, ...]:
         (1 if i in inside else 0) - (1 if i + 1 in inside else 0)
         for i in range(1, idx.n)
     )
-
-
-def fingerprint_to_gr(k: int, n: int, fingerprint) -> GrIndex:
-    """Inverse of :func:`gr_to_fingerprint`."""
-    fp = tuple(fingerprint)
-    if len(fp) != n - 1:
-        raise ValueError(f"fingerprint must have length {n - 1}")
-    for chi_n in (0, 1):
-        chi = [0] * (n + 1)
-        chi[n] = chi_n
-        for i in range(n - 1, 0, -1):
-            chi[i] = chi[i + 1] + fp[i - 1]
-        if all(c in (0, 1) for c in chi[1:]) and sum(chi[1:]) == k:
-            return GrIndex(k, n, tuple(i for i in range(1, n + 1) if chi[i]))
-    raise ValueError(f"fingerprint {fp} does not encode a {k}-subset of 1..{n}")
 
 
 @lru_cache(maxsize=1024)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -56,15 +57,16 @@ from .witnesses import (
     quadric_witness,
 )
 
-# Family head -> (Cartan family, rank, marked node) of its quotient, as a
-# function of the selector's integer parameters (gr:k,n lg:n og:n quad:n e6 e7).
+# Family head -> (Cartan family, rank, marked node, closed-form class count) of
+# its quotient, as a function of the selector's integer parameters (gr:k,n lg:n
+# og:n quad:n e6 e7); quotient() checks the count before building any datum.
 QUOTIENTS = {
-    "gr": lambda k, n: ("A", n - 1, k),
-    "lg": lambda n: ("C", n, n),
-    "og": lambda n: ("D", n, n),
-    "quad": lambda n: (*quadric_poset_family(n), 1),
-    "e6": lambda: ("E", 6, 6),
-    "e7": lambda: ("E", 7, 7),
+    "gr": lambda k, n: ("A", n - 1, k, math.comb(n, k)),
+    "lg": lambda n: ("C", n, n, 2**n),
+    "og": lambda n: ("D", n, n, 2 ** (n - 1)),
+    "quad": lambda n: (*quadric_poset_family(n), 1, n + 2 - n % 2),
+    "e6": lambda: ("E", 6, 6, 27),
+    "e7": lambda: ("E", 7, 7, 56),
 }
 
 
@@ -121,7 +123,9 @@ def parse_class_spec(spec: str):
 
 def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
     """The shared quotient poset of a family head and its parameters."""
-    family, rank, marked = QUOTIENTS[head](*params)
+    family, rank, marked, count = QUOTIENTS[head](*params)
+    if count > size_cap:
+        raise ValueError(f"quotient would have {count} cosets, above the cap of {size_cap}")
     return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
 

@@ -18,12 +18,15 @@ injective (fiber sweep generically finite) exactly when dim T(S) = dim S +
 d_tau, which is what injectivity_check tests.
 
 A context's two posets come from build_quotient_poset, so they are the same
-shared objects every other caller gets for those quotients.
+shared objects every other caller gets for those quotients.  make_context
+sweeps every G/Q class once into ``targets`` and its inverse ``sources``; the
+context is immutable after that and ``transform`` is a lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import weyl
 from .poset import QuotientPoset, SchubertNode, build_quotient_poset
@@ -36,15 +39,15 @@ def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
     return weyl.quotient_dimension(datum, both) - weyl.quotient_dimension(datum, q_marked)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TitsContext:
     datum: CartanDatum
     p_poset: QuotientPoset
     q_poset: QuotientPoset
     w0q_word: tuple[int, ...]
-    w0q_lambda_ip: tuple[int, ...]
     d_tau: int
-    _targets: dict[str, str] = field(default_factory=dict, repr=False)
+    targets: MappingProxyType[str, str]  # G/Q id -> id of its sweep in G/P
+    sources: MappingProxyType[str, tuple[str, ...]]  # G/P id -> G/Q ids onto it, in node order
 
     def label(self) -> str:
         p = ",".join(map(str, sorted(self.p_poset.marked)))
@@ -58,26 +61,27 @@ def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
     unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
     w0q_word = weyl.longest_element(datum, unmarked)
     lam_p = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
+    w0q_lambda_p = weyl.act(datum, w0q_word, lam_p)
+    targets, sources = {}, {}
+    for node in q_poset.nodes:
+        fp = weyl.act(datum, tuple(reversed(node.min_word)), w0q_lambda_p)
+        target = p_poset.node_by_fingerprint(fp).id
+        targets[node.id] = target
+        sources.setdefault(target, []).append(node.id)
     return TitsContext(
         datum=datum,
         p_poset=p_poset,
         q_poset=q_poset,
         w0q_word=w0q_word,
-        w0q_lambda_ip=weyl.act(datum, w0q_word, lam_p),
         d_tau=transform_shift(datum, p_poset.marked, q_poset.marked),
+        targets=MappingProxyType(targets),
+        sources=MappingProxyType({k: tuple(v) for k, v in sources.items()}),
     )
 
 
 def transform(ctx: TitsContext, ref) -> SchubertNode:
     """The G/P class swept out by a G/Q Schubert class."""
-    node = ctx.q_poset.node(ref)
-    cached = ctx._targets.get(node.id)
-    if cached is not None:
-        return ctx.p_poset.node(cached)
-    fp = weyl.act(ctx.datum, tuple(reversed(node.min_word)), ctx.w0q_lambda_ip)
-    target = ctx.p_poset.node_by_fingerprint(fp)
-    ctx._targets[node.id] = target.id
-    return target
+    return ctx.p_poset.node(ctx.targets[ctx.q_poset.node(ref).id])
 
 
 def injectivity_check(ctx: TitsContext, ref) -> bool:
@@ -126,9 +130,8 @@ def tits_flexibility_witness(ctx: TitsContext, p_ref, q_oracle) -> Witness | Non
     faithfully.
     """
     p_node = ctx.p_poset.node(p_ref)
-    for src in ctx.q_poset.nodes:
-        if transform(ctx, src).id != p_node.id:
-            continue
+    for src_id in ctx.sources.get(p_node.id, ()):
+        src = ctx.q_poset.node(src_id)
         cover_ids = {c.id for c in ctx.q_poset.upper_covers(src)}
         for home in q_oracle(src):
             home_id = getattr(home, "id", home)

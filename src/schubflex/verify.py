@@ -168,9 +168,7 @@ def depth2_oracle(rev: TitsContext):
 
     def oracle(src):
         homes = []
-        for x in base.nodes:
-            if transform(rev, x).id != src.id:
-                continue
+        for x in rev.sources.get(src.id, ()):
             for xp in basic_witness_homes(base, x):
                 if injectivity_check(rev, xp):
                     homes.append(transform(rev, xp))

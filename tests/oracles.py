@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from schubflex.classical import GrIndex, dual_index, gr_dimension
 from schubflex.weyl import CartanDatum, act, reflect, rho
+from schubflex.witnesses import Witness, basic_witness_homes
 
 # Number of positive roots per family and rank (Humphreys, Reflection Groups
 # and Coxeter Groups, 3.18): the check that an enumeration of the roots read
@@ -77,6 +78,73 @@ def max_rep_word(ctx, ref) -> tuple[int, ...]:
     return word
 
 
+def sweep_targets(ctx) -> dict[str, str]:
+    """G/Q id -> G/P id of its sweep, each class swept on its own.
+
+    The coset W_Q u goes to the W_P-coset of w0_Q * u, whose fingerprint is
+    (w0_Q u)^{-1}(lambda_P); it is computed here from each class's own
+    maximal-representative word, without the context's map.
+    """
+    lam_p = tuple(1 if (i + 1) in ctx.p_poset.marked else 0 for i in range(ctx.datum.rank))
+    return {
+        node.id: ctx.p_poset.node_by_fingerprint(
+            act(ctx.datum, tuple(reversed(ctx.w0q_word + tuple(node.min_word))), lam_p)
+        ).id
+        for node in ctx.q_poset.nodes
+    }
+
+
+def _faithful(ctx, targets, node) -> bool:
+    return ctx.p_poset.node(targets[node.id]).dim == node.dim + ctx.d_tau
+
+
+def scan_witness(ctx, targets, p_ref, q_oracle):
+    """tits_flexibility_witness as a scan of every G/Q class against ``targets``."""
+    p_node = ctx.p_poset.node(p_ref)
+    for src in ctx.q_poset.nodes:
+        if targets[src.id] != p_node.id:
+            continue
+        cover_ids = {c.id for c in ctx.q_poset.upper_covers(src)}
+        for home in q_oracle(src):
+            home_id = getattr(home, "id", home)
+            if home_id not in cover_ids:
+                continue
+            if not _faithful(ctx, targets, ctx.q_poset.node(home_id)):
+                continue
+            return Witness(
+                "Tits",
+                {
+                    "node": p_node.id,
+                    "context": ctx.label(),
+                    "source": src.id,
+                    "home": home_id,
+                    "d_tau": ctx.d_tau,
+                    "representative": (
+                        "sweep of an irreducible representative of the source "
+                        "class by the incidence fibers"
+                    ),
+                },
+            )
+    return None
+
+
+def scan_depth2_oracle(rev, targets):
+    """verify.depth2_oracle as a scan of the whole base poset against ``targets``."""
+    base = rev.q_poset
+
+    def oracle(src):
+        homes = []
+        for x in base.nodes:
+            if targets[x.id] != src.id:
+                continue
+            for xp in basic_witness_homes(base, x):
+                if _faithful(rev, targets, xp):
+                    homes.append(rev.p_poset.node(targets[xp.id]))
+        return homes
+
+    return oracle
+
+
 def ungroup(groups) -> tuple[int, ...]:
     """Inverse of :func:`schubflex.classical.grouped`: lambda from (value, multiplicity) runs."""
     out = []
@@ -86,6 +154,21 @@ def ungroup(groups) -> tuple[int, ...]:
             pos += 1
             out.append(v + pos)
     return tuple(out)
+
+
+def fingerprint_to_gr(k: int, n: int, fingerprint) -> GrIndex:
+    """Inverse of :func:`schubflex.classical.gr_to_fingerprint`."""
+    fp = tuple(fingerprint)
+    if len(fp) != n - 1:
+        raise ValueError(f"fingerprint must have length {n - 1}")
+    for chi_n in (0, 1):
+        chi = [0] * (n + 1)
+        chi[n] = chi_n
+        for i in range(n - 1, 0, -1):
+            chi[i] = chi[i + 1] + fp[i - 1]
+        if all(c in (0, 1) for c in chi[1:]) and sum(chi[1:]) == k:
+            return GrIndex(k, n, tuple(i for i in range(1, n + 1) if chi[i]))
+    raise ValueError(f"fingerprint {fp} does not encode a {k}-subset of 1..{n}")
 
 
 def gr_pairing(a: GrIndex, b: GrIndex) -> int:

@@ -14,11 +14,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import gr_pairing
+from oracles import fingerprint_to_gr, gr_pairing
 from schubflex.classical import (
     GrIndex,
     IsotropicIndex,
-    fingerprint_to_gr,
     gr_degree,
     quadric_classes,
 )

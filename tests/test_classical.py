@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import corner_peeling_count, gr_pairing, ungroup
+from oracles import corner_peeling_count, fingerprint_to_gr, gr_pairing, ungroup
 from schubflex import classical, weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
 from schubflex.poset import build_quotient_poset
@@ -102,7 +102,7 @@ def test_gr_pairing_is_kronecker_delta_on_g25():
 @settings(max_examples=200, deadline=None)
 def test_fingerprint_roundtrip(idx):
     fp = classical.gr_to_fingerprint(idx)
-    back = classical.fingerprint_to_gr(idx.k, idx.n, fp)
+    back = fingerprint_to_gr(idx.k, idx.n, fp)
     assert back.lam == idx.lam
 
 
@@ -111,7 +111,7 @@ def test_fingerprint_matches_poset_nodes():
         p = build_quotient_poset(weyl.build_cartan("A", n - 1), {k})
         seen = set()
         for node in p.nodes:
-            idx = classical.fingerprint_to_gr(k, n, node.fingerprint)
+            idx = fingerprint_to_gr(k, n, node.fingerprint)
             assert classical.gr_dimension(idx) == node.dim
             assert classical.gr_degree(idx) == node.degree
             assert classical.gr_to_fingerprint(idx) == node.fingerprint

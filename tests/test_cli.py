@@ -128,6 +128,40 @@ def test_hasse_never_enumerates_roots(monkeypatch, capsys):
         weyl.build_cartan.cache_clear()
 
 
+def test_over_cap_selectors_refuse_before_any_cartan_datum(monkeypatch, capsys):
+    # The closed-form class count is checked first, so a rank-3000 refusal
+    # builds no rank x rank Cartan matrix.
+    calls = []
+    real = weyl.build_cartan
+    monkeypatch.setattr(weyl, "build_cartan", lambda *args: calls.append(args) or real(*args))
+    for argv in (
+        ["degree", "og:3000:1"],
+        ["degree", "og:1500:1"],
+        ["hasse", "gr:750,1500"],
+        ["hasse", "og:40"],
+        ["hasse", "lg:30"],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "above the cap" in err, (argv, err)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "selector,message",
+    [
+        ("og:2", "family D needs rank >= 3, got 2"),
+        ("og:0", "family D needs rank >= 3, got 0"),
+        ("og:-3", "family D needs rank >= 3, got -3"),
+        ("lg:0", "family C needs rank >= 2, got 0"),
+        ("quad:2", "Q^2 is not a single-marked-node quotient of B/D type here"),
+    ],
+)
+def test_under_rank_selectors_keep_their_refusals(selector, message, capsys):
+    rc, out, err = run(["hasse", selector], capsys)
+    assert (rc, out, err) == (2, "", f"error: bad selector {selector!r}: {message}\n")
+
+
 def test_classify_flexible_grassmannian(capsys):
     rc, out, _ = run(["classify", "gr:2,5:1,3"], capsys)
     assert rc == 0
@@ -473,9 +507,9 @@ def _joined(elements):
 
 
 HEADS = ["gr", "lg", "og", "quad", "e6", "e7"] * 3 + ["", "xx", "GR", "e8"]
-# Every number stays small (digits 1 and 2 in the free text): the size cap is
-# checked only after the rank x rank Cartan matrix is built, so a huge rank
-# (`degree og:920277:1`, `hasse gr:1,100000`) is unbounded work, not a refusal.
+# Every number stays small (digits 1 and 2 in the free text): an over-cap rank
+# is refused from its closed-form class count, but a huge rank under the cap
+# (`hasse gr:1,100000`) is still unbounded work, not a refusal.
 INT_LIST = _joined(st.lists(st.integers(-2, 12), max_size=4))
 JUNK = st.text(alphabet=",:-ab12", max_size=3)
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from schubflex.golden import (
@@ -17,6 +20,9 @@ from schubflex.golden import (
 )
 from schubflex.poset import build_quotient_poset
 from schubflex.weyl import build_cartan
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = ROOT / "src" / "schubflex" / "data" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +113,27 @@ def test_malformed_rows_rejected(tmp_path):
         load_golden_poset("e6", tmp_path)
     with pytest.raises(GoldenDataError):
         load_golden_poset("e7", tmp_path)  # file absent
+
+
+@pytest.fixture()
+def make_golden(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT_DIR", tmp_path)
+    return module
+
+
+def test_make_golden_reproduces_the_shipped_tables(make_golden, tmp_path):
+    assert make_golden.main() == 0
+    for name in ("e6_p6.tsv", "e7_p7.tsv", "table1.tsv"):
+        assert (tmp_path / name).read_bytes() == (SHIPPED / name).read_bytes(), name
+
+
+def test_make_golden_refuses_a_decoration_without_a_class(make_golden):
+    decorations = dict(make_golden.E6_DECORATIONS, **{"99:1": ("rigid", "")})
+    with pytest.raises(ValueError, match="99:1"):
+        make_golden.write_poset_tsv(6, 6, decorations, "e6_p6.tsv")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Unit tests for the incidence-sweep transform between parabolic quotients."""
 
+import dataclasses
+
 import pytest
 
-from oracles import max_rep_word
+from oracles import max_rep_word, scan_depth2_oracle, scan_witness, sweep_targets
 from schubflex import weyl
 from schubflex.golden import node_token, resolve_token
 from schubflex.poset import build_quotient_poset
@@ -15,7 +17,19 @@ from schubflex.tits import (
     transform_rows,
     transform_shift,
 )
+from schubflex.verify import depth2_oracle
 from schubflex.witnesses import basic_witness_homes
+
+# (family, rank, P node, Q node) of every context verify builds
+VERIFY_CONTEXTS = [
+    ("E", 6, 6, 1),
+    ("E", 6, 6, 5),
+    ("E", 6, 5, 6),
+    ("E", 7, 7, 1),
+    ("E", 7, 1, 7),
+    ("E", 7, 7, 6),
+    ("E", 7, 6, 7),
+]
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +230,65 @@ def test_certificate_ignores_foreign_homes(ctx61, e6p1, e6p6):
     oracle = lambda src: [top_id]
     for node in e6p6.nodes:
         assert tits_flexibility_witness(ctx61, node, oracle) is None
+
+
+def test_context_map_is_the_per_class_sweep():
+    small = [
+        (family, rank, p, q)
+        for family, rank in (("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4))
+        for p in range(1, rank + 1)
+        for q in range(1, rank + 1)
+    ]
+    for family, rank, p, q in VERIFY_CONTEXTS + small:
+        ctx = make_context(weyl.build_cartan(family, rank), {p}, {q})
+        targets = sweep_targets(ctx)
+        assert dict(ctx.targets) == targets, ctx.label()
+        inverse = {}
+        for node in ctx.q_poset.nodes:
+            inverse.setdefault(targets[node.id], []).append(node.id)
+        assert dict(ctx.sources) == {k: tuple(v) for k, v in inverse.items()}, ctx.label()
+
+
+def test_witnesses_equal_the_scanning_oracle(e6p6, e7p7):
+    ctx61 = make_context(e6p6.datum, {6}, {1})
+    ctx76 = make_context(e7p7.datum, {7}, {6})
+    # Under the real oracles at most one source of a class has a faithful home,
+    # so source order shows only under an oracle that vouches every cover.
+    cases = [
+        (ctx61, lambda src: basic_witness_homes(ctx61.q_poset, src)),
+        (ctx76, depth2_oracle(make_context(e7p7.datum, {6}, {7}))),
+        (ctx61, ctx61.q_poset.upper_covers),
+        (ctx76, ctx76.q_poset.upper_covers),
+    ]
+    for ctx, oracle in cases:
+        targets = sweep_targets(ctx)
+        certified = 0
+        for node in ctx.p_poset.nodes:
+            w = tits_flexibility_witness(ctx, node, oracle)
+            assert w == scan_witness(ctx, targets, node, oracle), f"{ctx.label()} {node.id}"
+            certified += w is not None
+        assert certified, f"{ctx.label()} certifies nothing, so the comparison is vacuous"
+
+
+def test_depth2_oracle_equals_the_scanning_oracle(e6p6, e7p7):
+    for datum, p, q in ((e6p6.datum, 5, 6), (e7p7.datum, 6, 7)):
+        rev = make_context(datum, {p}, {q})
+        live, scan = depth2_oracle(rev), scan_depth2_oracle(rev, sweep_targets(rev))
+        for src in rev.p_poset.nodes:
+            assert live(src) == scan(src), f"{rev.label()} {src.id}"
+
+
+def test_contexts_are_immutable(ctx61, e6p1):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ctx61, "d_tau", 0)
+    with pytest.raises(TypeError):
+        ctx61.targets[e6p1.bottom().id] = "n000"
+    before = dict(vars(ctx61))
+    targets = dict(ctx61.targets)
+    for node in e6p1.nodes:
+        transform(ctx61, node)
+    assert vars(ctx61) == before
+    assert dict(ctx61.targets) == targets
 
 
 if __name__ == "__main__":
