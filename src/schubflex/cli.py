@@ -17,8 +17,9 @@ Class specs name a family and a class in one colon-joined argument:
     e7:22:5586          same on the 56-class poset
 
 Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
-quad:7  e6  e7.  QUOTIENTS is the one table from a family to its quotient;
-every command that needs a family's poset goes through :func:`quotient`.
+quad:7  e6  e7.  Every command that needs a family's poset goes through
+:func:`schubflex.poset.quotient`, which reads the one family table,
+:data:`schubflex.poset.QUOTIENTS`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -44,10 +44,9 @@ from .classical import (
     quadric_degree,
     quadric_dimension,
     quadric_dual,
-    quadric_poset_family,
 )
 from .golden import GOLDEN_POSETS, GoldenDataError, TokenError, node_token, resolve_token
-from .poset import DEFAULT_SIZE_CAP, QuotientPoset, build_quotient_poset
+from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, QuotientPoset, quotient
 from .rigidity import classify
 from .tits import context_json_dict, make_context, transform_rows
 from .verify import certificates, verify_all, verify_e6, verify_e7, verify_table1
@@ -56,18 +55,6 @@ from .witnesses import (
     moduli_witness_isotropic,
     quadric_witness,
 )
-
-# Family head -> (Cartan family, rank, marked node, closed-form class count) of
-# its quotient, as a function of the selector's integer parameters (gr:k,n lg:n
-# og:n quad:n e6 e7); quotient() checks the count before building any datum.
-QUOTIENTS = {
-    "gr": lambda k, n: ("A", n - 1, k, math.comb(n, k)),
-    "lg": lambda n: ("C", n, n, 2**n),
-    "og": lambda n: ("D", n, n, 2 ** (n - 1)),
-    "quad": lambda n: (*quadric_poset_family(n), 1, n + 2 - n % 2),
-    "e6": lambda: ("E", 6, 6, 27),
-    "e7": lambda: ("E", 7, 7, 56),
-}
 
 
 class SpecError(ValueError):
@@ -119,14 +106,6 @@ def parse_class_spec(spec: str):
         except ValueError as exc:
             raise SpecError(str(exc)) from None
     raise SpecError(f"unknown family {head!r} (want gr, lg, og, quad, e6 or e7)")
-
-
-def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
-    """The shared quotient poset of a family head and its parameters."""
-    family, rank, marked, count = QUOTIENTS[head](*params)
-    if count > size_cap:
-        raise ValueError(f"quotient would have {count} cosets, above the cap of {size_cap}")
-    return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
 
 def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
@@ -195,12 +174,6 @@ def _classical_witness(idx):
     return quadric_witness(idx)
 
 
-def _print_witness(w) -> None:
-    print(f"witness: {w.kind}")
-    for key in sorted(w.payload):
-        print(f"  {key}: {w.payload[key]}")
-
-
 def cmd_classify(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
@@ -228,7 +201,9 @@ def cmd_classify(args) -> int:
         if w is None:
             print("witness: none found", file=sys.stderr)
             return 1
-        _print_witness(w)
+        print(f"witness: {w.kind}")
+        for key in sorted(w.payload):
+            print(f"  {key}: {w.payload[key]}")
     return 0
 
 
@@ -305,12 +280,9 @@ def cmd_tits(args) -> int:
 def cmd_verify(args) -> int:
     if args.target == "all":
         reports = verify_all(args.golden_dir)
-    elif args.target == "e6":
-        reports = [verify_e6(args.golden_dir)]
-    elif args.target == "e7":
-        reports = [verify_e7(args.golden_dir)]
     else:
-        reports = [verify_table1(args.golden_dir)]
+        verify_one = {"e6": verify_e6, "e7": verify_e7, "table1": verify_table1}[args.target]
+        reports = [verify_one(args.golden_dir)]
     if args.json:
         blob = [r.to_json_dict() for r in reports]
         print(json.dumps(blob[0] if len(blob) == 1 else blob, sort_keys=True, indent=2))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .poset import QuotientPoset, SchubertNode
+from .poset import QuotientPoset, SchubertNode, quotient
 
 DECORATIONS = ("rigid", "plus", "star", "T")
 
@@ -77,12 +77,6 @@ class GoldenPoset:
         except KeyError:
             raise GoldenDataError(f"{self.name}: no golden row for {node_id!r}") from None
 
-    def counts(self) -> dict[str, int]:
-        out = {d: 0 for d in DECORATIONS}
-        for r in self.rows.values():
-            out[r.decoration] += 1
-        return out
-
 
 def golden_dir(explicit: str | os.PathLike | None = None) -> Path:
     if explicit is not None:
@@ -111,7 +105,7 @@ def _read_rows(path: Path, n_fields: int) -> list[list[str]]:
 
 
 def load_golden_poset(target: str, directory=None) -> GoldenPoset:
-    """Load and statically validate e6/e7 golden decorations."""
+    """Load e6/e7 golden decorations, checked against the live poset of ``target``."""
     stem = GOLDEN_POSETS[target]
     path = golden_dir(directory) / f"{stem}.tsv"
     rows = []
@@ -129,7 +123,9 @@ def load_golden_poset(target: str, directory=None) -> GoldenPoset:
                 f"{path.name}: unknown decoration {deco!r} for {node_id!r}"
             )
         rows.append(GoldenRow(node_id, dim, deg, deco, comment))
-    return GoldenPoset(stem, rows)
+    golden = GoldenPoset(stem, rows)
+    check_against(golden, quotient(target))
+    return golden
 
 
 def check_against(golden: GoldenPoset, poset: QuotientPoset) -> None:

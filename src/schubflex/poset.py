@@ -33,6 +33,9 @@ Facts the implementation leans on:
 each poset it builds for the life of the process, so all callers share one
 object per quotient, which is therefore immutable (frozen nodes, tuples of
 nodes and covers, degrees fixed at construction).
+
+:data:`QUOTIENTS` is the one table from a family head (gr, lg, og, quad, e6,
+e7) to its quotient; :func:`quotient` serves every caller that names a family.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl
+from .classical import quadric_poset_family
 from .weyl import CartanDatum, InternalError
 
 DEFAULT_SIZE_CAP = 10**6
@@ -230,6 +234,41 @@ def build_quotient_poset(
     if len(poset.nodes) != expected:
         raise InternalError(f"enumerated {len(poset.nodes)} cosets, order formula says {expected}")
     return poset
+
+
+def _comb(n: int, k: int, limit: int) -> int | None:
+    """comb(n, k), or None once its running product comb(n - m + i, i) passes limit."""
+    m, count = min(k, n - k), 1
+    for i in range(1, m + 1):
+        count = count * (n - m + i) // i
+        if count > limit:
+            return None
+    return count
+
+
+# Family head -> (Cartan family, rank, marked node, closed-form class count) of
+# its quotient, as a function of the selector's integer parameters (gr:k,n lg:n
+# og:n quad:n e6 e7) and a limit: a count above it is None, so a huge parameter
+# never costs a huge integer.  quotient() checks the count before any datum.
+QUOTIENTS = {
+    "gr": lambda k, n, limit: ("A", n - 1, k, _comb(n, k, limit)),
+    "lg": lambda n, limit: ("C", n, n, 2**n if n < limit.bit_length() else None),
+    "og": lambda n, limit: ("D", n, n, 2 ** (n - 1) if n <= limit.bit_length() else None),
+    "quad": lambda n, limit: (*quadric_poset_family(n), 1, n + 2 - n % 2),
+    "e6": lambda limit: ("E", 6, 6, 27),
+    "e7": lambda limit: ("E", 7, 7, 56),
+}
+
+
+def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
+    """The shared quotient poset of a family head and its parameters."""
+    limit = max(size_cap, 2**64)  # refusals spell out class counts up to here
+    family, rank, marked, count = QUOTIENTS[head](*params, limit)
+    if count is None:
+        raise ValueError(f"quotient would have more than {limit} cosets, above the cap of {size_cap}")
+    if count > size_cap:
+        raise ValueError(f"quotient would have {count} cosets, above the cap of {size_cap}")
+    return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
 
 @lru_cache(maxsize=None)

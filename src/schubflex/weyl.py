@@ -16,10 +16,12 @@ Conventions (Bourbaki numbering throughout):
   E6/E7 use edges (1,3),(3,4),(4,5),(5,6),(2,4) and, for E7, (6,7).
 
 Building a datum costs O(rank^2): the matrix, plus a check that the diagram
-read back from it has the family's group order.  Roots are enumerated only on
-request (:func:`positive_roots`, memoised), and only :func:`quotient_dimension`
-asks for them, so the size cap of a quotient is checked from the closed-form
-orders before any root exists.
+read back from it has the family's group order.  Group orders and dimensions
+come from one closed form per irreducible type (:func:`_type_counts`):
+:func:`weyl_order`, :func:`levi_order` and :func:`quotient_dimension` all
+recognise the components of a subdiagram and read that table, so no package
+code enumerates roots.  :func:`positive_roots` stays as an enumeration for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
 
     Enumerated on first request per datum, at O(rank^4) for the classical
     families (O(rank^2) roots, each reflected in rank directions at O(rank)
-    apiece), so nothing on the way to a size-capped quotient calls it.
+    apiece).  No package code calls it: dimensions come from the closed-form
+    root counts.  It stays here only because the benchmark's tracer wraps it
+    by name, and moves to the tests' oracles with the next benchmark change.
     """
     n = datum.rank
     cartan = datum.cartan
@@ -172,10 +176,15 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
 def quotient_dimension(datum: CartanDatum, marked) -> int:
     """Dimension of G/P for the parabolic whose marked node set is ``marked``.
 
-    Counts positive roots whose support meets the marked set.
+    The positive roots whose support meets the marked set: N(Phi) - N(Phi_L),
+    where N counts positive roots and L is the Levi diagram on the unmarked
+    nodes (Humphreys, Reflection Groups and Coxeter Groups, Table 3.1).
     """
     marked = _check_marked(datum, marked)
-    return sum(1 for c in positive_roots(datum) if any(c[i - 1] > 0 for i in marked))
+    levi = [i for i in range(1, datum.rank + 1) if i not in marked]
+    return _type_counts(datum.family, datum.rank)[1] - sum(
+        _type_counts(*_component_type(datum, comp))[1] for comp in _components(datum, levi)
+    )
 
 
 def _check_marked(datum: CartanDatum, marked) -> frozenset[int]:
@@ -188,16 +197,20 @@ def _check_marked(datum: CartanDatum, marked) -> frozenset[int]:
     return marked
 
 
+def _type_counts(family: str, r: int) -> tuple[int, int]:
+    """(Weyl group order, positive-root count) of the irreducible type family_r."""
+    if family == "A":
+        return math.factorial(r + 1), r * (r + 1) // 2
+    if family in ("B", "C"):
+        return (2**r) * math.factorial(r), r * r
+    if family == "D":
+        return (2 ** (r - 1)) * math.factorial(r), r * (r - 1)
+    return {6: (51840, 36), 7: (2903040, 63)}[r]
+
+
 def weyl_order(datum: CartanDatum) -> int:
     """Order of the full Weyl group, by the classical closed forms."""
-    n = datum.rank
-    if datum.family == "A":
-        return math.factorial(n + 1)
-    if datum.family in ("B", "C"):
-        return (2**n) * math.factorial(n)
-    if datum.family == "D":
-        return (2 ** (n - 1)) * math.factorial(n)
-    return {6: 51840, 7: 2903040}[n]
+    return _type_counts(datum.family, datum.rank)[0]
 
 
 def levi_order(datum: CartanDatum, generators) -> int:
@@ -212,7 +225,7 @@ def levi_order(datum: CartanDatum, generators) -> int:
             raise ValueError(f"generator {i} out of range for rank {datum.rank}")
     order = 1
     for comp in _components(datum, gens):
-        order *= _component_order(datum, comp)
+        order *= _type_counts(*_component_type(datum, comp))[0]
     return order
 
 
@@ -236,31 +249,30 @@ def _components(datum: CartanDatum, gens: list[int]) -> list[list[int]]:
     return comps
 
 
-def _component_order(datum: CartanDatum, comp: list[int]) -> int:
+def _component_type(datum: CartanDatum, comp: list[int]) -> tuple[str, int]:
+    """The (family, rank) of a connected subdiagram, recognised from its shape."""
     r = len(comp)
     if r == 1:
-        return 2
+        return "A", 1
     doubled = any(
         datum.cartan[i - 1][j - 1] == -2 for i in comp for j in comp if i != j
     )
     if doubled:
-        return (2**r) * math.factorial(r)
+        return datum.family, r  # only B and C data carry a doubled edge
     neighbour_counts = {
         i: sum(1 for j in comp if j != i and datum.cartan[i - 1][j - 1] != 0)
         for i in comp
     }
     branch = [i for i, c in neighbour_counts.items() if c >= 3]
     if not branch:
-        return math.factorial(r + 1)  # simply-laced path: type A_r
+        return "A", r  # simply-laced path
     if len(branch) > 1 or neighbour_counts[branch[0]] > 3:
         raise InternalError(f"unsupported diagram shape on nodes {comp}")
     arms = sorted(_arm_lengths(datum, comp, branch[0]))
     if arms[0] == 1 and arms[1] == 1:
-        return (2 ** (r - 1)) * math.factorial(r)  # type D_r
-    if arms == [1, 2, 2]:
-        return 51840  # type E6
-    if arms == [1, 2, 3]:
-        return 2903040  # type E7
+        return "D", r
+    if arms in ([1, 2, 2], [1, 2, 3]):
+        return "E", r
     raise InternalError(f"unsupported diagram shape on nodes {comp}")
 
 

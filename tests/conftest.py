@@ -7,7 +7,7 @@ import re
 import pytest
 
 from schubflex.golden import load_golden_poset
-from schubflex.poset import build_quotient_poset
+from schubflex.poset import build_quotient_poset, quotient
 from schubflex.weyl import build_cartan
 
 
@@ -17,7 +17,7 @@ def _quotient(family: str, rank: int, marked):
 
 @pytest.fixture(scope="session")
 def e6p6():
-    return _quotient("E", 6, {6})
+    return quotient("e6")
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +32,7 @@ def e6p5():
 
 @pytest.fixture(scope="session")
 def e7p7():
-    return _quotient("E", 7, {7})
+    return quotient("e7")
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,7 @@ def e7p6():
 
 @pytest.fixture(scope="session")
 def og510():
-    return _quotient("D", 5, {5})
+    return quotient("og", 5)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from schubflex import cli, poset, weyl
 from schubflex.cli import main
 from schubflex.golden import golden_dir, node_token
+from schubflex.poset import QUOTIENTS, quotient
 from schubflex.verify import verify_e6, verify_e7
 
 SCHEMA_DIR = os.path.join(
@@ -145,6 +146,46 @@ def test_over_cap_selectors_refuse_before_any_cartan_datum(monkeypatch, capsys):
         assert (rc, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and "above the cap" in err, (argv, err)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hasse", "lg:100000000000000"],
+        ["degree", "og:100000000000000:1"],
+        ["hasse", "gr:200000,400000"],
+        ["hasse", "lg:10000000"],
+        ["hasse", "og:20000"],
+    ],
+)
+def test_huge_over_cap_counts_refuse_without_the_exact_count(argv):
+    # Deciding count > cap must not build the count itself: 2**(10**14) does
+    # not fit in memory, comb(400000, 200000) takes seconds, and a count past
+    # 4300 digits cannot even be printed in the message.
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubflex.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), argv
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "more than 18446744073709551616 cosets, above the cap of 1000000" in proc.stderr
+
+
+def test_commands_beyond_hasse_never_enumerate_roots(monkeypatch, capsys):
+    # Sweep dimensions d_tau come from closed-form root counts, so neither the
+    # certificate pipeline nor a high-rank tits context asks for the roots.
+    def no_roots(datum):
+        raise AssertionError(f"positive_roots({datum}) called")
+
+    monkeypatch.setattr(weyl, "positive_roots", no_roots)
+    for argv in (
+        ["verify", "all"],
+        ["classify", "e7:22:5586"],
+        ["tits", "e7", "7", "6", "--json"],
+        ["tits", "a60", "1", "60"],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert (rc, err) == (0, ""), argv
+        assert out, argv
 
 
 @pytest.mark.parametrize(
@@ -516,7 +557,7 @@ JUNK = st.text(alphabet=",:-ab12", max_size=3)
 
 @functools.lru_cache(maxsize=None)
 def _tokens(head):
-    poset = cli.quotient(head)
+    poset = quotient(head)
     return sorted({node_token(poset, node) for node in poset.nodes})
 
 
@@ -544,7 +585,7 @@ def _shaped_spec(draw, head):
 def cli_requests(draw):
     head = draw(st.sampled_from(HEADS))
     command = draw(st.sampled_from(["classify", "degree", "dual", "hasse"]))
-    params, body = draw(_shaped_spec(head if head in cli.QUOTIENTS else "og"))
+    params, body = draw(_shaped_spec(head if head in QUOTIENTS else "og"))
     if command == "hasse":
         params = draw(st.sampled_from([params, draw(INT_LIST)]))
         return ["hasse", ":".join([head, params][: draw(st.integers(1, 2))])]

@@ -14,7 +14,8 @@ import pytest
 
 from schubflex import poset
 from schubflex.golden import GoldenDataError, golden_dir
-from schubflex.verify import verify_all, verify_e6, verify_e7, verify_table1
+from schubflex.poset import quotient
+from schubflex.verify import certificates, verify_all, verify_e6, verify_e7, verify_table1
 
 E6_CERTS = {
     "0:1": [],
@@ -165,6 +166,11 @@ def test_verify_all_builds_each_quotient_once():
     poset._quotient.cache_clear()
     verify_all()
     assert poset._quotient.cache_info().misses == 7
+
+
+@pytest.mark.parametrize("target", ["e6", "e7"])
+def test_certificates_run_on_the_family_table_poset(target):
+    assert certificates(target).poset is quotient(target)
 
 
 def test_report_serialization_round_trips(report_e6):

@@ -1,5 +1,7 @@
 """Unit tests for the root-system layer."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +220,22 @@ def test_levi_order_matches_orbit_count():
 def test_quotient_dimensions(family, rank, marked, dim):
     d = weyl.build_cartan(family, rank)
     assert weyl.quotient_dimension(d, marked) == dim
+
+
+def test_closed_form_dimensions_equal_the_root_enumeration():
+    # Every marked set of A1-A8, B2-B8, C2-C8, D3-D8, E6 and E7 (2,192 sets):
+    # dim G/P counts the positive roots whose support meets the marked set.
+    checked = 0
+    for family, low, high in (("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 3, 8), ("E", 6, 7)):
+        for rank in range(low, high + 1):
+            d = weyl.build_cartan(family, rank)
+            roots = weyl.positive_roots(d)
+            for size in range(1, rank + 1):
+                for marked in itertools.combinations(range(1, rank + 1), size):
+                    want = sum(1 for c in roots if any(c[i - 1] > 0 for i in marked))
+                    assert weyl.quotient_dimension(d, marked) == want, (family, rank, marked)
+                    checked += 1
+    assert checked == 2192
 
 
 @st.composite
