@@ -13,8 +13,8 @@ Facts the implementation leans on:
   from lambda discovers every coset once, at depth equal to the minimal
   representative's length (= the Schubert variety's dimension).
 * Quotient Bruhat order is the restriction of Bruhat order to minimal
-  representatives; ``leq`` implements the standard lifting recursion on
-  w^{-1}(rho) vectors.
+  representatives; ``leq`` implements the standard lifting recursion on the
+  w^{-1}(rho) vectors it computes from the two minimal words.
 * Covers need no comparisons (lifting property, Bjorner-Brenti GTM 231,
   Prop. 2.2.7).  If u's minimal word ends in s = s_i, then us is u's BFS
   parent and lower_covers(u) = [us] + [ys for y in lower_covers(us) if
@@ -78,7 +78,6 @@ class SchubertNode:
     dim: int
     fingerprint: tuple[int, ...]
     min_word: tuple[int, ...]
-    rho_vector: tuple[int, ...]
     degree: int | None = None
 
     def __repr__(self) -> str:
@@ -99,6 +98,10 @@ class QuotientPoset:
         self.covers = covers
         self._by_id = {n.id: n for n in nodes}
         self._by_fp = {n.fingerprint: n for n in nodes}
+        self._by_dim, self._by_dim_degree = {}, {}  # dim, (dim, degree) -> nodes
+        for n in nodes:
+            self._by_dim.setdefault(n.dim, []).append(n)
+            self._by_dim_degree.setdefault((n.dim, n.degree), []).append(n)
         self._up: dict[str, list[str]] = {n.id: [] for n in nodes}
         self._down: dict[str, list[str]] = {n.id: [] for n in nodes}
         for lo, hi in covers:
@@ -120,24 +123,23 @@ class QuotientPoset:
         return self.nodes[0]
 
     def top(self) -> SchubertNode:
-        tops = [n for n in self.nodes if n.dim == self.dimension]
+        tops = self._by_dim[self.dimension]
         if len(tops) != 1:
             raise InternalError(f"quotient poset has {len(tops)} maximal classes")
         return tops[0]
 
     def nodes_by_dim(self, dim: int) -> list[SchubertNode]:
-        return [n for n in self.nodes if n.dim == dim]
+        return list(self._by_dim.get(dim, ()))
 
     def find_nodes(self, dim: int, degree: int) -> list[SchubertNode]:
-        return [n for n in self.nodes if n.dim == dim and n.degree == degree]
+        return list(self._by_dim_degree.get((dim, degree), ()))
 
     # -- order ------------------------------------------------------------
 
     def leq(self, a, b) -> bool:
         """Bruhat comparison of two classes (containment of Schubert varieties)."""
-        va = self.node(a).rho_vector
-        vb = self.node(b).rho_vector
         r = weyl.rho(self.datum)
+        va, vb = (weyl.act(self.datum, self.node(x).min_word[::-1], r) for x in (a, b))
         while vb != r:
             i = next(k for k in range(self.datum.rank) if vb[k] < 0) + 1
             if va[i - 1] < 0:
@@ -218,22 +220,30 @@ def build_quotient_poset(
 ) -> QuotientPoset:
     """The Hasse diagram of W_P \\ W, built on first request and shared after.
 
-    Raises ValueError if the quotient would exceed ``size_cap`` cosets.  The
-    cap and the coset count are checked on every call, cached or not.
+    Raises ValueError if the quotient would exceed ``size_cap`` cosets or
+    store more than :data:`weyl.MAX_COORDINATES` fingerprint coordinates.
+    Both bounds are checked on every call, cached or not.
     """
     marked = frozenset(weyl._check_marked(datum, marked))
     generators = [i for i in range(1, datum.rank + 1) if i not in marked]
     expected = weyl.weyl_order(datum)
     if generators:
         expected //= weyl.levi_order(datum, generators)
-    if expected > size_cap:
-        raise ValueError(
-            f"quotient would have {expected} cosets, above the cap of {size_cap}"
-        )
+    _check_size(expected, datum.rank, size_cap)
     poset = _quotient(datum, marked)
     if len(poset.nodes) != expected:
         raise InternalError(f"enumerated {len(poset.nodes)} cosets, order formula says {expected}")
     return poset
+
+
+def _check_size(count: int, rank: int, size_cap: int) -> None:
+    if count > size_cap:
+        raise ValueError(f"quotient would have {count} cosets, above the cap of {size_cap}")
+    if count * rank > weyl.MAX_COORDINATES:
+        raise ValueError(
+            f"quotient would store {count} x {rank} fingerprint coordinates, "
+            f"above the bound of {weyl.MAX_COORDINATES}"
+        )
 
 
 def _comb(n: int, k: int, limit: int) -> int | None:
@@ -249,7 +259,8 @@ def _comb(n: int, k: int, limit: int) -> int | None:
 # Family head -> (Cartan family, rank, marked node, closed-form class count) of
 # its quotient, as a function of the selector's integer parameters (gr:k,n lg:n
 # og:n quad:n e6 e7) and a limit: a count above it is None, so a huge parameter
-# never costs a huge integer.  quotient() checks the count before any datum.
+# never costs a huge integer.  quotient() checks the count, and the count times
+# the rank, before any datum.
 QUOTIENTS = {
     "gr": lambda k, n, limit: ("A", n - 1, k, _comb(n, k, limit)),
     "lg": lambda n, limit: ("C", n, n, 2**n if n < limit.bit_length() else None),
@@ -266,8 +277,7 @@ def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> Quoti
     family, rank, marked, count = QUOTIENTS[head](*params, limit)
     if count is None:
         raise ValueError(f"quotient would have more than {limit} cosets, above the cap of {size_cap}")
-    if count > size_cap:
-        raise ValueError(f"quotient would have {count} cosets, above the cap of {size_cap}")
+    _check_size(count, rank, size_cap)
     return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
 
@@ -275,25 +285,23 @@ def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> Quoti
 def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     """Enumerate the cosets by BFS and assemble the immutable poset."""
     lam = tuple(1 if (i + 1) in marked else 0 for i in range(datum.rank))
-    r = weyl.rho(datum)
 
     fingerprints = {lam: 0}
-    records = [(lam, (), r, 0)]  # fingerprint, min_word, rho_vector, dim
-    frontier = [(lam, (), r)]
+    records = [(lam, (), 0)]  # fingerprint, min_word, dim
+    frontier = [(lam, ())]
     depth = 0
     while frontier:
         depth += 1
         nxt = []
-        for fp, word, rv in frontier:
+        for fp, word in frontier:
             for i in range(1, datum.rank + 1):
                 if fp[i - 1] > 0:
                     child = weyl.reflect(datum, i, fp)
                     if child not in fingerprints:
                         fingerprints[child] = len(records)
-                        crv = weyl.reflect(datum, i, rv)
                         cword = word + (i,)
-                        records.append((child, cword, crv, depth))
-                        nxt.append((child, cword, crv))
+                        records.append((child, cword, depth))
+                        nxt.append((child, cword))
         frontier = nxt
 
     down = _lower_covers(datum, records, fingerprints)
@@ -310,10 +318,9 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
             dim=dim,
             fingerprint=fp,
             min_word=word,
-            rho_vector=rv,
             degree=deg,
         )
-        for idx, ((fp, word, rv, dim), deg) in enumerate(zip(records, degrees))
+        for idx, ((fp, word, dim), deg) in enumerate(zip(records, degrees))
     )
     # Ids are zero-padded BFS indices, so sorting by id sorts by (dim, lo, hi).
     covers = tuple(sorted((nodes[lo].id, n.id) for n, los in zip(nodes, down) for lo in los))
@@ -324,7 +331,7 @@ def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
     """Lower-cover indices of each BFS record, by the lifting recursion."""
     down: list[list[int]] = [[]]
     try:
-        for fp, word, _, _ in records[1:]:
+        for fp, word, _ in records[1:]:
             i = word[-1]
             parent = index[weyl.reflect(datum, i, fp)]
             down.append([parent] + [

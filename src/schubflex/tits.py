@@ -4,12 +4,15 @@ A context fixes the group and two marked sets P and Q.  Sweeping a Schubert
 variety of G/Q with the fibers of the double fibration through G/P_{P union Q}
 yields a Schubert variety of G/P; combinatorially, the coset W_Q u (minimal
 representative u) goes to the W_P-coset of its maximal representative
-w0_Q * u, where w0_Q is the longest element of the subgroup generated by the
-nodes outside Q.  On fingerprint vectors that is
+w0_Q * u, where w0_Q is the longest element of the subgroup W_Q generated by
+the nodes outside Q.  On fingerprint vectors that is
 
     target fingerprint = u^{-1} ( w0_Q ( lambda_I(P) ) )
 
-which is looked up in the target poset.  The dimension shift
+which is looked up in the target poset.  lambda_P is dominant, so
+w0_Q(lambda_P) is the one weight of its W_Q-orbit with no positive coordinate
+outside Q; and u = u' s_i for u's BFS parent u', so u's target is s_i of
+u''s.  The dimension shift
 
     d_tau = dim G/P_{P union Q} - dim G/Q
 
@@ -44,7 +47,6 @@ class TitsContext:
     datum: CartanDatum
     p_poset: QuotientPoset
     q_poset: QuotientPoset
-    w0q_word: tuple[int, ...]
     d_tau: int
     targets: MappingProxyType[str, str]  # G/Q id -> id of its sweep in G/P
     sources: MappingProxyType[str, tuple[str, ...]]  # G/P id -> G/Q ids onto it, in node order
@@ -59,20 +61,22 @@ def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
     p_poset = build_quotient_poset(datum, p_marked)
     q_poset = build_quotient_poset(datum, q_marked)
     unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
-    w0q_word = weyl.longest_element(datum, unmarked)
-    lam_p = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
-    w0q_lambda_p = weyl.act(datum, w0q_word, lam_p)
+    low = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
+    while (i := next((g for g in unmarked if low[g - 1] > 0), None)) is not None:
+        low = weyl.reflect(datum, i, low)
+    sweep = {(): low}  # min_word of a G/Q class -> its target fingerprint
     targets, sources = {}, {}
-    for node in q_poset.nodes:
-        fp = weyl.act(datum, tuple(reversed(node.min_word)), w0q_lambda_p)
-        target = p_poset.node_by_fingerprint(fp).id
+    for node in q_poset.nodes:  # BFS order: each parent before its children
+        word = node.min_word
+        if word:
+            sweep[word] = weyl.reflect(datum, word[-1], sweep[word[:-1]])
+        target = p_poset.node_by_fingerprint(sweep[word]).id
         targets[node.id] = target
         sources.setdefault(target, []).append(node.id)
     return TitsContext(
         datum=datum,
         p_poset=p_poset,
         q_poset=q_poset,
-        w0q_word=w0q_word,
         d_tau=transform_shift(datum, p_poset.marked, q_poset.marked),
         targets=MappingProxyType(targets),
         sources=MappingProxyType({k: tuple(v) for k, v in sources.items()}),

@@ -2,12 +2,13 @@
 
 Conventions (Bourbaki numbering throughout):
 
-* Simple roots are labelled 1..rank.  ``cartan[i][j]`` (0-based storage) holds
-  <alpha_{i+1}, alpha_{j+1}^vee>, so row i lists the fundamental-weight
-  coordinates of alpha_{i+1}.
+* Simple roots are labelled 1..rank.  cartan[i][j] (0-based) is
+  <alpha_{i+1}, alpha_{j+1}^vee>; a datum stores only its off-diagonal
+  nonzero entries, as the neighbour lists bonds[i] = ((j, cartan[i][j]), ...).
 * Weights are integer tuples in fundamental-weight coordinates:
   v[i] = <v, alpha_{i+1}^vee>.  The simple reflection acts by
-  s_i(v) = v - v[i] * (row i of the Cartan matrix).
+  s_i(v) = v - v[i] * (row i of the Cartan matrix), so it moves only
+  coordinate i and those of node i+1's at most three neighbours.
 * Words are sequences of 1-based letters and denote products of simple
   reflections read left to right; ``act`` therefore applies the rightmost
   letter first, so act(word, v) == element(word)(v).
@@ -15,13 +16,13 @@ Conventions (Bourbaki numbering throughout):
   C_n is its transpose; D_n is the path 1..n-1 with node n attached to n-2;
   E6/E7 use edges (1,3),(3,4),(4,5),(5,6),(2,4) and, for E7, (6,7).
 
-Building a datum costs O(rank^2): the matrix, plus a check that the diagram
-read back from it has the family's group order.  Group orders and dimensions
-come from one closed form per irreducible type (:func:`_type_counts`):
-:func:`weyl_order`, :func:`levi_order` and :func:`quotient_dimension` all
-recognise the components of a subdiagram and read that table, so no package
-code enumerates roots.  :func:`positive_roots` stays as an enumeration for
-cross-checks.
+Building a datum costs O(rank): the neighbour lists, plus a check that the
+diagram read back from them has the family's group order.  Group orders and
+dimensions come from one closed form per irreducible type
+(:func:`_type_counts`): :func:`weyl_order`, :func:`levi_order` and
+:func:`quotient_dimension` all recognise the components of a subdiagram and
+read that table, so no package code enumerates roots.
+:func:`positive_roots` stays as an enumeration for cross-checks.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from functools import lru_cache
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}
 
+# Bound on classes x rank, the fingerprint coordinates a quotient stores; the
+# poset builders check it beside their size cap.
+MAX_COORDINATES = 2 * 10**7
+
 
 class InternalError(RuntimeError):
     """A structural invariant failed: a bug in the package, not bad input."""
@@ -39,11 +44,23 @@ class InternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class CartanDatum:
-    """A validated Cartan matrix plus the family/rank it came from."""
+    """A validated Dynkin diagram plus the family/rank it came from.
+
+    ``bonds`` has O(rank) entries, so hashing and comparing a datum is O(rank).
+    """
 
     family: str
     rank: int
-    cartan: tuple[tuple[int, ...], ...]
+    bonds: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Cartan matrix, rebuilt from ``bonds`` on each read."""
+        rows = [[2 if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
+        for i, bonds in enumerate(self.bonds):
+            for j, c in bonds:
+                rows[i][j] = c
+        return tuple(map(tuple, rows))
 
     def __repr__(self) -> str:
         return f"CartanDatum({self.family}{self.rank})"
@@ -73,7 +90,7 @@ def _edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
 
 @lru_cache(maxsize=None)
 def build_cartan(family: str, rank: int) -> CartanDatum:
-    """Build the Cartan matrix for one of A, B, C, D (Bourbaki) or E6/E7."""
+    """Build the Dynkin diagram of one of A, B, C, D (Bourbaki) or E6/E7."""
     if family not in _MIN_RANK:
         raise ValueError(f"unknown family {family!r}")
     if family == "E":
@@ -81,15 +98,20 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
             raise ValueError(f"family E supports rank 6 or 7, got {rank}")
     elif rank < _MIN_RANK[family]:
         raise ValueError(f"family {family} needs rank >= {_MIN_RANK[family]}, got {rank}")
+    if rank * (rank + 1) > MAX_COORDINATES:  # each quotient has at least rank + 1 classes
+        raise ValueError(
+            f"rank {rank} is too large: its quotients would store over {MAX_COORDINATES} "
+            "fingerprint coordinates"
+        )
 
-    rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    bonds = [[] for _ in range(rank)]
     for i, j, cij, cji in _edges(family, rank):
-        rows[i][j] = cij
-        rows[j][i] = cji
-    datum = CartanDatum(family, rank, tuple(tuple(r) for r in rows))
-    # Reading the components back from the matrix and recognising their shapes
+        bonds[i].append((j, cij))
+        bonds[j].append((i, cji))
+    datum = CartanDatum(family, rank, tuple(map(tuple, bonds)))
+    # Reading the components back from the diagram and recognising their shapes
     # must give the family's closed-form group order: a dropped edge splits the
-    # diagram and a misplaced branch changes its type.  O(rank^2), no roots.
+    # diagram and a misplaced branch changes its type.  O(rank), no roots.
     expected = weyl_order(datum)
     actual = levi_order(datum, range(1, rank + 1))
     if actual != expected:
@@ -99,11 +121,14 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
 
 def reflect(datum: CartanDatum, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """Apply the simple reflection s_i (1-based i) to a weight vector."""
-    row = datum.cartan[i - 1]
     c = v[i - 1]
     if c == 0:
         return tuple(v)
-    return tuple(v[j] - c * row[j] for j in range(datum.rank))
+    out = list(v)
+    out[i - 1] = -c
+    for j, a in datum.bonds[i - 1]:
+        out[j] -= c * a
+    return tuple(out)
 
 
 def act(datum: CartanDatum, word, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -230,45 +255,34 @@ def levi_order(datum: CartanDatum, generators) -> int:
 
 
 def _components(datum: CartanDatum, gens: list[int]) -> list[list[int]]:
-    remaining = set(gens)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in remaining - comp:
-                    if datum.cartan[i - 1][j - 1] != 0:
-                        comp.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        comps.append(sorted(comp))
-        remaining -= comp
+    """The connected components of the subdiagram on the sorted nodes ``gens``."""
+    remaining, comps = set(gens), []
+    for seed in gens:
+        if seed in remaining:
+            remaining.discard(seed)
+            comp, stack = [seed], [seed]
+            while stack:
+                for j, _ in datum.bonds[stack.pop() - 1]:
+                    if j + 1 in remaining:
+                        remaining.discard(j + 1)
+                        comp.append(j + 1)
+                        stack.append(j + 1)
+            comps.append(sorted(comp))
     return comps
 
 
 def _component_type(datum: CartanDatum, comp: list[int]) -> tuple[str, int]:
     """The (family, rank) of a connected subdiagram, recognised from its shape."""
-    r = len(comp)
-    if r == 1:
-        return "A", 1
-    doubled = any(
-        datum.cartan[i - 1][j - 1] == -2 for i in comp for j in comp if i != j
-    )
-    if doubled:
+    r, members = len(comp), set(comp)
+    links = {i: [(j + 1, c) for j, c in datum.bonds[i - 1] if j + 1 in members] for i in comp}
+    if any(c == -2 for bonds in links.values() for _, c in bonds):
         return datum.family, r  # only B and C data carry a doubled edge
-    neighbour_counts = {
-        i: sum(1 for j in comp if j != i and datum.cartan[i - 1][j - 1] != 0)
-        for i in comp
-    }
-    branch = [i for i, c in neighbour_counts.items() if c >= 3]
+    branch = [i for i in comp if len(links[i]) >= 3]
     if not branch:
         return "A", r  # simply-laced path
-    if len(branch) > 1 or neighbour_counts[branch[0]] > 3:
+    if len(branch) > 1 or len(links[branch[0]]) > 3:
         raise InternalError(f"unsupported diagram shape on nodes {comp}")
-    arms = sorted(_arm_lengths(datum, comp, branch[0]))
+    arms = sorted(_arm_lengths(links, branch[0]))
     if arms[0] == 1 and arms[1] == 1:
         return "D", r
     if arms in ([1, 2, 2], [1, 2, 3]):
@@ -276,22 +290,12 @@ def _component_type(datum: CartanDatum, comp: list[int]) -> tuple[str, int]:
     raise InternalError(f"unsupported diagram shape on nodes {comp}")
 
 
-def _arm_lengths(datum: CartanDatum, comp: list[int], branch: int) -> list[int]:
+def _arm_lengths(links: dict[int, list[tuple[int, int]]], branch: int) -> list[int]:
     lengths = []
-    for start in comp:
-        if start == branch or datum.cartan[branch - 1][start - 1] == 0:
-            continue
-        count = 0
-        prev, cur = branch, start
-        while True:
+    for start, _ in links[branch]:
+        count, prev, cur = 1, branch, start
+        while nxt := [j for j, _ in links[cur] if j != prev]:
             count += 1
-            nxt = [
-                j
-                for j in comp
-                if j not in (prev, cur) and datum.cartan[cur - 1][j - 1] != 0
-            ]
-            if not nxt:
-                break
             prev, cur = cur, nxt[0]
         lengths.append(count)
     return lengths

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from schubflex.classical import GrIndex, dual_index, gr_dimension
-from schubflex.weyl import CartanDatum, act, reflect, rho
+from schubflex.weyl import CartanDatum, act, longest_element, reflect, rho
 from schubflex.witnesses import Witness, basic_witness_homes
 
 # Number of positive roots per family and rank (Humphreys, Reflection Groups
@@ -23,6 +23,13 @@ POSITIVE_ROOT_COUNTS = {
     "D": lambda n: n * (n - 1),
     "E": lambda n: {6: 36, 7: 63}[n],
 }
+
+
+def dense_reflect(datum: CartanDatum, i: int, v) -> tuple[int, ...]:
+    """s_i(v) = v - v[i] * (row i of the dense Cartan matrix), every coordinate rebuilt."""
+    row = datum.cartan[i - 1]
+    c = v[i - 1]
+    return tuple(v[j] - c * row[j] for j in range(datum.rank))
 
 
 def length(datum: CartanDatum, word) -> int:
@@ -70,10 +77,16 @@ def levi_orbit_order(datum: CartanDatum, generators) -> int:
     return len(seen)
 
 
+def w0q_word(ctx) -> tuple[int, ...]:
+    """Reduced word for w0_Q, the longest element of the subgroup on the nodes outside Q."""
+    marked = ctx.q_poset.marked
+    return longest_element(ctx.datum, [i for i in range(1, ctx.datum.rank + 1) if i not in marked])
+
+
 def max_rep_word(ctx, ref) -> tuple[int, ...]:
     """Reduced word for the maximal representative w0_Q * u of a G/Q coset."""
     node = ctx.q_poset.node(ref)
-    word = ctx.w0q_word + tuple(node.min_word)
+    word = w0q_word(ctx) + tuple(node.min_word)
     assert is_reduced(ctx.datum, word), f"lengths must add for w0_Q * u at {node.id}"
     return word
 
@@ -86,9 +99,10 @@ def sweep_targets(ctx) -> dict[str, str]:
     maximal-representative word, without the context's map.
     """
     lam_p = tuple(1 if (i + 1) in ctx.p_poset.marked else 0 for i in range(ctx.datum.rank))
+    w0q = w0q_word(ctx)
     return {
         node.id: ctx.p_poset.node_by_fingerprint(
-            act(ctx.datum, tuple(reversed(ctx.w0q_word + tuple(node.min_word))), lam_p)
+            act(ctx.datum, tuple(reversed(w0q + tuple(node.min_word))), lam_p)
         ).id
         for node in ctx.q_poset.nodes
     }

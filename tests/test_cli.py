@@ -131,7 +131,7 @@ def test_hasse_never_enumerates_roots(monkeypatch, capsys):
 
 def test_over_cap_selectors_refuse_before_any_cartan_datum(monkeypatch, capsys):
     # The closed-form class count is checked first, so a rank-3000 refusal
-    # builds no rank x rank Cartan matrix.
+    # builds no Cartan datum.
     calls = []
     real = weyl.build_cartan
     monkeypatch.setattr(weyl, "build_cartan", lambda *args: calls.append(args) or real(*args))
@@ -168,6 +168,65 @@ def test_huge_over_cap_counts_refuse_without_the_exact_count(argv):
     assert (proc.returncode, proc.stdout) == (2, ""), argv
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "more than 18446744073709551616 cosets, above the cap of 1000000" in proc.stderr
+
+
+def _cli(argv, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "schubflex.cli", *argv], capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_text_hasse_of_a_wide_grassmannian_answers_quickly():
+    # 19,900 classes: each token looks up its (dim, degree) peers in an index
+    # instead of scanning every class.
+    proc = _cli(["hasse", "gr:2,200"], timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "A199 / P[2]: 19900 classes, 39402 covers, dimension 396"
+
+
+def test_tits_at_rank_1000_answers_quickly():
+    # w0_Q(lambda_P) by descent and one reflection per class, not a reduced
+    # word for w0_Q replayed with every class's minimal word.
+    proc = _cli(["tits", "a1000", "1", "1000"], timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "context: A1000(P={1},Q={1000})  d_tau=999"
+    assert len(lines) == 1002
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hasse", "gr:1,100000"],
+        ["hasse", "gr:1,20000", "--dot"],
+        ["tits", "a20000", "1", "2"],
+        ["tits", "a1000000", "1", "2"],
+    ],
+)
+def test_under_cap_high_ranks_refuse_in_one_line(argv):
+    # Under the size cap, but past the bound on stored fingerprint coordinates.
+    proc = _cli(argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, ""), argv
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "fingerprint coordinates" in proc.stderr and str(weyl.MAX_COORDINATES) in proc.stderr
+
+
+def test_coordinate_bound_is_sharp(monkeypatch):
+    # 4471 * 4472 = 19,994,312 is under the bound and 4472 * 4473 is over it.
+    assert weyl.MAX_COORDINATES == 2 * 10**7
+    assert weyl.build_cartan("A", 4471).rank == 4471
+    with pytest.raises(ValueError, match="rank 4472 is too large"):
+        weyl.build_cartan("A", 4472)
+    with pytest.raises(ValueError, match="79800 x 399 fingerprint coordinates"):
+        poset.build_quotient_poset(weyl.build_cartan("A", 399), {2})
+    # gr:1,n stores n classes of rank n - 1; the answer itself is not built here.
+    built = []
+    monkeypatch.setattr(poset, "build_quotient_poset", lambda datum, *args: built.append(datum.rank))
+    quotient("gr", 1, 4472)
+    assert built == [4471]
+    with pytest.raises(ValueError, match="4473 x 4472 fingerprint coordinates"):
+        quotient("gr", 1, 4473)
+    assert built == [4471]
 
 
 def test_commands_beyond_hasse_never_enumerate_roots(monkeypatch, capsys):
@@ -548,11 +607,17 @@ def _joined(elements):
 
 
 HEADS = ["gr", "lg", "og", "quad", "e6", "e7"] * 3 + ["", "xx", "GR", "e8"]
-# Every number stays small (digits 1 and 2 in the free text): an over-cap rank
-# is refused from its closed-form class count, but a huge rank under the cap
-# (`hasse gr:1,100000`) is still unbounded work, not a refusal.
-INT_LIST = _joined(st.lists(st.integers(-2, 12), max_size=4))
+# Numbers stop at 20 (digits 1 and 2 in the free text), and at 16 for og and
+# lg.  A huge rank is refused in one line, from its class count or from the
+# coordinate bound; the stop only keeps the answers cheap: og:n and lg:n have
+# 2^(n-1) and 2^n classes, and from n = 17 up to the size cap each answer
+# costs seconds and hundreds of MiB.
+TOP = {"og": 16, "lg": 16}
 JUNK = st.text(alphabet=",:-ab12", max_size=3)
+
+
+def _int_list(head):
+    return _joined(st.lists(st.integers(-2, TOP.get(head, 20)), max_size=4))
 
 
 @functools.lru_cache(maxsize=None)
@@ -566,7 +631,7 @@ def _shaped_spec(draw, head):
     """Parameters and class body of the form the head expects; they may still name no class."""
     if head in ("e6", "e7"):
         return draw(st.sampled_from(_tokens(head))).split(":")
-    n = draw(st.integers(-1, 12))
+    n = draw(st.integers(-1, TOP.get(head, 20)))
     if head == "gr":
         k = draw(st.integers(-1, 7))
         size = max(0, min(k, n))
@@ -586,11 +651,12 @@ def cli_requests(draw):
     head = draw(st.sampled_from(HEADS))
     command = draw(st.sampled_from(["classify", "degree", "dual", "hasse"]))
     params, body = draw(_shaped_spec(head if head in QUOTIENTS else "og"))
+    ints = _int_list(head)
     if command == "hasse":
-        params = draw(st.sampled_from([params, draw(INT_LIST)]))
+        params = draw(st.sampled_from([params, draw(ints)]))
         return ["hasse", ":".join([head, params][: draw(st.integers(1, 2))])]
-    params = draw(st.sampled_from([params, params, draw(INT_LIST), draw(JUNK)]))
-    body = draw(st.sampled_from([body, body, draw(INT_LIST), draw(JUNK)]))
+    params = draw(st.sampled_from([params, params, draw(ints), draw(JUNK)]))
+    body = draw(st.sampled_from([body, body, draw(ints), draw(JUNK)]))
     parts = draw(st.sampled_from([1, 2, 3, 3, 3, 3]))
     return [command, ":".join([head, params, body][:parts])]
 

@@ -118,7 +118,6 @@ def test_min_words_are_reduced_and_consistent(e6):
         assert is_reduced(datum, n.min_word)
         assert len(n.min_word) == n.dim
         assert weyl.act(datum, tuple(reversed(n.min_word)), lam) == n.fingerprint
-        assert weyl.act(datum, tuple(reversed(n.min_word)), weyl.rho(datum)) == n.rho_vector
 
 
 def test_graded_with_unique_ends(e6, og510):

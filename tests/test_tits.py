@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from oracles import max_rep_word, scan_depth2_oracle, scan_witness, sweep_targets
+from oracles import max_rep_word, scan_depth2_oracle, scan_witness, sweep_targets, w0q_word
 from schubflex import weyl
 from schubflex.golden import node_token, resolve_token
 from schubflex.poset import build_quotient_poset
@@ -53,7 +53,7 @@ def test_a2_worked_example(a2ctx):
 
 def test_a2_max_rep_concatenation(a2ctx):
     # w0_Q is the longest element of the subgroup missing node 2, so <s1>
-    assert a2ctx.w0q_word == (1,)
+    assert w0q_word(a2ctx) == (1,)
     mid = a2ctx.q_poset.nodes_by_dim(1)[0]
     assert max_rep_word(a2ctx, mid) == (1,) + tuple(mid.min_word)
 
@@ -132,7 +132,7 @@ def test_e6_transform_monotone_on_covers(ctx61, e6p1, e6p6):
 
 
 def test_e6_max_rep_words_all_reduced(ctx61, e6p1):
-    base = len(ctx61.w0q_word)
+    base = len(w0q_word(ctx61))
     for node in e6p1.nodes:
         word = max_rep_word(ctx61, node)  # checks reducedness internally
         assert len(word) == base + node.dim
@@ -239,7 +239,9 @@ def test_context_map_is_the_per_class_sweep():
         for p in range(1, rank + 1)
         for q in range(1, rank + 1)
     ]
-    for family, rank, p, q in VERIFY_CONTEXTS + small:
+    # one higher-rank context per classical family, each with a long w0_Q
+    wide = [("A", 12, 1, 12), ("B", 5, 1, 5), ("C", 5, 5, 2), ("D", 7, 7, 1)]
+    for family, rank, p, q in VERIFY_CONTEXTS + small + wide:
         ctx = make_context(weyl.build_cartan(family, rank), {p}, {q})
         targets = sweep_targets(ctx)
         assert dict(ctx.targets) == targets, ctx.label()

@@ -1,12 +1,13 @@
 """Unit tests for the root-system layer."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import POSITIVE_ROOT_COUNTS, is_reduced, length, levi_orbit_order
+from oracles import POSITIVE_ROOT_COUNTS, dense_reflect, is_reduced, length, levi_orbit_order
 from schubflex import weyl
 
 SMALL_DATA = [
@@ -52,6 +53,31 @@ def test_cartan_e7_edges():
     d = weyl.build_cartan("E", 7)
     edges = {(i + 1, j + 1) for i in range(7) for j in range(i + 1, 7) if d.cartan[i][j] != 0}
     assert edges == {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)}
+
+
+def test_dense_matrix_is_the_diagram():
+    # The matrix read from the neighbour lists is 2 on the diagonal and holds
+    # each edge of _edges in both directions.
+    for family, low, high in (("A", 1, 6), ("B", 2, 6), ("C", 2, 6), ("D", 3, 7), ("E", 6, 7)):
+        for rank in range(low, high + 1):
+            d = weyl.build_cartan(family, rank)
+            want = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+            for i, j, cij, cji in weyl._edges(family, rank):
+                want[i][j], want[j][i] = cij, cji
+            assert d.cartan == tuple(map(tuple, want)), d
+
+
+def test_sparse_reflect_equals_the_dense_one():
+    rng = random.Random(8)
+    data = [("A", r) for r in range(1, 13)] + [("B", r) for r in range(2, 9)]
+    data += [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 11)]
+    data += [("E", 6), ("E", 7)]
+    for family, rank in data:
+        d = weyl.build_cartan(family, rank)
+        for _ in range(40):
+            v = tuple(rng.randint(-5, 5) for _ in range(rank))
+            for i in range(1, rank + 1):
+                assert weyl.reflect(d, i, v) == dense_reflect(d, i, v), (d, i, v)
 
 
 def test_build_cartan_rejects_bad_input():
