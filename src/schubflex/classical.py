@@ -87,15 +87,6 @@ def ann_index(idx: GrIndex) -> GrIndex:
     return GrIndex(idx.n - idx.k, idx.n, tuple(sorted(idx.n + 1 - x for x in complement)))
 
 
-def gr_to_fingerprint(idx: GrIndex) -> tuple[int, ...]:
-    """Fingerprint of the corresponding coset in the A_{n-1} quotient marked {k}."""
-    inside = set(idx.lam)
-    return tuple(
-        (1 if i in inside else 0) - (1 if i + 1 in inside else 0)
-        for i in range(1, idx.n)
-    )
-
-
 @lru_cache(maxsize=1024)
 def standard_tableau_count(shape: tuple[int, ...]) -> int:
     """Number of standard fillings of a partition shape (weakly decreasing rows).

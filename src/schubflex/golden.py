@@ -159,17 +159,15 @@ def load_transform_table(directory=None) -> list[TransformRow]:
     return rows
 
 
-def is_max_linear(poset: QuotientPoset, node) -> bool:
+def is_max_linear(poset: QuotientPoset, node: SchubertNode) -> bool:
     """Degree-1 class not covered by another degree-1 class."""
-    node = poset.node(node)
     if node.degree != 1:
         return False
     return all(c.degree != 1 for c in poset.upper_covers(node))
 
 
-def node_token(poset: QuotientPoset, node) -> str:
+def node_token(poset: QuotientPoset, node: SchubertNode) -> str:
     """``dim:degree`` plus an a/b suffix when that pair is shared."""
-    node = poset.node(node)
     peers = poset.find_nodes(node.dim, node.degree)
     if len(peers) == 1:
         return f"{node.dim}:{node.degree}"

@@ -29,10 +29,14 @@ Facts the implementation leans on:
   otherwise; intervals of non-minuscule quotients can still be given relative
   chain counts via :func:`interval_chain_counts`.
 
-:func:`build_quotient_poset` is the one way to obtain a quotient.  It keeps
-each poset it builds for the life of the process, so all callers share one
-object per quotient, which is therefore immutable (frozen nodes, tuples of
-nodes and covers, degrees fixed at construction).
+:func:`build_quotient_poset` is the one way to obtain a quotient, and
+:func:`quotient_size` checks its class count before anything is built.  It
+keeps each poset it builds for the life of the process, so all callers share
+one object per quotient, which is therefore immutable (frozen nodes, degrees
+fixed at construction).  Each direction of the order is stored once, as
+tuples of nodes; ``covers`` derives the (lo id, hi id) pairs the exports
+print.  Inside the package a class is passed as its node; ids appear only in
+output, golden tables and certificate payloads.
 
 :data:`QUOTIENTS` is the one table from a family head (gr, lg, og, quad, e6,
 e7) to its quotient; :func:`quotient` serves every caller that names a family.
@@ -88,33 +92,37 @@ class SchubertNode:
 class QuotientPoset:
     """Bruhat poset of W_P \\ W for a marked node set, built by build_quotient_poset.
 
+    ``down[i]`` lists the indices of the lower covers of ``nodes[i]``.
     Shared between callers, so never mutated after construction.
     """
 
-    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, covers: tuple):
+    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, down):
         self.datum = datum
         self.marked = marked
         self.nodes = nodes
-        self.covers = covers
         self._by_id = {n.id: n for n in nodes}
         self._by_fp = {n.fingerprint: n for n in nodes}
         self._by_dim, self._by_dim_degree = {}, {}  # dim, (dim, degree) -> nodes
-        for n in nodes:
+        up: list[list[SchubertNode]] = [[] for _ in nodes]
+        for n, los in zip(nodes, down):
             self._by_dim.setdefault(n.dim, []).append(n)
             self._by_dim_degree.setdefault((n.dim, n.degree), []).append(n)
-        self._up: dict[str, list[str]] = {n.id: [] for n in nodes}
-        self._down: dict[str, list[str]] = {n.id: [] for n in nodes}
-        for lo, hi in covers:
-            self._up[lo].append(hi)
-            self._down[hi].append(lo)
+            for lo in los:
+                up[lo].append(n)
+        # Ids are zero-padded node indices, so index order is id order.
+        self._up = {n.id: tuple(his) for n, his in zip(nodes, up)}
+        self._down = {n.id: tuple(map(nodes.__getitem__, sorted(los))) for n, los in zip(nodes, down)}
         self.dimension = max(n.dim for n in nodes)
+
+    @property
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """(lo id, hi id) of every cover, sorted: lo in id order, then hi."""
+        return tuple([(lo, hi.id) for lo, his in self._up.items() for hi in his])
 
     # -- lookup -----------------------------------------------------------
 
-    def node(self, ref) -> SchubertNode:
-        if isinstance(ref, SchubertNode):
-            return ref
-        return self._by_id[ref]
+    def node(self, node_id: str) -> SchubertNode:
+        return self._by_id[node_id]
 
     def node_by_fingerprint(self, fp) -> SchubertNode:
         return self._by_fp[tuple(fp)]
@@ -136,10 +144,10 @@ class QuotientPoset:
 
     # -- order ------------------------------------------------------------
 
-    def leq(self, a, b) -> bool:
+    def leq(self, a: SchubertNode, b: SchubertNode) -> bool:
         """Bruhat comparison of two classes (containment of Schubert varieties)."""
         r = weyl.rho(self.datum)
-        va, vb = (weyl.act(self.datum, self.node(x).min_word[::-1], r) for x in (a, b))
+        va, vb = (weyl.act(self.datum, x.min_word[::-1], r) for x in (a, b))
         while vb != r:
             i = next(k for k in range(self.datum.rank) if vb[k] < 0) + 1
             if va[i - 1] < 0:
@@ -147,28 +155,27 @@ class QuotientPoset:
             vb = weyl.reflect(self.datum, i, vb)
         return va == r
 
-    def upper_covers(self, ref) -> list[SchubertNode]:
-        return [self._by_id[i] for i in self._up[self.node(ref).id]]
+    def upper_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
+        return self._up[node.id]
 
-    def lower_covers(self, ref) -> list[SchubertNode]:
-        return [self._by_id[i] for i in self._down[self.node(ref).id]]
+    def lower_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
+        return self._down[node.id]
 
-    def lower_interval(self, ref) -> list[SchubertNode]:
-        """All classes <= ref, in id order (includes ref itself): its down-closure."""
-        below = {self.node(ref).id}
-        stack = list(below)
+    def lower_interval(self, node: SchubertNode) -> list[SchubertNode]:
+        """All classes <= node, in id order (includes node itself): its down-closure."""
+        below = {node.id}
+        stack = [node]
         while stack:
-            for lo in self._down[stack.pop()]:
-                if lo not in below:
-                    below.add(lo)
+            for lo in self._down[stack.pop().id]:
+                if lo.id not in below:
+                    below.add(lo.id)
                     stack.append(lo)
         return [n for n in self.nodes if n.id in below]
 
     # -- duality ----------------------------------------------------------
 
-    def poincare_dual(self, ref) -> SchubertNode:
+    def poincare_dual(self, node: SchubertNode) -> SchubertNode:
         """The complementary-dimension partner under right multiplication by w_0."""
-        node = self.node(ref)
         w0 = weyl.longest_element(self.datum, range(1, self.datum.rank + 1))
         fp = weyl.act(self.datum, w0, node.fingerprint)
         dual = self._by_fp[fp]
@@ -220,20 +227,30 @@ def build_quotient_poset(
 ) -> QuotientPoset:
     """The Hasse diagram of W_P \\ W, built on first request and shared after.
 
-    Raises ValueError if the quotient would exceed ``size_cap`` cosets or
-    store more than :data:`weyl.MAX_COORDINATES` fingerprint coordinates.
-    Both bounds are checked on every call, cached or not.
+    Raises ValueError as :func:`quotient_size` does, whether cached or not.
     """
-    marked = frozenset(weyl._check_marked(datum, marked))
-    generators = [i for i in range(1, datum.rank + 1) if i not in marked]
-    expected = weyl.weyl_order(datum)
-    if generators:
-        expected //= weyl.levi_order(datum, generators)
-    _check_size(expected, datum.rank, size_cap)
+    marked = frozenset(marked)
+    expected = quotient_size(datum, marked, size_cap)
     poset = _quotient(datum, marked)
     if len(poset.nodes) != expected:
         raise InternalError(f"enumerated {len(poset.nodes)} cosets, order formula says {expected}")
     return poset
+
+
+def quotient_size(datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    """The class count of W_P \\ W by the order formula, before anything is built.
+
+    Raises ValueError if the marked set is invalid, or if the quotient would
+    exceed ``size_cap`` cosets or store more than :data:`weyl.MAX_COORDINATES`
+    fingerprint coordinates.
+    """
+    marked = weyl._check_marked(datum, marked)
+    generators = [i for i in range(1, datum.rank + 1) if i not in marked]
+    count = weyl.weyl_order(datum)
+    if generators:
+        count //= weyl.levi_order(datum, generators)
+    _check_size(count, datum.rank, size_cap)
+    return count
 
 
 def _check_size(count: int, rank: int, size_cap: int) -> None:
@@ -322,9 +339,7 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
         )
         for idx, ((fp, word, dim), deg) in enumerate(zip(records, degrees))
     )
-    # Ids are zero-padded BFS indices, so sorting by id sorts by (dim, lo, hi).
-    covers = tuple(sorted((nodes[lo].id, n.id) for n, los in zip(nodes, down) for lo in los))
-    return QuotientPoset(datum, marked, nodes, covers)
+    return QuotientPoset(datum, marked, nodes, down)
 
 
 def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
@@ -344,7 +359,7 @@ def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
     return down
 
 
-def interval_chain_counts(poset: QuotientPoset, apex) -> dict[str, int]:
+def interval_chain_counts(poset: QuotientPoset, apex: SchubertNode) -> dict[str, int]:
     """Saturated-chain counts from the bottom, restricted to the interval below apex.
 
     Defined for any quotient; used to grade intervals of quotients whose global
@@ -352,5 +367,5 @@ def interval_chain_counts(poset: QuotientPoset, apex) -> dict[str, int]:
     """
     counts: dict[str, int] = {}
     for n in poset.lower_interval(apex):  # down-closed, in BFS (dim) order
-        counts[n.id] = sum(counts[lo] for lo in poset._down[n.id]) if n.dim else 1
+        counts[n.id] = sum(counts[lo.id] for lo in poset.lower_covers(n)) if n.dim else 1
     return counts

@@ -21,9 +21,11 @@ injective (fiber sweep generically finite) exactly when dim T(S) = dim S +
 d_tau, which is what injectivity_check tests.
 
 A context's two posets come from build_quotient_poset, so they are the same
-shared objects every other caller gets for those quotients.  make_context
-sweeps every G/Q class once into ``targets`` and its inverse ``sources``; the
-context is immutable after that and ``transform`` is a lookup.
+shared objects every other caller gets for those quotients; make_context
+checks both class counts before it builds either.  It sweeps every G/Q class
+once into ``targets`` (G/Q id -> G/P node) and its inverse ``sources`` (G/P
+id -> tuple of G/Q nodes); the context is immutable after that and
+``transform`` is a lookup.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import weyl
-from .poset import QuotientPoset, SchubertNode, build_quotient_poset
+from .poset import QuotientPoset, SchubertNode, build_quotient_poset, quotient_size
 from .weyl import CartanDatum
 from .witnesses import Witness
 
@@ -48,8 +50,8 @@ class TitsContext:
     p_poset: QuotientPoset
     q_poset: QuotientPoset
     d_tau: int
-    targets: MappingProxyType[str, str]  # G/Q id -> id of its sweep in G/P
-    sources: MappingProxyType[str, tuple[str, ...]]  # G/P id -> G/Q ids onto it, in node order
+    targets: MappingProxyType[str, SchubertNode]  # G/Q id -> its sweep in G/P
+    sources: MappingProxyType[str, tuple[SchubertNode, ...]]  # G/P id -> G/Q classes onto it
 
     def label(self) -> str:
         p = ",".join(map(str, sorted(self.p_poset.marked)))
@@ -58,6 +60,8 @@ class TitsContext:
 
 
 def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
+    for marked in (p_marked, q_marked):  # refuse an oversized side before building either
+        quotient_size(datum, marked)
     p_poset = build_quotient_poset(datum, p_marked)
     q_poset = build_quotient_poset(datum, q_marked)
     unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
@@ -70,9 +74,9 @@ def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
         word = node.min_word
         if word:
             sweep[word] = weyl.reflect(datum, word[-1], sweep[word[:-1]])
-        target = p_poset.node_by_fingerprint(sweep[word]).id
+        target = p_poset.node_by_fingerprint(sweep[word])
         targets[node.id] = target
-        sources.setdefault(target, []).append(node.id)
+        sources.setdefault(target.id, []).append(node)
     return TitsContext(
         datum=datum,
         p_poset=p_poset,
@@ -83,13 +87,12 @@ def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
     )
 
 
-def transform(ctx: TitsContext, ref) -> SchubertNode:
+def transform(ctx: TitsContext, node: SchubertNode) -> SchubertNode:
     """The G/P class swept out by a G/Q Schubert class."""
-    return ctx.p_poset.node(ctx.targets[ctx.q_poset.node(ref).id])
+    return ctx.targets[node.id]
 
 
-def injectivity_check(ctx: TitsContext, ref) -> bool:
-    node = ctx.q_poset.node(ref)
+def injectivity_check(ctx: TitsContext, node: SchubertNode) -> bool:
     return transform(ctx, node).dim == node.dim + ctx.d_tau
 
 
@@ -119,7 +122,7 @@ def context_json_dict(ctx: TitsContext) -> dict:
     }
 
 
-def tits_flexibility_witness(ctx: TitsContext, p_ref, q_oracle) -> Witness | None:
+def tits_flexibility_witness(ctx: TitsContext, p_node: SchubertNode, q_oracle) -> Witness | None:
     """Certify a G/P class as the sweep transform of a movable G/Q class.
 
     ``q_oracle(src)`` must return the covers of ``src`` that contain a moved
@@ -133,28 +136,22 @@ def tits_flexibility_witness(ctx: TitsContext, p_ref, q_oracle) -> Witness | Non
     collapsing cover certifies nothing, even when a sibling cover transforms
     faithfully.
     """
-    p_node = ctx.p_poset.node(p_ref)
-    for src_id in ctx.sources.get(p_node.id, ()):
-        src = ctx.q_poset.node(src_id)
-        cover_ids = {c.id for c in ctx.q_poset.upper_covers(src)}
+    for src in ctx.sources.get(p_node.id, ()):
+        covers = ctx.q_poset.upper_covers(src)
         for home in q_oracle(src):
-            home_id = getattr(home, "id", home)
-            if home_id not in cover_ids:
-                continue
-            if not injectivity_check(ctx, ctx.q_poset.node(home_id)):
-                continue
-            return Witness(
-                "Tits",
-                {
-                    "node": p_node.id,
-                    "context": ctx.label(),
-                    "source": src.id,
-                    "home": home_id,
-                    "d_tau": ctx.d_tau,
-                    "representative": (
-                        "sweep of an irreducible representative of the source "
-                        "class by the incidence fibers"
-                    ),
-                },
-            )
+            if home in covers and injectivity_check(ctx, home):
+                return Witness(
+                    "Tits",
+                    {
+                        "node": p_node.id,
+                        "context": ctx.label(),
+                        "source": src.id,
+                        "home": home.id,
+                        "d_tau": ctx.d_tau,
+                        "representative": (
+                            "sweep of an irreducible representative of the source "
+                            "class by the incidence fibers"
+                        ),
+                    },
+                )
     return None

@@ -20,7 +20,6 @@ through the live sweep.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .classical import fingerprint_to_og
@@ -71,9 +70,6 @@ class VerifyReport:
             "problems": self.problems,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     def to_text(self) -> str:
         lines = [f"verify {self.target}"]
         for row in self.rows:
@@ -113,11 +109,10 @@ def _cone_certificates(
     problems: list[str],
     ambient: QuotientPoset,
     sub: QuotientPoset,
-    apex_ref,
+    apex: SchubertNode,
     base_is_flexible,
     base_name: str,
 ) -> None:
-    apex = ambient.node(apex_ref)
     phi = cone_embedding(sub, ambient, apex)
     if phi is None:
         problems.append(

@@ -14,6 +14,7 @@ Conventions (Bourbaki numbering throughout):
   letter first, so act(word, v) == element(word)(v).
 * B_n has the doubled entry cartan[n-2][n-1] == -2 (short root alpha_n);
   C_n is its transpose; D_n is the path 1..n-1 with node n attached to n-2;
+  D_2 is two unlinked nodes (A1 x A1) and C_1 one node (A1);
   E6/E7 use edges (1,3),(3,4),(4,5),(5,6),(2,4) and, for E7, (6,7).
 
 Building a datum costs O(rank): the neighbour lists, plus a check that the
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}
+_MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 2, "E": 6}
 
 # Bound on classes x rank, the fingerprint coordinates a quotient stores; the
 # poset builders check it beside their size cap.
@@ -79,7 +80,8 @@ def _edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
     elif family == "D":
         for i in range(rank - 2):
             edges.append((i, i + 1, -1, -1))
-        edges.append((rank - 3, rank - 1, -1, -1))
+        if rank >= 3:  # D2 is A1 x A1: two nodes, no edge
+            edges.append((rank - 3, rank - 1, -1, -1))
     elif family == "E":
         one_based = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
         if rank == 7:

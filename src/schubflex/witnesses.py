@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, ann_index, grouped
-from .poset import QuotientPoset, interval_chain_counts
+from .poset import QuotientPoset, SchubertNode, interval_chain_counts
 from .rigidity import classify_gr, classify_lg, classify_og, classify_quadric
 from .weyl import InternalError
 
@@ -45,8 +45,7 @@ class Witness:
         return f"{self.kind}{self.payload}"
 
 
-def linear_space_witness(poset: QuotientPoset, ref) -> Witness | None:
-    node = poset.node(ref)
+def linear_space_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
     if node.degree != 1 or node.dim < 1:
         return None
     bigger = [c for c in poset.upper_covers(node) if c.degree == 1]
@@ -62,8 +61,7 @@ def linear_space_witness(poset: QuotientPoset, ref) -> Witness | None:
     )
 
 
-def bertini_witness(poset: QuotientPoset, ref) -> Witness | None:
-    node = poset.node(ref)
+def bertini_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
     if node.dim < 1 or node.degree is None:
         return None
     for cover in poset.upper_covers(node):
@@ -79,7 +77,7 @@ def bertini_witness(poset: QuotientPoset, ref) -> Witness | None:
     return None
 
 
-def basic_witness_homes(poset: QuotientPoset, ref) -> list:
+def basic_witness_homes(poset: QuotientPoset, node: SchubertNode) -> list:
     """Covers that contain a movable representative of the class below them.
 
     For a degree-1 class, every degree-1 cover hosts degree-m hypersurface
@@ -88,7 +86,6 @@ def basic_witness_homes(poset: QuotientPoset, ref) -> list:
     general point of the returned cover, which is exactly what the sweep
     transform needs.
     """
-    node = poset.node(ref)
     if node.dim < 1 or node.degree is None:
         return []
     homes = []
@@ -100,8 +97,7 @@ def basic_witness_homes(poset: QuotientPoset, ref) -> list:
     return homes
 
 
-def divisor_witness(poset: QuotientPoset, ref) -> Witness | None:
-    node = poset.node(ref)
+def divisor_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
     if poset.dimension < 2 or node.dim != poset.dimension - 1:
         return None
     return Witness(
@@ -324,6 +320,15 @@ def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> dict | None:
     return dict(assignment)
 
 
+def _interval(ambient: QuotientPoset, apex: SchubertNode):
+    """The lower interval of ``apex`` and its covers, as (lo id, hi id) pairs.
+
+    The interval is down-closed, so its classes' lower covers are its covers.
+    """
+    interval = ambient.lower_interval(apex)
+    return interval, {(lo.id, n.id) for n in interval for lo in ambient.lower_covers(n)}
+
+
 def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> dict | None:
     """Graded isomorphism of ``sub`` onto the lower interval of ``apex``.
 
@@ -331,17 +336,12 @@ def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> di
     grading must reproduce the degrees of ``sub`` (the ambient poset need not
     carry absolute degrees of its own).  Returns {sub id: ambient id} or None.
     """
-    apex = ambient.node(apex)
-    interval = ambient.lower_interval(apex)
+    interval, amb_covers = _interval(ambient, apex)
     if len(interval) != len(sub.nodes):
         return None
     rel = interval_chain_counts(ambient, apex)
-    ids = {n.id for n in interval}
     amb_items = [(n.id, n.dim, rel[n.id]) for n in interval]
     sub_items = [(n.id, n.dim, n.degree) for n in sub.nodes]
-    amb_covers = {
-        (lo, hi) for lo, hi in ambient.covers if lo in ids and hi in ids
-    }
     return _match_graded(sub_items, amb_items, set(sub.covers), amb_covers)
 
 
@@ -352,19 +352,14 @@ def cone_embedding(sub: QuotientPoset, ambient: QuotientPoset, apex) -> dict | N
     ``sub`` shifted up one dimension, with degrees preserved (a cone has the
     degree of its base).  Returns {sub node id: ambient node id} or None.
     """
-    apex = ambient.node(apex)
-    interval = ambient.lower_interval(apex)
+    interval, amb_covers = _interval(ambient, apex)
     if len(interval) != len(sub.nodes) + 1:
         return None
     bottom = ambient.bottom()
-    interval_ids = {n.id for n in interval}
-    if bottom.id not in interval_ids:
+    if bottom not in interval:
         return None
-    amb_items = [(n.id, n.dim, n.degree) for n in interval if n.id != bottom.id]
+    amb_items = [(n.id, n.dim, n.degree) for n in interval if n is not bottom]
     sub_items = [(n.id, n.dim + 1, n.degree) for n in sub.nodes]
-    amb_covers = {
-        (lo, hi) for lo, hi in ambient.covers if lo in interval_ids and hi in interval_ids
-    }
     base_edges = {(lo, hi) for lo, hi in amb_covers if lo == bottom.id}
     phi = _match_graded(sub_items, amb_items, set(sub.covers), amb_covers - base_edges)
     if phi is None:

@@ -83,9 +83,8 @@ def w0q_word(ctx) -> tuple[int, ...]:
     return longest_element(ctx.datum, [i for i in range(1, ctx.datum.rank + 1) if i not in marked])
 
 
-def max_rep_word(ctx, ref) -> tuple[int, ...]:
+def max_rep_word(ctx, node) -> tuple[int, ...]:
     """Reduced word for the maximal representative w0_Q * u of a G/Q coset."""
-    node = ctx.q_poset.node(ref)
     word = w0q_word(ctx) + tuple(node.min_word)
     assert is_reduced(ctx.datum, word), f"lengths must add for w0_Q * u at {node.id}"
     return word
@@ -112,18 +111,14 @@ def _faithful(ctx, targets, node) -> bool:
     return ctx.p_poset.node(targets[node.id]).dim == node.dim + ctx.d_tau
 
 
-def scan_witness(ctx, targets, p_ref, q_oracle):
+def scan_witness(ctx, targets, p_node, q_oracle):
     """tits_flexibility_witness as a scan of every G/Q class against ``targets``."""
-    p_node = ctx.p_poset.node(p_ref)
     for src in ctx.q_poset.nodes:
         if targets[src.id] != p_node.id:
             continue
-        cover_ids = {c.id for c in ctx.q_poset.upper_covers(src)}
+        covers = ctx.q_poset.upper_covers(src)
         for home in q_oracle(src):
-            home_id = getattr(home, "id", home)
-            if home_id not in cover_ids:
-                continue
-            if not _faithful(ctx, targets, ctx.q_poset.node(home_id)):
+            if home not in covers or not _faithful(ctx, targets, home):
                 continue
             return Witness(
                 "Tits",
@@ -131,7 +126,7 @@ def scan_witness(ctx, targets, p_ref, q_oracle):
                     "node": p_node.id,
                     "context": ctx.label(),
                     "source": src.id,
-                    "home": home_id,
+                    "home": home.id,
                     "d_tau": ctx.d_tau,
                     "representative": (
                         "sweep of an irreducible representative of the source "
@@ -170,8 +165,17 @@ def ungroup(groups) -> tuple[int, ...]:
     return tuple(out)
 
 
+def gr_to_fingerprint(idx: GrIndex) -> tuple[int, ...]:
+    """Fingerprint of the corresponding coset in the A_{n-1} quotient marked {k}."""
+    inside = set(idx.lam)
+    return tuple(
+        (1 if i in inside else 0) - (1 if i + 1 in inside else 0)
+        for i in range(1, idx.n)
+    )
+
+
 def fingerprint_to_gr(k: int, n: int, fingerprint) -> GrIndex:
-    """Inverse of :func:`schubflex.classical.gr_to_fingerprint`."""
+    """Inverse of :func:`gr_to_fingerprint`."""
     fp = tuple(fingerprint)
     if len(fp) != n - 1:
         raise ValueError(f"fingerprint must have length {n - 1}")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubflex import cli, poset, weyl
+from schubflex.classical import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
 from schubflex.golden import golden_dir, node_token
 from schubflex.poset import QUOTIENTS, quotient
@@ -250,16 +251,42 @@ def test_commands_beyond_hasse_never_enumerate_roots(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "selector,message",
     [
-        ("og:2", "family D needs rank >= 3, got 2"),
-        ("og:0", "family D needs rank >= 3, got 0"),
-        ("og:-3", "family D needs rank >= 3, got -3"),
-        ("lg:0", "family C needs rank >= 2, got 0"),
+        ("og:0", "family D needs rank >= 2, got 0"),
+        ("og:-3", "family D needs rank >= 2, got -3"),
+        ("lg:0", "family C needs rank >= 1, got 0"),
         ("quad:2", "Q^2 is not a single-marked-node quotient of B/D type here"),
     ],
 )
 def test_under_rank_selectors_keep_their_refusals(selector, message, capsys):
     rc, out, err = run(["hasse", selector], capsys)
     assert (rc, out, err) == (2, "", f"error: bad selector {selector!r}: {message}\n")
+
+
+@pytest.mark.parametrize("head,n,label", [("og", 2, "D2 / P[2]"), ("lg", 1, "C1 / P[1]")])
+def test_smallest_isotropic_families_answer_in_every_command(head, n, label, capsys):
+    # D2 is modelled as A1 x A1 and C1 as A1, so OG(2,4) and LG(1,2) are both
+    # P^1: a point under a line, each of degree 1.
+    classes = [IsotropicIndex(head, n, lam) for lam in ((), (1,))]
+    dims = [isotropic_dimension(idx) for idx in classes]
+    assert sorted(dims) == [0, 1]
+    rc, out, err = run(["hasse", f"{head}:{n}"], capsys)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == f"{label}: 2 classes, 1 covers, dimension 1"
+    rc, out, err = run(["hasse", f"{head}:{n}", "--json"], capsys)
+    doc = json.loads(out)
+    assert (rc, err) == (0, "")
+    assert sorted(node["dim"] for node in doc["nodes"]) == sorted(dims)
+    assert [node["degree"] for node in doc["nodes"]] == [1, 1]
+    assert doc["covers"] == [[doc["nodes"][0]["id"], doc["nodes"][1]["id"]]]
+    rc, out, err = run(["hasse", f"{head}:{n}", "--dot"], capsys)
+    assert (rc, err, out.count("->")) == (0, "", 1)
+    for idx, dim in zip(classes, dims):
+        rc, out, err = run(["classify", str(idx)], capsys)
+        assert (rc, err) == (0, "")
+        assert f"dimension: {dim}\n" in out
+        assert run(["dual", str(idx)], capsys) == (0, f"{isotropic_dual(idx)}\n", "")
+        if head == "og":
+            assert run(["degree", str(idx)], capsys) == (0, "1\n", "")
 
 
 def test_classify_flexible_grassmannian(capsys):

@@ -130,6 +130,17 @@ def test_graded_with_unique_ends(e6, og510):
             assert p.node(hi).dim == p.node(lo).dim + 1
 
 
+def test_covers_are_tuples_of_the_posets_own_nodes(e6, e7p1):
+    g37 = build_quotient_poset(weyl.build_cartan("A", 6), {3})
+    for p in (e6, e7p1, g37):
+        for n in p.nodes:
+            for covers in (p.upper_covers(n), p.lower_covers(n)):
+                assert isinstance(covers, tuple)
+                assert all(c is p.node(c.id) for c in covers)
+                assert [c.id for c in covers] == sorted(c.id for c in covers)
+        assert sum(len(p.lower_covers(n)) for n in p.nodes) == len(p.covers)
+
+
 def test_poincare_polynomial_palindromic(e6):
     for family, rank, marked in [("E", 6, {6}), ("E", 7, {7}), ("A", 5, {2}), ("D", 4, {4}), ("C", 3, {3}), ("E", 6, {5})]:
         p = build_quotient_poset(weyl.build_cartan(family, rank), marked)
@@ -294,15 +305,14 @@ def test_poincare_dual_reverses_order(e6):
 
 def test_meets_and_joins_exist(e6, g24, og510):
     for p in (e6, g24, og510):
-        ids = [n.id for n in p.nodes]
-        for a in ids:
-            for b in ids:
+        for a in p.nodes:
+            for b in p.nodes:
                 lower = [c for c in p.nodes if p.leq(c, a) and p.leq(c, b)]
                 maximal = [c for c in lower if not any(p.leq(c, d) and c.id != d.id for d in lower)]
-                assert len(maximal) == 1, f"meet of {a},{b} not unique in {p.type_label()}"
+                assert len(maximal) == 1, f"meet of {a.id},{b.id} not unique in {p.type_label()}"
                 upper = [c for c in p.nodes if p.leq(a, c) and p.leq(b, c)]
                 minimal = [c for c in upper if not any(p.leq(d, c) and c.id != d.id for d in upper)]
-                assert len(minimal) == 1, f"join of {a},{b} not unique in {p.type_label()}"
+                assert len(minimal) == 1, f"join of {a.id},{b.id} not unique in {p.type_label()}"
 
 
 def test_interval_chain_counts_of_top_recover_degrees(e6, og510):

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from oracles import max_rep_word, scan_depth2_oracle, scan_witness, sweep_targets, w0q_word
-from schubflex import weyl
+from schubflex import poset, weyl
 from schubflex.golden import node_token, resolve_token
 from schubflex.poset import build_quotient_poset
 from schubflex.tits import (
@@ -126,8 +126,8 @@ def test_e6_injectivity_profile(ctx61, e6p1):
 
 def test_e6_transform_monotone_on_covers(ctx61, e6p1, e6p6):
     for lo, hi in e6p1.covers:
-        a = transform(ctx61, lo)
-        b = transform(ctx61, hi)
+        a = transform(ctx61, e6p1.node(lo))
+        b = transform(ctx61, e6p1.node(hi))
         assert e6p6.leq(a, b), f"sweep broke the order on cover {lo} < {hi}"
 
 
@@ -226,10 +226,24 @@ def test_certificate_needs_home_injectivity(ctx61, e6p1, e6p6):
 def test_certificate_ignores_foreign_homes(ctx61, e6p1, e6p6):
     # an oracle answer that is not an upper cover of the source is discarded
     # instead of trusted
-    top_id = e6p1.top().id
-    oracle = lambda src: [top_id]
+    top = e6p1.top()
+    oracle = lambda src: [top]
     for node in e6p6.nodes:
         assert tits_flexibility_witness(ctx61, node, oracle) is None
+
+
+def test_certificate_discards_homes_that_are_not_covers_of_the_source(ctx61, e6p1, e6p6):
+    # E6/P1 and E6/P6 both number their 27 classes n000..n026, so a class of
+    # the other poset can carry the id of a real cover; it is still no cover.
+    assert any(tits_flexibility_witness(ctx61, n, e6p1.upper_covers) for n in e6p6.nodes)
+    oracles = [
+        lambda src: [e6p6.top()],
+        lambda src: [e6p1.bottom()],
+        lambda src: [e6p6.node(c.id) for c in e6p1.upper_covers(src)],
+    ]
+    for oracle in oracles:
+        for node in e6p6.nodes:
+            assert tits_flexibility_witness(ctx61, node, oracle) is None
 
 
 def test_context_map_is_the_per_class_sweep():
@@ -244,11 +258,12 @@ def test_context_map_is_the_per_class_sweep():
     for family, rank, p, q in VERIFY_CONTEXTS + small + wide:
         ctx = make_context(weyl.build_cartan(family, rank), {p}, {q})
         targets = sweep_targets(ctx)
-        assert dict(ctx.targets) == targets, ctx.label()
+        assert {k: v.id for k, v in ctx.targets.items()} == targets, ctx.label()
         inverse = {}
         for node in ctx.q_poset.nodes:
             inverse.setdefault(targets[node.id], []).append(node.id)
-        assert dict(ctx.sources) == {k: tuple(v) for k, v in inverse.items()}, ctx.label()
+        sources = {k: tuple(n.id for n in v) for k, v in ctx.sources.items()}
+        assert sources == {k: tuple(v) for k, v in inverse.items()}, ctx.label()
 
 
 def test_witnesses_equal_the_scanning_oracle(e6p6, e7p7):
@@ -291,6 +306,16 @@ def test_contexts_are_immutable(ctx61, e6p1):
         transform(ctx61, node)
     assert vars(ctx61) == before
     assert dict(ctx61.targets) == targets
+
+
+def test_oversized_context_is_refused_before_either_quotient_is_built():
+    # The P side (node 1 of A4000 or D2000) fits both bounds and the Q side
+    # does not; the order formula refuses Q before P's quotient is enumerated.
+    poset._quotient.cache_clear()
+    for family, rank, q in (("A", 4000, 2), ("D", 2000, 2000)):
+        with pytest.raises(ValueError, match="above the cap"):
+            make_context(weyl.build_cartan(family, rank), {1}, {q})
+    assert poset._quotient.cache_info().misses == 0
 
 
 if __name__ == "__main__":

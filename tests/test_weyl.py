@@ -88,14 +88,16 @@ def test_build_cartan_rejects_bad_input():
     with pytest.raises(ValueError):
         weyl.build_cartan("B", 1)
     with pytest.raises(ValueError):
-        weyl.build_cartan("D", 2)
+        weyl.build_cartan("D", 1)
+    with pytest.raises(ValueError):
+        weyl.build_cartan("C", 0)
 
 
 # Every family at every rank from its minimum up to 10, with its closed-form
 # positive-root count.
 ROOT_COUNTS_TO_RANK_10 = [
     (family, rank, POSITIVE_ROOT_COUNTS[family](rank))
-    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for family, low in (("A", 1), ("B", 2), ("C", 1), ("D", 2))
     for rank in range(low, 11)
 ] + [("E", rank, POSITIVE_ROOT_COUNTS["E"](rank)) for rank in (6, 7)]
 
@@ -249,10 +251,10 @@ def test_quotient_dimensions(family, rank, marked, dim):
 
 
 def test_closed_form_dimensions_equal_the_root_enumeration():
-    # Every marked set of A1-A8, B2-B8, C2-C8, D3-D8, E6 and E7 (2,192 sets):
+    # Every marked set of A1-A8, B2-B8, C1-C8, D2-D8, E6 and E7 (2,196 sets):
     # dim G/P counts the positive roots whose support meets the marked set.
     checked = 0
-    for family, low, high in (("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 3, 8), ("E", 6, 7)):
+    for family, low, high in (("A", 1, 8), ("B", 2, 8), ("C", 1, 8), ("D", 2, 8), ("E", 6, 7)):
         for rank in range(low, high + 1):
             d = weyl.build_cartan(family, rank)
             roots = weyl.positive_roots(d)
@@ -261,7 +263,7 @@ def test_closed_form_dimensions_equal_the_root_enumeration():
                     want = sum(1 for c in roots if any(c[i - 1] > 0 for i in marked))
                     assert weyl.quotient_dimension(d, marked) == want, (family, rank, marked)
                     checked += 1
-    assert checked == 2192
+    assert checked == 2196
 
 
 @st.composite
