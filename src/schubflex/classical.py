@@ -19,34 +19,42 @@ shifted values into (value, multiplicity) runs, written mu_1^{i_1}...mu_t^{i_t}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+
+from .frozen import Frozen, set_field
 
 
 # ---------------------------------------------------------------------------
 # Grassmannian indices
 
 
-@dataclass(frozen=True)
-class GrIndex:
+class GrIndex(Frozen):
     """A Schubert index on G(k,n)."""
 
-    k: int
-    n: int
-    lam: tuple[int, ...]
+    __slots__ = ("k", "n", "lam")
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
-        lam = tuple(self.lam)
-        object.__setattr__(self, "lam", lam)
-        if len(lam) != self.k:
-            raise ValueError(f"index must have exactly k={self.k} parts, got {lam}")
-        if any(not 1 <= x <= self.n for x in lam):
-            raise ValueError(f"entries must lie in 1..{self.n}: {lam}")
+    def __init__(self, k: int, n: int, lam):
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+        lam = tuple(lam)
+        if len(lam) != k:
+            raise ValueError(f"index must have exactly k={k} parts, got {lam}")
+        if any(not 1 <= x <= n for x in lam):
+            raise ValueError(f"entries must lie in 1..{n}: {lam}")
         if any(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)):
             raise ValueError(f"entries must strictly increase: {lam}")
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "lam", lam)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.n, self.lam) == (other.k, other.n, other.lam)
+
+    def __hash__(self):
+        return hash((self.k, self.n, self.lam))
 
     def __str__(self) -> str:
         return f"gr:{self.k},{self.n}:{','.join(map(str, self.lam))}"
@@ -114,29 +122,36 @@ def gr_degree(idx: GrIndex) -> int:
 # Lagrangian and orthogonal indices
 
 
-@dataclass(frozen=True)
-class IsotropicIndex:
+class IsotropicIndex(Frozen):
     """A Schubert index on LG(n,2n) (family "lg") or OG(n,2n) (family "og")."""
 
-    family: str
-    n: int
-    lam: tuple[int, ...]
+    __slots__ = ("family", "n", "lam")
 
-    def __post_init__(self):
-        if self.family not in ("lg", "og"):
-            raise ValueError(f"family must be 'lg' or 'og', got {self.family!r}")
-        bound = self.n if self.family == "lg" else self.n - 1
-        min_n = 1 if self.family == "lg" else 2
-        if self.n < min_n:
-            raise ValueError(f"need n >= {min_n} for {self.family}")
-        lam = tuple(self.lam)
-        object.__setattr__(self, "lam", lam)
+    def __init__(self, family: str, n: int, lam):
+        if family not in ("lg", "og"):
+            raise ValueError(f"family must be 'lg' or 'og', got {family!r}")
+        bound = n if family == "lg" else n - 1
+        min_n = 1 if family == "lg" else 2
+        if n < min_n:
+            raise ValueError(f"need n >= {min_n} for {family}")
+        lam = tuple(lam)
         if len(lam) > bound:
             raise ValueError(f"at most {bound} parts allowed: {lam}")
         if any(not 1 <= x <= bound for x in lam):
             raise ValueError(f"entries must lie in 1..{bound}: {lam}")
         if any(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)):
             raise ValueError(f"entries must strictly increase: {lam}")
+        set_field(self, "family", family)
+        set_field(self, "n", n)
+        set_field(self, "lam", lam)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.n, self.lam) == (other.family, other.n, other.lam)
+
+    def __hash__(self):
+        return hash((self.family, self.n, self.lam))
 
     def __str__(self) -> str:
         return f"{self.family}:{self.n}:{','.join(map(str, self.lam))}"
@@ -210,8 +225,7 @@ def isotropic_dual(idx: IsotropicIndex) -> IsotropicIndex:
 # Quadrics
 
 
-@dataclass(frozen=True)
-class QuadricIndex:
+class QuadricIndex(Frozen):
     """A Schubert class on the smooth quadric Q^n.
 
     kind "linear" with parameter j: a linear space of projective dimension
@@ -221,28 +235,37 @@ class QuadricIndex:
     fundamental class).
     """
 
-    n: int
-    kind: str
-    j: int | None = None
+    __slots__ = ("n", "kind", "j")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, kind: str, j: int | None = None):
+        if n < 1:
             raise ValueError("quadric dimension must be >= 1")
-        if self.kind in ("max-plus", "max-minus"):
-            if self.n % 2 != 0:
+        if kind in ("max-plus", "max-minus"):
+            if n % 2 != 0:
                 raise ValueError("max-linear kinds exist only on even quadrics")
-            if self.j is not None:
+            if j is not None:
                 raise ValueError("max-linear kinds take no parameter")
-        elif self.kind == "linear":
-            top = (self.n + 1) // 2 if self.n % 2 else self.n // 2
-            if self.j is None or not 1 <= self.j <= top:
-                raise ValueError(f"linear parameter must lie in 1..{top}, got {self.j}")
-        elif self.kind == "colinear":
-            top = (self.n - 1) // 2 if self.n % 2 else self.n // 2 - 1
-            if self.j is None or not 0 <= self.j <= top:
-                raise ValueError(f"colinear parameter must lie in 0..{top}, got {self.j}")
+        elif kind == "linear":
+            top = (n + 1) // 2 if n % 2 else n // 2
+            if j is None or not 1 <= j <= top:
+                raise ValueError(f"linear parameter must lie in 1..{top}, got {j}")
+        elif kind == "colinear":
+            top = (n - 1) // 2 if n % 2 else n // 2 - 1
+            if j is None or not 0 <= j <= top:
+                raise ValueError(f"colinear parameter must lie in 0..{top}, got {j}")
         else:
-            raise ValueError(f"unknown quadric kind {self.kind!r}")
+            raise ValueError(f"unknown quadric kind {kind!r}")
+        set_field(self, "n", n)
+        set_field(self, "kind", kind)
+        set_field(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.kind, self.j) == (other.n, other.kind, other.j)
+
+    def __hash__(self):
+        return hash((self.n, self.kind, self.j))
 
     def __str__(self) -> str:
         if self.kind in ("max-plus", "max-minus"):

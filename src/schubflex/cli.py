@@ -20,6 +20,18 @@ Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
 quad:7  e6  e7.  Every command that needs a family's poset goes through
 :func:`schubflex.poset.quotient`, which reads the one family table,
 :data:`schubflex.poset.QUOTIENTS`.
+
+Each command is one process, so start-up is most of its time.  The
+certificate pipeline (:mod:`schubflex.verify` and :mod:`schubflex.tits`) is
+imported only inside the commands that run it: ``verify``, ``tits``, and
+``classify`` of an e6/e7 class once its token has resolved, so a refused
+token loads nothing more.  :mod:`~schubflex.golden`,
+:mod:`~schubflex.rigidity` and :mod:`~schubflex.witnesses` stay imported at
+the top.  The spec parser and :func:`main`'s error handling need
+:mod:`~schubflex.golden` in every command, and every classical ``classify``
+runs the other two.  Deferring them would save a single command little and
+would move their import cost into the first commands of a process that runs
+many through :func:`main`.
 """
 
 from __future__ import annotations
@@ -48,8 +60,6 @@ from .classical import (
 from .golden import GOLDEN_POSETS, GoldenDataError, TokenError, node_token, resolve_token
 from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, QuotientPoset, quotient
 from .rigidity import classify
-from .tits import context_json_dict, make_context, transform_rows
-from .verify import certificates, verify_all, verify_e6, verify_e7, verify_table1
 from .witnesses import (
     moduli_witness_gr,
     moduli_witness_isotropic,
@@ -179,6 +189,8 @@ def cmd_classify(args) -> int:
     if isinstance(parsed, tuple):
         target, token = parsed
         node = resolve_token(quotient(target), token)
+        from .verify import certificates  # a refused token never loads the pipeline
+
         row = certificates(target, args.golden_dir).row(node)
         print(f"class: {target}:{row['token']}")
         print(f"dimension: {row['dim']}")
@@ -257,6 +269,8 @@ def _parse_type(text: str):
 
 
 def cmd_tits(args) -> int:
+    from .tits import context_json_dict, make_context, transform_rows
+
     family, rank = _parse_type(args.type)
     try:
         datum = weyl.build_cartan(family, rank)
@@ -278,6 +292,8 @@ def cmd_tits(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_all, verify_e6, verify_e7, verify_table1
+
     if args.target == "all":
         reports = verify_all(args.golden_dir)
     else:

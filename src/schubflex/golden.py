@@ -25,10 +25,10 @@ bare ambiguous token is a usage error (TokenError, exit code 2).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .frozen import Frozen, set_field
 from .poset import QuotientPoset, SchubertNode, quotient
 
 DECORATIONS = ("rigid", "plus", "star", "T")
@@ -47,21 +47,47 @@ class TokenError(ValueError):
     """A class token is malformed or does not name a unique class."""
 
 
-@dataclass(frozen=True)
-class GoldenRow:
-    node_id: str
-    dim: int
-    degree: int
-    decoration: str
-    comment: str
+class GoldenRow(Frozen):
+    __slots__ = ("node_id", "dim", "degree", "decoration", "comment")
+
+    def __init__(self, node_id: str, dim: int, degree: int, decoration: str, comment: str):
+        set_field(self, "node_id", node_id)
+        set_field(self, "dim", dim)
+        set_field(self, "degree", degree)
+        set_field(self, "decoration", decoration)
+        set_field(self, "comment", comment)
+
+    def _key(self):
+        return (self.node_id, self.dim, self.degree, self.decoration, self.comment)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class TransformRow:
-    y_token: str
-    y_star: bool
-    t_token: str
-    t_star: bool
+class TransformRow(Frozen):
+    __slots__ = ("y_token", "y_star", "t_token", "t_star")
+
+    def __init__(self, y_token: str, y_star: bool, t_token: str, t_star: bool):
+        set_field(self, "y_token", y_token)
+        set_field(self, "y_star", y_star)
+        set_field(self, "t_token", t_token)
+        set_field(self, "t_star", t_star)
+
+    def _key(self):
+        return (self.y_token, self.y_star, self.t_token, self.t_star)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class GoldenPoset:

@@ -45,11 +45,11 @@ e7) to its quotient; :func:`quotient` serves every caller that names a family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl
 from .classical import quadric_poset_family
+from .frozen import Frozen, set_field
 from .weyl import CartanDatum, InternalError
 
 DEFAULT_SIZE_CAP = 10**6
@@ -74,15 +74,34 @@ def minuscule(datum: CartanDatum, marked) -> bool:
     return node in _MINUSCULE_NODES[datum.family](datum.rank)
 
 
-@dataclass(frozen=True)
-class SchubertNode:
+class SchubertNode(Frozen):
     """One Schubert class: a coset of W_P in W."""
 
-    id: str
-    dim: int
-    fingerprint: tuple[int, ...]
-    min_word: tuple[int, ...]
-    degree: int | None = None
+    __slots__ = ("id", "dim", "fingerprint", "min_word", "degree")
+
+    def __init__(
+        self,
+        id: str,
+        dim: int,
+        fingerprint: tuple[int, ...],
+        min_word: tuple[int, ...],
+        degree: int | None = None,
+    ):
+        set_field(self, "id", id)
+        set_field(self, "dim", dim)
+        set_field(self, "fingerprint", fingerprint)
+        set_field(self, "min_word", min_word)
+        set_field(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.dim, self.fingerprint, self.min_word, self.degree) == (
+            other.id, other.dim, other.fingerprint, other.min_word, other.degree
+        )
+
+    def __hash__(self):
+        return hash((self.id, self.dim, self.fingerprint, self.min_word, self.degree))
 
     def __repr__(self) -> str:
         deg = "?" if self.degree is None else self.degree
@@ -253,7 +272,15 @@ def quotient_size(datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP) 
     return count
 
 
-def _check_size(count: int, rank: int, size_cap: int) -> None:
+def _check_size(count: int | None, rank: int, size_cap: int) -> None:
+    """Refuse a class count over the cap or the coordinate bound, in one short line.
+
+    A count above max(size_cap, 2^64), or None (a closed form that stopped
+    there), is reported as "more than" that limit instead of being spelled out.
+    """
+    limit = max(size_cap, 2**64)
+    if count is None or count > limit:
+        raise ValueError(f"quotient would have more than {limit} cosets, above the cap of {size_cap}")
     if count > size_cap:
         raise ValueError(f"quotient would have {count} cosets, above the cap of {size_cap}")
     if count * rank > weyl.MAX_COORDINATES:
@@ -290,10 +317,8 @@ QUOTIENTS = {
 
 def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
     """The shared quotient poset of a family head and its parameters."""
-    limit = max(size_cap, 2**64)  # refusals spell out class counts up to here
-    family, rank, marked, count = QUOTIENTS[head](*params, limit)
-    if count is None:
-        raise ValueError(f"quotient would have more than {limit} cosets, above the cap of {size_cap}")
+    # Refusals spell out class counts up to max(size_cap, 2^64) (_check_size).
+    family, rank, marked, count = QUOTIENTS[head](*params, max(size_cap, 2**64))
     _check_size(count, rank, size_cap)
     return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
@@ -359,13 +384,14 @@ def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
     return down
 
 
-def interval_chain_counts(poset: QuotientPoset, apex: SchubertNode) -> dict[str, int]:
-    """Saturated-chain counts from the bottom, restricted to the interval below apex.
+def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict[str, int]:
+    """Saturated-chain counts from the bottom, within a lower interval of ``poset``.
 
-    Defined for any quotient; used to grade intervals of quotients whose global
-    chain counts are not projective degrees.
+    ``interval`` is a class's :meth:`~QuotientPoset.lower_interval`, already
+    walked by the caller.  Defined for any quotient; used to grade intervals
+    of quotients whose global chain counts are not projective degrees.
     """
     counts: dict[str, int] = {}
-    for n in poset.lower_interval(apex):  # down-closed, in BFS (dim) order
+    for n in interval:  # down-closed, in BFS (dim) order
         counts[n.id] = sum(counts[lo.id] for lo in poset.lower_covers(n)) if n.dim else 1
     return counts

@@ -23,18 +23,27 @@ Verdicts carry human-readable reasons naming the failed clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, grouped
+from .frozen import Frozen, set_field
 
 MULTI_RIGID = "MultiRigid"
 FLEXIBLE = "Flexible"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    reasons: tuple[str, ...] = ()
+class Verdict(Frozen):
+    __slots__ = ("status", "reasons")
+
+    def __init__(self, status: str, reasons: tuple[str, ...] = ()):
+        set_field(self, "status", status)
+        set_field(self, "reasons", reasons)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.reasons) == (other.status, other.reasons)
+
+    def __hash__(self):
+        return hash((self.status, self.reasons))
 
     @property
     def rigid(self) -> bool:

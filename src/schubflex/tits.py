@@ -25,15 +25,18 @@ shared objects every other caller gets for those quotients; make_context
 checks both class counts before it builds either.  It sweeps every G/Q class
 once into ``targets`` (G/Q id -> G/P node) and its inverse ``sources`` (G/P
 id -> tuple of G/Q nodes); the context is immutable after that and
-``transform`` is a lookup.
+``transform`` is a lookup.  Like the posets, each context is built once per
+(datum, P, Q), keyed by its two shared posets, and kept for the life of the
+process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 from . import weyl
+from .frozen import Frozen, set_field
 from .poset import QuotientPoset, SchubertNode, build_quotient_poset, quotient_size
 from .weyl import CartanDatum
 from .witnesses import Witness
@@ -44,14 +47,26 @@ def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
     return weyl.quotient_dimension(datum, both) - weyl.quotient_dimension(datum, q_marked)
 
 
-@dataclass(frozen=True)
-class TitsContext:
-    datum: CartanDatum
-    p_poset: QuotientPoset
-    q_poset: QuotientPoset
-    d_tau: int
-    targets: MappingProxyType[str, SchubertNode]  # G/Q id -> its sweep in G/P
-    sources: MappingProxyType[str, tuple[SchubertNode, ...]]  # G/P id -> G/Q classes onto it
+class TitsContext(Frozen):
+    """One sweep G/Q -> G/P; make_context builds each context once per process."""
+
+    __slots__ = ("datum", "p_poset", "q_poset", "d_tau", "targets", "sources")
+
+    def __init__(
+        self,
+        datum: CartanDatum,
+        p_poset: QuotientPoset,
+        q_poset: QuotientPoset,
+        d_tau: int,
+        targets: MappingProxyType[str, SchubertNode],  # G/Q id -> its sweep in G/P
+        sources: MappingProxyType[str, tuple[SchubertNode, ...]],  # G/P id -> G/Q classes onto it
+    ):
+        set_field(self, "datum", datum)
+        set_field(self, "p_poset", p_poset)
+        set_field(self, "q_poset", q_poset)
+        set_field(self, "d_tau", d_tau)
+        set_field(self, "targets", targets)
+        set_field(self, "sources", sources)
 
     def label(self) -> str:
         p = ",".join(map(str, sorted(self.p_poset.marked)))
@@ -60,10 +75,16 @@ class TitsContext:
 
 
 def make_context(datum: CartanDatum, p_marked, q_marked) -> TitsContext:
+    """The sweep context of (datum, P, Q), built on first request and shared after."""
     for marked in (p_marked, q_marked):  # refuse an oversized side before building either
         quotient_size(datum, marked)
-    p_poset = build_quotient_poset(datum, p_marked)
-    q_poset = build_quotient_poset(datum, q_marked)
+    return _context(build_quotient_poset(datum, p_marked), build_quotient_poset(datum, q_marked))
+
+
+@lru_cache(maxsize=None)
+def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
+    """Sweep every G/Q class once; keyed by the two shared posets."""
+    datum = p_poset.datum
     unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
     low = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
     while (i := next((g for g in unmarked if low[g - 1] > 0), None)) is not None:

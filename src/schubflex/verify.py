@@ -20,8 +20,6 @@ through the live sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .classical import fingerprint_to_og
 from .golden import (
     GoldenPoset,
@@ -50,12 +48,14 @@ from .witnesses import (
 )
 
 
-@dataclass
 class VerifyReport:
-    target: str
-    rows: list[dict] = field(default_factory=list)
-    problems: list[str] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    __slots__ = ("target", "rows", "problems", "summary")
+
+    def __init__(self, target: str):
+        self.target = target
+        self.rows: list[dict] = []
+        self.problems: list[str] = []
+        self.summary: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -191,14 +191,22 @@ def interval_oracle(ctx: TitsContext, psi: dict[str, str], flexible_sub_ids):
     return oracle
 
 
-@dataclass
 class Certificates:
     """Every engine's witnesses on one decorated poset; built by certificates()."""
 
-    poset: QuotientPoset
-    golden: GoldenPoset
-    witnesses: dict[str, list[Witness]]
-    problems: list[str]
+    __slots__ = ("poset", "golden", "witnesses", "problems")
+
+    def __init__(
+        self,
+        poset: QuotientPoset,
+        golden: GoldenPoset,
+        witnesses: dict[str, list[Witness]],
+        problems: list[str],
+    ):
+        self.poset = poset
+        self.golden = golden
+        self.witnesses = witnesses
+        self.problems = problems
 
     def row(self, node: SchubertNode) -> dict:
         """The verify row of one class: its decoration and what certifies it."""

@@ -29,8 +29,9 @@ read that table, so no package code enumerates roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .frozen import Frozen, set_field
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 2, "E": 6}
 
@@ -43,16 +44,26 @@ class InternalError(RuntimeError):
     """A structural invariant failed: a bug in the package, not bad input."""
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Frozen):
     """A validated Dynkin diagram plus the family/rank it came from.
 
     ``bonds`` has O(rank) entries, so hashing and comparing a datum is O(rank).
     """
 
-    family: str
-    rank: int
-    bonds: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("family", "rank", "bonds")
+
+    def __init__(self, family: str, rank: int, bonds: tuple[tuple[tuple[int, int], ...], ...]):
+        set_field(self, "family", family)
+        set_field(self, "rank", rank)
+        set_field(self, "bonds", bonds)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.rank, self.bonds) == (other.family, other.rank, other.bonds)
+
+    def __hash__(self):
+        return hash((self.family, self.rank, self.bonds))
 
     @property
     def cartan(self) -> tuple[tuple[int, ...], ...]:

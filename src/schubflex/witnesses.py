@@ -28,18 +28,25 @@ exceptional posets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, ann_index, grouped
 from .poset import QuotientPoset, SchubertNode, interval_chain_counts
 from .rigidity import classify_gr, classify_lg, classify_og, classify_quadric
 from .weyl import InternalError
 
 
-@dataclass
 class Witness:
-    kind: str
-    payload: dict
+    """A named construction; equal witnesses have equal kinds and payloads."""
+
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: dict):
+        self.kind = kind
+        self.payload = payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.payload) == (other.kind, other.payload)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.payload}"
@@ -339,7 +346,7 @@ def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> di
     interval, amb_covers = _interval(ambient, apex)
     if len(interval) != len(sub.nodes):
         return None
-    rel = interval_chain_counts(ambient, apex)
+    rel = interval_chain_counts(ambient, interval)
     amb_items = [(n.id, n.dim, rel[n.id]) for n in interval]
     sub_items = [(n.id, n.dim, n.degree) for n in sub.nodes]
     return _match_graded(sub_items, amb_items, set(sub.covers), amb_covers)

@@ -157,12 +157,16 @@ def test_over_cap_selectors_refuse_before_any_cartan_datum(monkeypatch, capsys):
         ["hasse", "gr:200000,400000"],
         ["hasse", "lg:10000000"],
         ["hasse", "og:20000"],
+        ["tits", "a4000", "1", "2000"],
+        ["tits", "d2000", "1", "2000"],
     ],
 )
 def test_huge_over_cap_counts_refuse_without_the_exact_count(argv):
     # Deciding count > cap must not build the count itself: 2**(10**14) does
     # not fit in memory, comb(400000, 200000) takes seconds, and a count past
-    # 4300 digits cannot even be printed in the message.
+    # 4300 digits cannot even be printed in the message.  A sweep context's
+    # side is counted by the order formula, exactly, but refused in the same
+    # short line as soon as its count passes 2**64.
     proc = subprocess.run(
         [sys.executable, "-m", "schubflex.cli", *argv], capture_output=True, text=True, timeout=10
     )

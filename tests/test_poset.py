@@ -1,7 +1,6 @@
 """Unit tests for quotient-poset construction, order, degrees, duality."""
 
 import json
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -261,7 +260,7 @@ def test_size_cap_checked_for_cached_quotient():
 
 
 def test_nodes_are_frozen(e6):
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         e6.top().degree = 1
     assert e6.top().degree == 78
 
@@ -317,7 +316,7 @@ def test_meets_and_joins_exist(e6, g24, og510):
 
 def test_interval_chain_counts_of_top_recover_degrees(e6, og510):
     for p in (e6, og510):
-        counts = interval_chain_counts(p, p.top())
+        counts = interval_chain_counts(p, p.lower_interval(p.top()))
         assert counts == {n.id: n.degree for n in p.nodes}
 
 
