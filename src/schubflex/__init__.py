@@ -2,7 +2,7 @@
 
 Subpackages by capability:
 
-* :mod:`schubflex.weyl` -- Dynkin diagrams, reflections, words, root counts.
+* :mod:`schubflex.weyl` -- Dynkin diagrams, reflections, closed forms (no words).
 * :mod:`schubflex.poset` -- parabolic-quotient Hasse diagrams, degrees, duals;
   each quotient is built once per process and shared, immutable.
 * :mod:`schubflex.classical` -- index arithmetic for Grassmannian, Lagrangian,

@@ -15,6 +15,8 @@ Facts the implementation leans on:
 * Quotient Bruhat order is the restriction of Bruhat order to minimal
   representatives; ``leq`` implements the standard lifting recursion on the
   w^{-1}(rho) vectors it computes from the two minimal words.
+* Right multiplication by w_0 sends fingerprint fp to (-fp[iota(i)])_i, iota
+  the opposition involution, so a Poincare dual is one O(rank) lookup.
 * Covers need no comparisons (lifting property, Bjorner-Brenti GTM 231,
   Prop. 2.2.7).  If u's minimal word ends in s = s_i, then us is u's BFS
   parent and lower_covers(u) = [us] + [ys for y in lower_covers(us) if
@@ -195,9 +197,11 @@ class QuotientPoset:
 
     def poincare_dual(self, node: SchubertNode) -> SchubertNode:
         """The complementary-dimension partner under right multiplication by w_0."""
-        w0 = weyl.longest_element(self.datum, range(1, self.datum.rank + 1))
-        fp = weyl.act(self.datum, w0, node.fingerprint)
-        dual = self._by_fp[fp]
+        fp = node.fingerprint
+        image = tuple(-fp[j] for j in weyl.opposition(self.datum))
+        dual = self._by_fp.get(image)
+        if dual is None:
+            raise InternalError(f"dual {image} of {node.id} is not a coset of the quotient")
         if dual.dim != self.dimension - node.dim:
             raise InternalError(f"dual of {node.id} (dim {node.dim}) landed on dim {dual.dim}")
         return dual

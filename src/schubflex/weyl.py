@@ -23,7 +23,8 @@ dimensions come from one closed form per irreducible type
 (:func:`_type_counts`): :func:`weyl_order`, :func:`levi_order` and
 :func:`quotient_dimension` all recognise the components of a subdiagram and
 read that table, so no package code enumerates roots.
-:func:`positive_roots` stays as an enumeration for cross-checks.
+:func:`positive_roots` stays as an enumeration for cross-checks.  w_0 is
+never spelled as a word: it acts on weights as minus :func:`opposition`.
 """
 
 from __future__ import annotations
@@ -157,28 +158,6 @@ def rho(datum: CartanDatum) -> tuple[int, ...]:
     return (1,) * datum.rank
 
 
-def longest_element(datum: CartanDatum, generators) -> tuple[int, ...]:
-    """Reduced word for the longest element of the parabolic subgroup <s_i : i in generators>.
-
-    Greedy ascent: starting from the identity, repeatedly multiply on the right
-    by the smallest available generator that increases length.  Any maximal
-    chain in weak order ends at the longest element, so the greedy choice is
-    only a determinism device.
-    """
-    gens = sorted(set(generators))
-    for i in gens:
-        if not 1 <= i <= datum.rank:
-            raise ValueError(f"generator {i} out of range for rank {datum.rank}")
-    d = rho(datum)
-    word = []
-    while True:
-        i = next((g for g in gens if d[g - 1] > 0), None)
-        if i is None:
-            return tuple(word)
-        word.append(i)
-        d = reflect(datum, i, d)
-
-
 @lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """All positive roots in simple-root coordinates, sorted by (height, coords).
@@ -244,6 +223,23 @@ def _type_counts(family: str, r: int) -> tuple[int, int]:
     if family == "D":
         return (2 ** (r - 1)) * math.factorial(r), r * (r - 1)
     return {6: (51840, 36), 7: (2903040, 63)}[r]
+
+
+def opposition(datum: CartanDatum) -> tuple[int, ...]:
+    """The opposition involution iota as 0-based node images: w_0(omega_i) = -omega_iota(i).
+
+    One closed form per type (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+    Plates I-IX): reversal on A_r, the swap of nodes r-1 and r on D_r for odd
+    r, 1<->6 and 3<->5 on E6, the identity on B_r, C_r, even D_r and E7.
+    """
+    r = datum.rank
+    if datum.family == "A":
+        return tuple(range(r - 1, -1, -1))
+    if datum.family == "D" and r % 2:
+        return (*range(r - 2), r - 1, r - 2)
+    if datum.family == "E" and r == 6:
+        return (5, 1, 4, 3, 2, 0)
+    return tuple(range(r))
 
 
 def weyl_order(datum: CartanDatum) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from schubflex.classical import GrIndex, dual_index, gr_dimension
-from schubflex.weyl import CartanDatum, act, longest_element, reflect, rho
+from schubflex.weyl import CartanDatum, act, reflect, rho
 from schubflex.witnesses import Witness, basic_witness_homes
 
 # Number of positive roots per family and rank (Humphreys, Reflection Groups
@@ -51,6 +51,90 @@ def length(datum: CartanDatum, word) -> int:
 def is_reduced(datum: CartanDatum, word) -> bool:
     word = tuple(word)
     return length(datum, word) == len(word)
+
+
+def longest_element(datum: CartanDatum, generators) -> tuple[int, ...]:
+    """Reduced word for the longest element of the parabolic subgroup <s_i : i in generators>.
+
+    Greedy ascent: starting from the identity, repeatedly multiply on the right
+    by the smallest available generator that increases length.  Any maximal
+    chain in weak order ends at the longest element, so the greedy choice is
+    only a determinism device.
+    """
+    gens = sorted(set(generators))
+    for i in gens:
+        if not 1 <= i <= datum.rank:
+            raise ValueError(f"generator {i} out of range for rank {datum.rank}")
+    d = rho(datum)
+    word = []
+    while True:
+        i = next((g for g in gens if d[g - 1] > 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        d = reflect(datum, i, d)
+
+
+@lru_cache(maxsize=None)
+def _w0_word(datum: CartanDatum) -> tuple[int, ...]:
+    return longest_element(datum, range(1, datum.rank + 1))
+
+
+def word_dual(poset, node):
+    """Poincare dual of ``node``: its fingerprint moved by w_0, spelled as a word and applied."""
+    return poset.node_by_fingerprint(act(poset.datum, _w0_word(poset.datum), node.fingerprint))
+
+
+def heap_quotient(datum: CartanDatum, marked):
+    """W_P \\ W of a cominuscule head, rebuilt as the order ideals of a heap.
+
+    The top class is u = w0_P w0.  Its reduced word comes from the greedy words
+    of w0 and of the Levi's w0_P: u^{-1}(rho) = w0 w0_P (rho), and peeling right
+    descents off that vector spells u.  u is fully commutative, and for a
+    cominuscule head the classes are the prefixes of its reduced words (Proctor,
+    1984; Stembridge, 1996), i.e. the order ideals of its heap: the letters of
+    the word, where a letter lies below a later one equal or joined to it in
+    the Dynkin diagram, closed transitively.  A class's dimension is the size
+    of its ideal, a cover adds one element, and the number of linear
+    extensions of the ideal is the number of saturated chains below the class.
+    Fingerprints apply the ideal's letters to lambda by :func:`dense_reflect`.
+
+    Returns ``classes``, fingerprint -> (dimension, linear extensions), and
+    ``covers``, the set of (lower fingerprint, upper fingerprint) pairs.
+    """
+    n, cartan, r = datum.rank, datum.cartan, rho(datum)
+    levi = [i for i in range(1, n + 1) if i not in marked]
+    d = act(datum, longest_element(datum, range(1, n + 1)) + longest_element(datum, levi), r)
+    peeled = []
+    while d != r:
+        peeled.append(next(k for k in range(n) if d[k] < 0) + 1)
+        d = dense_reflect(datum, peeled[-1], d)
+    word = peeled[::-1]
+    below = [
+        sum(1 << p for p in range(q) if cartan[word[p] - 1][word[q] - 1])
+        for q in range(len(word))
+    ]  # cartan[i][i] == 2, so equal letters count as joined
+    lam = tuple(1 if i + 1 in marked else 0 for i in range(n))
+    fps, extensions, covers = {0: lam}, {0: 1}, set()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            for q, letter in enumerate(word):
+                if ideal >> q & 1 or below[q] & ~ideal:
+                    continue
+                up = ideal | 1 << q
+                if up not in fps:
+                    fps[up] = dense_reflect(datum, letter, fps[ideal])
+                    extensions[up] = 0
+                    nxt.append(up)
+                extensions[up] += extensions[ideal]
+                covers.add((fps[ideal], fps[up]))
+        frontier = nxt
+    classes = {fp: (bin(ideal).count("1"), extensions[ideal]) for ideal, fp in fps.items()}
+    if len(classes) != len(fps):
+        raise ValueError("two ideals share a fingerprint")
+    return classes, covers
 
 
 def levi_orbit_order(datum: CartanDatum, generators) -> int:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import word_dual
 from schubflex import cli, poset, weyl
 from schubflex.classical import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
@@ -250,6 +251,25 @@ def test_commands_beyond_hasse_never_enumerate_roots(monkeypatch, capsys):
         rc, out, err = run(argv, capsys)
         assert (rc, err) == (0, ""), argv
         assert out, argv
+
+
+def test_dual_spells_no_word(monkeypatch, capsys):
+    # w_0 acts on fingerprints as minus the opposition involution, so an
+    # exceptional dual is a lookup: no reflection and no word of w_0.
+    expected = {}
+    for head in ("e6", "e7"):
+        p = quotient(head)
+        for n in p.nodes:
+            expected[f"{head}:{node_token(p, n)}"] = f"{head}:{node_token(p, word_dual(p, n))}\n"
+    assert len(expected) == 83
+
+    def no_reflections(*args):
+        raise AssertionError("dual reflected a weight")
+
+    monkeypatch.setattr(weyl, "reflect", no_reflections)
+    monkeypatch.setattr(weyl, "act", no_reflections)
+    for spec, out in expected.items():
+        assert run(["dual", spec], capsys) == (0, out, ""), spec
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_reduced
+from oracles import heap_quotient, is_reduced, word_dual
 from schubflex import poset, weyl
 from schubflex.poset import (
     InternalError,
     build_quotient_poset,
     interval_chain_counts,
     minuscule,
+    quotient,
 )
 
 
@@ -300,6 +301,55 @@ def test_poincare_dual_reverses_order(e6):
         for b in e6.nodes:
             if e6.leq(a, b):
                 assert e6.leq(e6.poincare_dual(b), e6.poincare_dual(a))
+
+
+# Every single-node marking of these types, plus a few two-node markings.
+DUAL_TYPES = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 7)]
+    + [("C", r) for r in range(1, 7)] + [("D", r) for r in range(2, 8)] + [("E", 6), ("E", 7)]
+)
+DUAL_MARKINGS = [(f, r, {i}) for f, r in DUAL_TYPES for i in range(1, r + 1)] + [
+    ("A", 5, {2, 4}), ("B", 4, {1, 4}), ("D", 5, {1, 4}), ("D", 6, {5, 6}), ("E", 6, {1, 6}),
+]
+
+
+def test_poincare_dual_matches_the_word_of_w0():
+    # The closed form -iota(fp) against w_0 spelled as a word and applied.
+    checked = 0
+    for family, rank, marked in DUAL_MARKINGS:
+        p = build_quotient_poset(weyl.build_cartan(family, rank), marked)
+        for n in p.nodes:
+            assert p.poincare_dual(n) is word_dual(p, n), f"{family}{rank} {sorted(marked)} {n.id}"
+        checked += len(p.nodes)
+    assert checked == 25292
+
+
+def test_missing_dual_is_an_internal_error(monkeypatch):
+    # With iota wrongly the identity on A4, -(1, 0, 0, 0) is no class of P^4.
+    p = quotient("gr", 1, 5)
+    monkeypatch.setattr(weyl, "opposition", lambda datum: tuple(range(datum.rank)))
+    with pytest.raises(InternalError, match=f"of {p.bottom().id} is not a coset"):
+        p.poincare_dual(p.bottom())
+
+
+@pytest.mark.parametrize(
+    "selector,minuscule_head",
+    [
+        ("e6", True), ("e7", True), ("gr:3,7", True), ("gr:4,9", True), ("og:7", True),
+        ("lg:5", False), ("quad:7", False), ("quad:8", True),
+        # Sizes the pairwise leq oracle cannot reach.
+        ("og:12", True), ("lg:10", False), ("gr:6,12", True),
+    ],
+)
+def test_heap_ideals_rebuild_the_family_poset(selector, minuscule_head):
+    head, _, params = selector.partition(":")
+    p = quotient(head, *(int(x) for x in params.split(",") if x))
+    classes, covers = heap_quotient(p.datum, p.marked)
+    assert set(classes) == {n.fingerprint for n in p.nodes}
+    for n in p.nodes:
+        dim, extensions = classes[n.fingerprint]
+        assert (n.dim, n.degree) == (dim, extensions if minuscule_head else None), n.id
+    assert covers == {(p.node(lo).fingerprint, p.node(hi).fingerprint) for lo, hi in p.covers}
 
 
 def test_meets_and_joins_exist(e6, g24, og510):
