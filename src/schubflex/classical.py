@@ -48,14 +48,6 @@ class GrIndex(Frozen):
         set_field(self, "n", n)
         set_field(self, "lam", lam)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.n, self.lam) == (other.k, other.n, other.lam)
-
-    def __hash__(self):
-        return hash((self.k, self.n, self.lam))
-
     def __str__(self) -> str:
         return f"gr:{self.k},{self.n}:{','.join(map(str, self.lam))}"
 
@@ -144,14 +136,6 @@ class IsotropicIndex(Frozen):
         set_field(self, "family", family)
         set_field(self, "n", n)
         set_field(self, "lam", lam)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.n, self.lam) == (other.family, other.n, other.lam)
-
-    def __hash__(self):
-        return hash((self.family, self.n, self.lam))
 
     def __str__(self) -> str:
         return f"{self.family}:{self.n}:{','.join(map(str, self.lam))}"
@@ -258,14 +242,6 @@ class QuadricIndex(Frozen):
         set_field(self, "n", n)
         set_field(self, "kind", kind)
         set_field(self, "j", j)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.kind, self.j) == (other.n, other.kind, other.j)
-
-    def __hash__(self):
-        return hash((self.n, self.kind, self.j))
 
     def __str__(self) -> str:
         if self.kind in ("max-plus", "max-minus"):

@@ -57,17 +57,6 @@ class GoldenRow(Frozen):
         set_field(self, "decoration", decoration)
         set_field(self, "comment", comment)
 
-    def _key(self):
-        return (self.node_id, self.dim, self.degree, self.decoration, self.comment)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 class TransformRow(Frozen):
     __slots__ = ("y_token", "y_star", "t_token", "t_star")
@@ -77,17 +66,6 @@ class TransformRow(Frozen):
         set_field(self, "y_star", y_star)
         set_field(self, "t_token", t_token)
         set_field(self, "t_star", t_star)
-
-    def _key(self):
-        return (self.y_token, self.y_star, self.t_token, self.t_star)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class GoldenPoset:

@@ -95,16 +95,6 @@ class SchubertNode(Frozen):
         set_field(self, "min_word", min_word)
         set_field(self, "degree", degree)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.dim, self.fingerprint, self.min_word, self.degree) == (
-            other.id, other.dim, other.fingerprint, other.min_word, other.degree
-        )
-
-    def __hash__(self):
-        return hash((self.id, self.dim, self.fingerprint, self.min_word, self.degree))
-
     def __repr__(self) -> str:
         deg = "?" if self.degree is None else self.degree
         return f"<{self.id} dim={self.dim} deg={deg}>"

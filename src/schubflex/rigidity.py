@@ -37,14 +37,6 @@ class Verdict(Frozen):
         set_field(self, "status", status)
         set_field(self, "reasons", reasons)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.status, self.reasons) == (other.status, other.reasons)
-
-    def __hash__(self):
-        return hash((self.status, self.reasons))
-
     @property
     def rigid(self) -> bool:
         return self.status == MULTI_RIGID

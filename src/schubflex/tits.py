@@ -51,6 +51,9 @@ class TitsContext(Frozen):
     """One sweep G/Q -> G/P; make_context builds each context once per process."""
 
     __slots__ = ("datum", "p_poset", "q_poset", "d_tau", "targets", "sources")
+    # the sweep maps are unhashable, and each context is built once anyway
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,

@@ -29,7 +29,6 @@ from .golden import (
     resolve_token,
 )
 from .poset import QuotientPoset, SchubertNode, quotient
-from .rigidity import classify_og
 from .tits import (
     TitsContext,
     injectivity_check,
@@ -45,6 +44,7 @@ from .witnesses import (
     divisor_witness,
     interval_isomorphism,
     linear_space_witness,
+    moduli_witness_isotropic,
 )
 
 
@@ -259,7 +259,7 @@ def certificates(target: str, golden_dir=None) -> Certificates:
             e6p6,
             quotient("og", 5),
             resolve_token(e6p6, "11:12"),
-            lambda s: not classify_og(fingerprint_to_og(5, s.fingerprint)).rigid,
+            lambda s: moduli_witness_isotropic(fingerprint_to_og(5, s.fingerprint)) is not None,
             "the 10-dimensional spinor quotient",
         )
         ctx61 = make_context(e6p6.datum, {6}, {1})

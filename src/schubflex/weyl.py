@@ -58,14 +58,6 @@ class CartanDatum(Frozen):
         set_field(self, "rank", rank)
         set_field(self, "bonds", bonds)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.rank, self.bonds) == (other.family, other.rank, other.bonds)
-
-    def __hash__(self):
-        return hash((self.family, self.rank, self.bonds))
-
     @property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """The dense Cartan matrix, rebuilt from ``bonds`` on each read."""

@@ -2,10 +2,10 @@
 
 Each engine either returns a Witness (a construction of irreducible
 representatives for every positive multiple m of the class, described by a
-JSON-able payload) or None when the construction does not apply.  The engines
-are deliberately independent of the classifiers in rigidity.py: the
-acceptance suite checks the dichotomy "multi-rigid or witnessed" by running
-both sides separately.
+JSON-able payload) or None when the construction does not apply.  Every
+engine decides from its own applicability condition alone and never consults
+the classifiers in rigidity.py, so the acceptance suite's dichotomy
+"multi-rigid or witnessed" compares two independent answers.
 
 Poset-based engines (on a minuscule quotient poset):
 
@@ -21,17 +21,15 @@ Poset-based engines (on a minuscule quotient poset):
 
 Index-based engines: moduli_witness_gr / moduli_witness_isotropic /
 quadric_witness implement the explicit flag constructions for the three
-classical families.  cone_embedding finds the graded embedding of a smaller
-cominuscule poset under a cone apex, used to transport witnesses into the
-exceptional posets.
+classical families, each applicable on a condition read off the index.
+cone_embedding finds the graded embedding of a smaller cominuscule poset
+under a cone apex, used to transport witnesses into the exceptional posets.
 """
 
 from __future__ import annotations
 
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, ann_index, grouped
 from .poset import QuotientPoset, SchubertNode, interval_chain_counts
-from .rigidity import classify_gr, classify_lg, classify_og, classify_quadric
-from .weyl import InternalError
 
 
 class Witness:
@@ -52,10 +50,25 @@ class Witness:
         return f"{self.kind}{self.payload}"
 
 
+def _linear_home(node: SchubertNode, cover: SchubertNode) -> bool:
+    """A degree-1 cover of a degree-1 class: a bigger linear space around it."""
+    return node.degree == 1 and cover.degree == 1
+
+
+def _bertini_home(poset: QuotientPoset, node: SchubertNode, cover: SchubertNode) -> bool:
+    """An equal-degree cover whose only co-atom is the class: its hyperplane section."""
+    return cover.degree == node.degree and len(poset.lower_covers(cover)) == 1
+
+
+def _covers(poset: QuotientPoset, node: SchubertNode) -> tuple:
+    """The upper covers of a positive-dimensional graded class; none for any other."""
+    if node.dim < 1 or node.degree is None:
+        return ()
+    return poset.upper_covers(node)
+
+
 def linear_space_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
-    if node.degree != 1 or node.dim < 1:
-        return None
-    bigger = [c for c in poset.upper_covers(node) if c.degree == 1]
+    bigger = [c for c in _covers(poset, node) if _linear_home(node, c)]
     if not bigger:
         return None  # maximal linear space: no ambient linear space to cut in
     return Witness(
@@ -69,10 +82,8 @@ def linear_space_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | 
 
 
 def bertini_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
-    if node.dim < 1 or node.degree is None:
-        return None
-    for cover in poset.upper_covers(node):
-        if cover.degree == node.degree and len(poset.lower_covers(cover)) == 1:
+    for cover in _covers(poset, node):
+        if _bertini_home(poset, node, cover):
             return Witness(
                 "Bertini",
                 {
@@ -93,15 +104,10 @@ def basic_witness_homes(poset: QuotientPoset, node: SchubertNode) -> list:
     general point of the returned cover, which is exactly what the sweep
     transform needs.
     """
-    if node.dim < 1 or node.degree is None:
-        return []
-    homes = []
-    for cover in poset.upper_covers(node):
-        if node.degree == 1 and cover.degree == 1:
-            homes.append(cover)
-        elif cover.degree == node.degree and len(poset.lower_covers(cover)) == 1:
-            homes.append(cover)
-    return homes
+    return [
+        c for c in _covers(poset, node)
+        if _linear_home(node, c) or _bertini_home(poset, node, c)
+    ]
 
 
 def divisor_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
@@ -126,8 +132,7 @@ def _case1_position(idx: GrIndex) -> int | None:
 
 
 def moduli_witness_gr(idx: GrIndex) -> Witness | None:
-    if classify_gr(idx).rigid:
-        return None
+    """The cone construction at a case-1 position of the index or its annihilator."""
     u = _case1_position(idx)
     if u is not None:
         moved = idx.lam[u - 1]
@@ -148,7 +153,7 @@ def moduli_witness_gr(idx: GrIndex) -> Witness | None:
     other = ann_index(idx)
     u = _case1_position(other)
     if u is None:
-        raise InternalError(f"flexible {idx} with no movable entry on either side")
+        return None
     return Witness(
         "ModuliGr",
         {
@@ -167,19 +172,15 @@ def moduli_witness_gr(idx: GrIndex) -> Witness | None:
 
 
 def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
+    """Embed in a maximal isotropic space (a), extend by n (b, og) or move the top (c1/c2, lg)."""
     lg = idx.family == "lg"
-    verdict = classify_lg(idx) if lg else classify_og(idx)
-    if verdict.rigid:
-        return None
     n, lam, s = idx.n, idx.lam, len(idx.lam)
 
-    if s >= 1:
+    if 1 <= s < n:
         # a maximal isotropic subspace F has dimension n in both families
         embedded = GrIndex(s, n, lam)
-        if not classify_gr(embedded).rigid:
-            inner = moduli_witness_gr(embedded)
-            if inner is None:
-                raise InternalError(f"movable embedding {embedded} of {idx} has no witness")
+        inner = moduli_witness_gr(embedded)
+        if inner is not None:
             payload = {
                 "index": str(idx),
                 "branch": "a",
@@ -193,21 +194,21 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
     if not lg and s >= 1 and lam[-1] == n - 2:
         extended = GrIndex(s + 1, n, lam + (n,))
         inner = moduli_witness_gr(extended)
-        if inner is None:
-            raise InternalError(f"extension of {idx} is not movable")
-        return Witness(
-            "ModuliIsotropic",
-            {
-                "index": str(idx),
-                "branch": "b",
-                "extended": str(extended),
-                "inner": inner.payload,
-                "spinor_component": "same" if (s + 1) % 2 == n % 2 else "opposite",
-            },
-        )
+        if inner is not None:
+            return Witness(
+                "ModuliIsotropic",
+                {
+                    "index": str(idx),
+                    "branch": "b",
+                    "extended": str(extended),
+                    "inner": inner.payload,
+                    "spinor_component": "same" if (s + 1) % 2 == n % 2 else "opposite",
+                },
+            )
 
     if lg and s >= 1:
-        if lam[-1] == n and grouped(lam)[-1][1] == 1:
+        # on lg:1 the index (1) is the point, a single top flag space
+        if n >= 2 and lam[-1] == n and grouped(lam)[-1][1] == 1:
             return Witness(
                 "ModuliIsotropic",
                 {
@@ -231,15 +232,13 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
                     ),
                 },
             )
-
-    raise InternalError(f"flexible isotropic class {idx} matched no branch")
+    return None
 
 
 def quadric_witness(idx: QuadricIndex) -> Witness | None:
-    if classify_quadric(idx).rigid:
-        return None
+    """Linear spaces of dimension >= 1 and proper sections move, maximal families do not."""
     n, j = idx.n, idx.j
-    if idx.kind == "linear":
+    if idx.kind == "linear" and j >= 2:
         if 2 * j <= n:  # a strictly bigger isotropic linear space exists
             return Witness(
                 "ModuliQuadric",
@@ -252,8 +251,7 @@ def quadric_witness(idx: QuadricIndex) -> Witness | None:
                     ),
                 },
             )
-        if n % 2 == 0 or 2 * j != n + 1:
-            raise InternalError(f"unexpected flexible {idx}")
+        # the top linear space of an odd quadric: 2j = n + 1
         return Witness(
             "ModuliQuadric",
             {
@@ -265,6 +263,8 @@ def quadric_witness(idx: QuadricIndex) -> Witness | None:
                 ),
             },
         )
+    if idx.kind != "colinear" or j < 1:
+        return None
     return Witness(
         "ModuliQuadric",
         {

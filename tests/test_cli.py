@@ -330,6 +330,15 @@ def test_classify_rigid_grassmannian(capsys):
     assert "witness" not in out
 
 
+def test_classify_flexible_class_without_a_witness_exits_1(monkeypatch, capsys):
+    # The constructions decide on their own, so a flexible verdict with no
+    # construction behind it is caught here, at the one place both meet.
+    monkeypatch.setattr(cli, "moduli_witness_gr", lambda idx: None)
+    rc, out, err = run(["classify", "gr:2,5:1,3"], capsys)
+    assert (rc, err) == (1, "witness: none found\n")
+    assert out.splitlines()[2].startswith("verdict: Flexible")
+
+
 def test_classify_exceptional_rigid(capsys):
     rc, out, _ = run(["classify", "e6:4:1a"], capsys)
     assert rc == 0

@@ -36,6 +36,25 @@ def test_package_does_not_import_dataclasses():
     assert found == [], f"dataclasses imported in the package: {found}"
 
 
+def test_constructions_and_verification_import_no_classifier():
+    # The witness engines and the verify pipeline decide flexibility by their
+    # own constructions, so "multi-rigid or witnessed" compares two
+    # independent answers; they meet the classifiers only in cli classify.
+    found = []
+    for name in ("witnesses.py", "verify.py"):
+        path = SRC / "schubflex" / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                continue
+            if any(n.split(".")[-1] == "rigidity" for n in names):
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], f"classifier imported by a construction module: {found}"
+
+
 def test_commands_load_only_what_they_run():
     proc = _python(
         """

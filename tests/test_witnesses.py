@@ -7,11 +7,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import fingerprint_to_gr
 from schubflex import weyl
-from schubflex.classical import GrIndex, IsotropicIndex, quadric_classes
+from schubflex.classical import (
+    GrIndex,
+    IsotropicIndex,
+    fingerprint_to_og,
+    isotropic_dimension,
+    quadric_classes,
+    quadric_dimension,
+)
 from schubflex.golden import node_token, resolve_token
-from schubflex.poset import build_quotient_poset
-from schubflex.rigidity import classify_gr, classify_lg, classify_og, classify_quadric
+from schubflex.poset import build_quotient_poset, quotient
+from schubflex.rigidity import classify, classify_gr, classify_lg, classify_og, classify_quadric
 from schubflex.witnesses import (
     basic_witness_homes,
     bertini_witness,
@@ -84,6 +92,62 @@ def test_basic_witness_homes(e6p6):
     assert [node_token(e6p6, h) for h in homes] == ["2:1"]
     homes = basic_witness_homes(e6p6, resolve_token(e6p6, "5:2"))
     assert [node_token(e6p6, h) for h in homes] == ["6:2"]
+
+
+def _engine_coverage(poset, index_of):
+    """(classes, flexible, certified) of the poset engines on one quotient.
+
+    Fails on a class the engines certify while the classifier calls it
+    multi-rigid.
+    """
+    flexible = certified = 0
+    for node in poset.nodes:
+        idx = index_of(node)
+        rigid = classify(idx).rigid
+        witnesses = [
+            w for engine in (linear_space_witness, bertini_witness, divisor_witness)
+            if (w := engine(poset, node)) is not None
+        ]
+        assert not (rigid and witnesses), f"{idx} is multi-rigid but certified by {witnesses}"
+        flexible += not rigid
+        certified += bool(witnesses)
+    return len(poset.nodes), flexible, certified
+
+
+def _add(total, counts):
+    return tuple(map(sum, zip(total, counts)))
+
+
+def test_poset_engines_never_certify_a_multi_rigid_classical_class():
+    # The engines are sufficient conditions only, so coverage is printed, not
+    # gated on.  Quadric classes are matched by dimension: the one dimension
+    # holding two classes holds the two maximal families, both multi-rigid.
+    gr = og = quad = (0, 0, 0)
+    for n in range(2, 11):
+        for k in range(1, n):
+            counts = _engine_coverage(
+                quotient("gr", k, n), lambda node: fingerprint_to_gr(k, n, node.fingerprint)
+            )
+            gr = _add(gr, counts)
+        counts = _engine_coverage(
+            quotient("og", n), lambda node: fingerprint_to_og(n, node.fingerprint)
+        )
+        og = _add(og, counts)
+    for n in (1, *range(3, 31)):
+        by_dim = {}
+        for idx in quadric_classes(n):
+            by_dim.setdefault(quadric_dimension(idx), idx)
+        quad = _add(quad, _engine_coverage(quotient("quad", n), lambda node: by_dim[node.dim]))
+    for name, (classes, flexible, certified) in (("gr", gr), ("og", og), ("quad", quad)):
+        print(f"{name}: {classes} classes, {flexible} flexible, {certified} certified")
+
+    # the divisor class of LG(n,2n) is the index (n)
+    for n in range(1, 11):
+        poset = quotient("lg", n)
+        for node in poset.nodes:
+            if divisor_witness(poset, node) is not None:
+                idx = IsotropicIndex("lg", n, (n,))
+                assert node.dim == isotropic_dimension(idx) and not classify_lg(idx).rigid
 
 
 # -- Grassmannian moduli witnesses ------------------------------------------
@@ -168,7 +232,6 @@ def test_isotropic_witness_known_routings():
 
 
 def test_isotropic_witness_matches_classifier_exhaustively():
-    # also exercises the no-unmatched-branch assertion on every flexible class
     for family, classifier in (("lg", classify_lg), ("og", classify_og)):
         lo = 1 if family == "lg" else 2
         for n in range(lo, 6):
