@@ -83,7 +83,8 @@ def ann_index(idx: GrIndex) -> GrIndex:
     Corresponds to sending a subspace to its annihilator in the dual space;
     it is an involution and preserves dimension and rigidity.
     """
-    complement = [x for x in range(1, idx.n + 1) if x not in set(idx.lam)]
+    taken = set(idx.lam)
+    complement = [x for x in range(1, idx.n + 1) if x not in taken]
     return GrIndex(idx.n - idx.k, idx.n, tuple(sorted(idx.n + 1 - x for x in complement)))
 
 

@@ -18,12 +18,14 @@ Facts the implementation leans on:
 * Right multiplication by w_0 sends fingerprint fp to (-fp[iota(i)])_i, iota
   the opposition involution, so a Poincare dual is one O(rank) lookup.
 * Covers need no comparisons (lifting property, Bjorner-Brenti GTM 231,
-  Prop. 2.2.7).  If u's minimal word ends in s = s_i, then us is u's BFS
-  parent and lower_covers(u) = [us] + [ys for y in lower_covers(us) if
-  coordinate i of y's fingerprint is positive]: that sign says exactly that
-  y -> ys stays in W^P and goes up.  If u covers z and z != us, then
-  lifting forces zs < z and zs covered by us; conversely y covered by us with
-  ys > y gives ys <= u by lifting.  In BFS order that costs O(#covers * rank).
+  Prop. 2.2.7).  If the BFS first reaches u from its parent p by s = s_i,
+  then lower_covers(u) = [p] + [ys for y in lower_covers(p) if coordinate i
+  of y's fingerprint is positive]: that sign says exactly that y -> ys stays
+  in W^P and goes up.  If u covers z and z != p, then lifting forces zs < z
+  and zs covered by p; conversely y covered by p with ys > y gives ys <= u
+  by lifting.  The BFS computes u's covers, and its degree, as it finds u:
+  each ys has dimension dim(u) - 1 and was found while a class of dimension
+  dim(u) - 2 was expanded, before p was.  That costs O(#covers * rank).
 * For quotients by a minuscule maximal parabolic, the projective degree of a
   Schubert variety in the minimal homogeneous embedding equals the number of
   saturated chains from the bottom of its lower order ideal.  Degrees are
@@ -319,63 +321,41 @@ def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> Quoti
 
 @lru_cache(maxsize=None)
 def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
-    """Enumerate the cosets by BFS and assemble the immutable poset."""
+    """Enumerate the cosets by BFS, with covers and degrees, and assemble the poset."""
     lam = tuple(1 if (i + 1) in marked else 0 for i in range(datum.rank))
-
-    fingerprints = {lam: 0}
-    records = [(lam, (), 0)]  # fingerprint, min_word, dim
-    frontier = [(lam, ())]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for fp, word in frontier:
+    graded = minuscule(datum, marked)
+    index = {lam: 0}
+    records = [(lam, (), 0, 1 if graded else None)]  # fingerprint, min_word, dim, degree
+    down: list[list[int]] = [[]]
+    try:
+        # records is its own BFS queue, so classes are expanded in order of
+        # dimension.  A child of dim d found from idx by letter i lifts the
+        # covers y of idx with y[i] > 0 to covers ys of dim d - 1.  Those were
+        # found while classes of dim d - 2 were expanded, all before idx, so
+        # each is already indexed and has its degree.
+        for idx, (fp, word, dim, _) in enumerate(records):
             for i in range(1, datum.rank + 1):
                 if fp[i - 1] > 0:
                     child = weyl.reflect(datum, i, fp)
-                    if child not in fingerprints:
-                        fingerprints[child] = len(records)
-                        cword = word + (i,)
-                        records.append((child, cword, depth))
-                        nxt.append((child, cword))
-        frontier = nxt
-
-    down = _lower_covers(datum, records, fingerprints)
-    degrees = [None] * len(records)
-    if minuscule(datum, marked):
-        # BFS order lists every lower cover before the class it lies under.
-        for idx, los in enumerate(down):
-            degrees[idx] = sum(degrees[lo] for lo in los) if los else 1
+                    if child not in index:
+                        los = [idx] + [
+                            index[weyl.reflect(datum, i, records[y][0])]
+                            for y in down[idx]
+                            if records[y][0][i - 1] > 0
+                        ]
+                        degree = sum(records[lo][3] for lo in los) if graded else None
+                        index[child] = len(records)
+                        records.append((child, word + (i,), dim + 1, degree))
+                        down.append(los)
+    except KeyError as exc:
+        raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
 
     width = max(3, len(str(len(records) - 1)))
     nodes = tuple(
-        SchubertNode(
-            id=f"n{idx:0{width}d}",
-            dim=dim,
-            fingerprint=fp,
-            min_word=word,
-            degree=deg,
-        )
-        for idx, ((fp, word, dim), deg) in enumerate(zip(records, degrees))
+        SchubertNode(id=f"n{idx:0{width}d}", dim=dim, fingerprint=fp, min_word=word, degree=degree)
+        for idx, (fp, word, dim, degree) in enumerate(records)
     )
     return QuotientPoset(datum, marked, nodes, down)
-
-
-def _lower_covers(datum: CartanDatum, records, index) -> list[list[int]]:
-    """Lower-cover indices of each BFS record, by the lifting recursion."""
-    down: list[list[int]] = [[]]
-    try:
-        for fp, word, _ in records[1:]:
-            i = word[-1]
-            parent = index[weyl.reflect(datum, i, fp)]
-            down.append([parent] + [
-                index[weyl.reflect(datum, i, records[y][0])]
-                for y in down[parent]
-                if records[y][0][i - 1] > 0
-            ])
-    except KeyError as exc:
-        raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
-    return down
 
 
 def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict[str, int]:

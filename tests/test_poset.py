@@ -339,6 +339,7 @@ def test_missing_dual_is_an_internal_error(monkeypatch):
         ("lg:5", False), ("quad:7", False), ("quad:8", True),
         # Sizes the pairwise leq oracle cannot reach.
         ("og:12", True), ("lg:10", False), ("gr:6,12", True),
+        ("og:14", True), ("lg:12", False), ("gr:6,14", True),
     ],
 )
 def test_heap_ideals_rebuild_the_family_poset(selector, minuscule_head):
@@ -350,6 +351,30 @@ def test_heap_ideals_rebuild_the_family_poset(selector, minuscule_head):
         dim, extensions = classes[n.fingerprint]
         assert (n.dim, n.degree) == (dim, extensions if minuscule_head else None), n.id
     assert covers == {(p.node(lo).fingerprint, p.node(hi).fingerprint) for lo, hi in p.covers}
+
+
+def test_build_reflects_once_per_ascent_and_per_lifted_cover(monkeypatch):
+    # The BFS reflects each class by each letter that goes up from it, and the
+    # cover recursion once per lifted cover: every cover but the #classes - 1
+    # parent edges, which the BFS already holds.
+    calls = []
+    reflect = weyl.reflect
+
+    def counted(*args):
+        calls.append(None)
+        return reflect(*args)
+
+    monkeypatch.setattr(weyl, "reflect", counted)
+    try:
+        for family, rank, marked in (("E", 7, {6}), ("E", 6, {6}), ("A", 5, {2, 4}), ("D", 6, {1, 5})):
+            datum = weyl.build_cartan(family, rank)
+            poset._quotient.cache_clear()
+            calls.clear()
+            p = build_quotient_poset(datum, marked)
+            ascents = sum(x > 0 for n in p.nodes for x in n.fingerprint)
+            assert len(calls) == ascents + len(p.covers) - len(p.nodes) + 1, (family, rank)
+    finally:
+        poset._quotient.cache_clear()
 
 
 def test_meets_and_joins_exist(e6, g24, og510):
