@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,7 @@ class GrIndex(Frozen):
             raise ValueError(f"entries must lie in 1..{n}: {lam}")
         if any(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)):
             raise ValueError(f"entries must strictly increase: {lam}")
-        set_field(self, "k", k)
-        set_field(self, "n", n)
-        set_field(self, "lam", lam)
+        super().__init__(k, n, lam)
 
     def __str__(self) -> str:
         return f"gr:{self.k},{self.n}:{','.join(map(str, self.lam))}"
@@ -134,9 +132,7 @@ class IsotropicIndex(Frozen):
             raise ValueError(f"entries must lie in 1..{bound}: {lam}")
         if any(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)):
             raise ValueError(f"entries must strictly increase: {lam}")
-        set_field(self, "family", family)
-        set_field(self, "n", n)
-        set_field(self, "lam", lam)
+        super().__init__(family, n, lam)
 
     def __str__(self) -> str:
         return f"{self.family}:{self.n}:{','.join(map(str, self.lam))}"
@@ -240,9 +236,7 @@ class QuadricIndex(Frozen):
                 raise ValueError(f"colinear parameter must lie in 0..{top}, got {j}")
         else:
             raise ValueError(f"unknown quadric kind {kind!r}")
-        set_field(self, "n", n)
-        set_field(self, "kind", kind)
-        set_field(self, "j", j)
+        super().__init__(n, kind, j)
 
     def __str__(self) -> str:
         if self.kind in ("max-plus", "max-minus"):

@@ -57,7 +57,7 @@ from .classical import (
     quadric_dimension,
     quadric_dual,
 )
-from .golden import GOLDEN_POSETS, GoldenDataError, TokenError, node_token, resolve_token
+from .golden import GOLDEN_POSETS, GoldenDataError, node_token, resolve_token
 from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, QuotientPoset, quotient
 from .rigidity import classify
 from .witnesses import (
@@ -364,9 +364,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (SpecError, TokenError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GoldenDataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -1,18 +1,17 @@
 """The base class of the package's immutable records.
 
-A record lists its fields in ``__slots__`` and sets each one once, in its own
-``__init__``, through :data:`set_field`.  Two records are equal when they
-have the same class and equal fields, and a record hashes its field tuple;
-a record that must compare by identity sets ``__eq__`` and ``__hash__`` back
-to ``object``'s.
+A record declares its fields once, in ``__slots__``, and is built with one
+value per field, in that order: :meth:`Frozen.__init__` stores each through
+its slot descriptor.  A record that checks its arguments keeps an
+``__init__`` that ends in ``super().__init__(...)``.  Two records are equal
+when they have the same class and equal fields, and a record hashes its field
+tuple; a record that must compare by identity sets ``__eq__`` and
+``__hash__`` back to ``object``'s.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-
-#: How a record's ``__init__`` sets a field, past :meth:`Frozen.__setattr__`.
-set_field = object.__setattr__
 
 
 class Frozen:
@@ -24,6 +23,17 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         if cls.__dict__.get("__slots__"):  # a subclass adding no field keeps its parent's
             cls._fields = attrgetter(*cls.__slots__)
+            # the slot descriptors' setters write past Frozen.__setattr__
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(
+                f"{self.__class__.__name__} takes {len(setters)} fields, got {len(values)}"
+            )
+        for store, value in zip(setters, values):
+            store(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

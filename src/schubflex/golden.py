@@ -28,7 +28,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, quotient
 
 DECORATIONS = ("rigid", "plus", "star", "T")
@@ -50,22 +50,9 @@ class TokenError(ValueError):
 class GoldenRow(Frozen):
     __slots__ = ("node_id", "dim", "degree", "decoration", "comment")
 
-    def __init__(self, node_id: str, dim: int, degree: int, decoration: str, comment: str):
-        set_field(self, "node_id", node_id)
-        set_field(self, "dim", dim)
-        set_field(self, "degree", degree)
-        set_field(self, "decoration", decoration)
-        set_field(self, "comment", comment)
-
 
 class TransformRow(Frozen):
     __slots__ = ("y_token", "y_star", "t_token", "t_star")
-
-    def __init__(self, y_token: str, y_star: bool, t_token: str, t_star: bool):
-        set_field(self, "y_token", y_token)
-        set_field(self, "y_star", y_star)
-        set_field(self, "t_token", t_token)
-        set_field(self, "t_star", t_star)
 
 
 class GoldenPoset:

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 from . import weyl
 from .classical import quadric_poset_family
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .weyl import CartanDatum, InternalError
 
 DEFAULT_SIZE_CAP = 10**6
@@ -82,20 +82,6 @@ class SchubertNode(Frozen):
     """One Schubert class: a coset of W_P in W."""
 
     __slots__ = ("id", "dim", "fingerprint", "min_word", "degree")
-
-    def __init__(
-        self,
-        id: str,
-        dim: int,
-        fingerprint: tuple[int, ...],
-        min_word: tuple[int, ...],
-        degree: int | None = None,
-    ):
-        set_field(self, "id", id)
-        set_field(self, "dim", dim)
-        set_field(self, "fingerprint", fingerprint)
-        set_field(self, "min_word", min_word)
-        set_field(self, "degree", degree)
 
     def __repr__(self) -> str:
         deg = "?" if self.degree is None else self.degree
@@ -352,7 +338,7 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
 
     width = max(3, len(str(len(records) - 1)))
     nodes = tuple(
-        SchubertNode(id=f"n{idx:0{width}d}", dim=dim, fingerprint=fp, min_word=word, degree=degree)
+        SchubertNode(f"n{idx:0{width}d}", dim, fp, word, degree)
         for idx, (fp, word, dim, degree) in enumerate(records)
     )
     return QuotientPoset(datum, marked, nodes, down)

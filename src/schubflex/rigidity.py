@@ -24,7 +24,7 @@ Verdicts carry human-readable reasons naming the failed clauses.
 from __future__ import annotations
 
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, grouped
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 
 MULTI_RIGID = "MultiRigid"
 FLEXIBLE = "Flexible"
@@ -32,10 +32,6 @@ FLEXIBLE = "Flexible"
 
 class Verdict(Frozen):
     __slots__ = ("status", "reasons")
-
-    def __init__(self, status: str, reasons: tuple[str, ...] = ()):
-        set_field(self, "status", status)
-        set_field(self, "reasons", reasons)
 
     @property
     def rigid(self) -> bool:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import weyl
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, build_quotient_poset, quotient_size
 from .weyl import CartanDatum
 from .witnesses import Witness
@@ -48,28 +48,17 @@ def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
 
 
 class TitsContext(Frozen):
-    """One sweep G/Q -> G/P; make_context builds each context once per process."""
+    """One sweep G/Q -> G/P; make_context builds each context once per process.
+
+    ``targets`` maps each G/Q class id to its sweep, a G/P class, and
+    ``sources`` maps each G/P class id to the tuple of G/Q classes sweeping
+    onto it; both are read-only mappings.
+    """
 
     __slots__ = ("datum", "p_poset", "q_poset", "d_tau", "targets", "sources")
     # the sweep maps are unhashable, and each context is built once anyway
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        datum: CartanDatum,
-        p_poset: QuotientPoset,
-        q_poset: QuotientPoset,
-        d_tau: int,
-        targets: MappingProxyType[str, SchubertNode],  # G/Q id -> its sweep in G/P
-        sources: MappingProxyType[str, tuple[SchubertNode, ...]],  # G/P id -> G/Q classes onto it
-    ):
-        set_field(self, "datum", datum)
-        set_field(self, "p_poset", p_poset)
-        set_field(self, "q_poset", q_poset)
-        set_field(self, "d_tau", d_tau)
-        set_field(self, "targets", targets)
-        set_field(self, "sources", sources)
 
     def label(self) -> str:
         p = ",".join(map(str, sorted(self.p_poset.marked)))
@@ -102,12 +91,12 @@ def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
         targets[node.id] = target
         sources.setdefault(target.id, []).append(node)
     return TitsContext(
-        datum=datum,
-        p_poset=p_poset,
-        q_poset=q_poset,
-        d_tau=transform_shift(datum, p_poset.marked, q_poset.marked),
-        targets=MappingProxyType(targets),
-        sources=MappingProxyType({k: tuple(v) for k, v in sources.items()}),
+        datum,
+        p_poset,
+        q_poset,
+        transform_shift(datum, p_poset.marked, q_poset.marked),
+        MappingProxyType(targets),
+        MappingProxyType({k: tuple(v) for k, v in sources.items()}),
     )
 
 

@@ -21,8 +21,8 @@ through the live sweep.
 from __future__ import annotations
 
 from .classical import fingerprint_to_og
+from .frozen import Frozen
 from .golden import (
-    GoldenPoset,
     load_golden_poset,
     load_transform_table,
     node_token,
@@ -191,22 +191,15 @@ def interval_oracle(ctx: TitsContext, psi: dict[str, str], flexible_sub_ids):
     return oracle
 
 
-class Certificates:
-    """Every engine's witnesses on one decorated poset; built by certificates()."""
+class Certificates(Frozen):
+    """Every engine's witnesses on one decorated poset; built by certificates().
+
+    ``golden`` is the poset's :class:`GoldenPoset`, ``witnesses`` maps each
+    class id to its list of witnesses, and ``problems`` lists what went wrong;
+    the dict makes the record unhashable.
+    """
 
     __slots__ = ("poset", "golden", "witnesses", "problems")
-
-    def __init__(
-        self,
-        poset: QuotientPoset,
-        golden: GoldenPoset,
-        witnesses: dict[str, list[Witness]],
-        problems: list[str],
-    ):
-        self.poset = poset
-        self.golden = golden
-        self.witnesses = witnesses
-        self.problems = problems
 
     def row(self, node: SchubertNode) -> dict:
         """The verify row of one class: its decoration and what certifies it."""

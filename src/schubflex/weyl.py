@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 2, "E": 6}
 
@@ -52,11 +52,6 @@ class CartanDatum(Frozen):
     """
 
     __slots__ = ("family", "rank", "bonds")
-
-    def __init__(self, family: str, rank: int, bonds: tuple[tuple[tuple[int, int], ...], ...]):
-        set_field(self, "family", family)
-        set_field(self, "rank", rank)
-        set_field(self, "bonds", bonds)
 
     @property
     def cartan(self) -> tuple[tuple[int, ...], ...]:

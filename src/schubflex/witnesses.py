@@ -29,22 +29,17 @@ under a cone apex, used to transport witnesses into the exceptional posets.
 from __future__ import annotations
 
 from .classical import GrIndex, IsotropicIndex, QuadricIndex, ann_index, grouped
+from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, interval_chain_counts
 
 
-class Witness:
-    """A named construction; equal witnesses have equal kinds and payloads."""
+class Witness(Frozen):
+    """A named construction; equal witnesses have equal kinds and payloads.
+
+    The payload is a dict, so a witness is unhashable.
+    """
 
     __slots__ = ("kind", "payload")
-
-    def __init__(self, kind: str, payload: dict):
-        self.kind = kind
-        self.payload = payload
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.payload) == (other.kind, other.payload)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.payload}"

@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from schubflex import weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
 from schubflex.frozen import Frozen
-from schubflex.golden import GoldenRow, TransformRow
-from schubflex.poset import SchubertNode
+from schubflex.golden import GoldenRow, TransformRow, load_golden_poset
+from schubflex.poset import SchubertNode, quotient
 from schubflex.rigidity import Verdict
 from schubflex.tits import TitsContext, make_context
+from schubflex.verify import Certificates
+from schubflex.witnesses import Witness
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schubflex"
 
 
 def _context_fields():
     ctx = make_context(weyl.build_cartan("A", 2), {1}, {2})
     return tuple(getattr(ctx, name) for name in TitsContext.__slots__)
+
+
+def _certificates_fields():
+    poset = quotient("e6")
+    witness = Witness("Linear", {"node": poset.nodes[1].id})
+    return (poset, load_golden_poset("e6"), {poset.nodes[1].id: [witness]}, [])
 
 
 # constructor arguments of one record per class
@@ -29,7 +42,12 @@ FIELDS = {
     GoldenRow: lambda: ("n001", 1, 1, "plus", ""),
     TransformRow: lambda: ("1:1", False, "14:110", True),
     TitsContext: _context_fields,
+    Witness: lambda: ("Linear", {"node": "n001", "cover": "n002"}),
+    Certificates: _certificates_fields,
 }
+
+# records holding a dict field: equal by value, unhashable
+UNHASHABLE = (Witness, Certificates)
 
 
 def _package_records(cls=Frozen):
@@ -47,6 +65,10 @@ def test_record_semantics(cls):
     a, b = cls(*args), cls(*args)
     if cls is TitsContext:  # its sweep maps are unhashable: identity
         assert a == a and a != b and hash(a) == object.__hash__(a)
+    elif cls in UNHASHABLE:
+        assert a == b
+        with pytest.raises(TypeError):
+            hash(a)
     else:
         assert a == b and hash(a) == hash(b)
 
@@ -59,3 +81,35 @@ def test_record_semantics(cls):
             setattr(a, name, getattr(a, name))
         with pytest.raises(AttributeError):
             delattr(a, name)
+    # one too many: QuadricIndex(n, kind) is valid through its j=None default
+    with pytest.raises(TypeError):
+        cls(*args, None)
+
+
+def test_only_the_three_index_records_check_their_arguments():
+    custom = {cls.__name__ for cls in _package_records() if "__init__" in cls.__dict__}
+    assert custom == {"GrIndex", "IsotropicIndex", "QuadricIndex"}
+
+
+def test_fields_are_stored_only_by_frozen():
+    # Frozen.__init__ writes each field through its slot descriptor; no other
+    # module imports a field writer from frozen or writes past
+    # Frozen.__setattr__.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "frozen.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == "frozen" and any(
+                    alias.name != "Frozen" for alias in node.names
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"fields stored outside frozen.py: {found}"

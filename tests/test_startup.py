@@ -21,7 +21,8 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 def test_package_does_not_import_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, and builds each
-    # record class at import time; the records are plain slots classes.
+    # record class at import time; the records are slots classes whose
+    # fields Frozen.__init__ stores.
     found = []
     for path in sorted((SRC / "schubflex").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
