@@ -283,13 +283,3 @@ def quadric_dual(idx: QuadricIndex) -> QuadricIndex:
         return idx
     return QuadricIndex(n, "max-minus" if idx.kind == "max-plus" else "max-plus")
 
-
-def quadric_poset_family(n: int) -> tuple[str, int]:
-    """The (family, rank) whose node-1 quotient is Q^n; undefined for n = 2."""
-    if n == 2:
-        raise ValueError("Q^2 is not a single-marked-node quotient of B/D type here")
-    if n == 1:
-        return ("A", 1)  # the conic is a line in disguise
-    if n % 2:
-        return ("B", (n + 1) // 2)
-    return ("D", (n + 2) // 2)

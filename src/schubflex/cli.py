@@ -21,50 +21,43 @@ quad:7  e6  e7.  Every command that needs a family's poset goes through
 :func:`schubflex.poset.quotient`, which reads the one family table,
 :data:`schubflex.poset.QUOTIENTS`.
 
-Each command is one process, so start-up is most of its time.  The
-certificate pipeline (:mod:`schubflex.verify` and :mod:`schubflex.tits`) is
-imported only inside the commands that run it: ``verify``, ``tits``, and
-``classify`` of an e6/e7 class once its token has resolved, so a refused
-token loads nothing more.  :mod:`~schubflex.golden`,
-:mod:`~schubflex.rigidity` and :mod:`~schubflex.witnesses` stay imported at
-the top.  The spec parser and :func:`main`'s error handling need
-:mod:`~schubflex.golden` in every command, and every classical ``classify``
-runs the other two.  Deferring them would save a single command little and
-would move their import cost into the first commands of a process that runs
-many through :func:`main`.
+Each command is one process, so start-up is most of its time, and most of
+start-up is compiling the modules it imports.  This module imports only
+:mod:`~schubflex.weyl` and :mod:`~schubflex.poset`, which every command needs,
+and loads the rest through :func:`_module` on first need.  ``hasse`` loads
+:mod:`~schubflex.golden` only for its text output's class tokens; a classical
+spec loads :mod:`~schubflex.classical`, and its ``classify`` adds
+:mod:`~schubflex.rigidity` and :mod:`~schubflex.witnesses`.  The certificate
+pipeline (:mod:`~schubflex.verify` and :mod:`~schubflex.tits`) loads only in
+``verify``, ``tits``, and ``classify`` of an e6/e7 class once its token has
+resolved, so a refused token loads nothing more.  :func:`_module` caches each
+module, so a process that runs many commands through :func:`main` runs no
+import statement after the first command of each kind.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import importlib
 import os
 import sys
 
 from . import weyl
-from .classical import (
-    GrIndex,
-    IsotropicIndex,
-    QuadricIndex,
-    dual_index,
-    gr_degree,
-    gr_dimension,
-    isotropic_dimension,
-    isotropic_dual,
-    og_to_fingerprint,
-    quadric_degree,
-    quadric_dimension,
-    quadric_dual,
+from .poset import (
+    DEFAULT_SIZE_CAP,
+    GOLDEN_POSETS,
+    QUOTIENTS,
+    GoldenDataError,
+    QuotientPoset,
+    quotient,
 )
-from .golden import GOLDEN_POSETS, GoldenDataError, node_token, resolve_token
-from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, QuotientPoset, quotient
-from .rigidity import classify
-from .witnesses import (
-    moduli_witness_gr,
-    moduli_witness_isotropic,
-    quadric_witness,
-)
+
+
+@functools.lru_cache(maxsize=None)
+def _module(name: str):
+    """The module ``name`` (``.x`` for a package module), imported on first use."""
+    return importlib.import_module(name, __package__)
 
 
 class SpecError(ValueError):
@@ -88,31 +81,32 @@ def parse_class_spec(spec: str):
         raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
     if head in GOLDEN_POSETS:
         return (head, rest)
+    classical = _module(".classical")
     params, _, body = rest.partition(":")
     if head == "gr":
         try:
             k, n = (int(x) for x in params.split(","))
         except ValueError:
             raise SpecError(f"malformed gr selector {spec!r} (want gr:k,n:...)") from None
-        return GrIndex(k, n, _parse_lam(body))
+        return classical.GrIndex(k, n, _parse_lam(body))
     if head in ("lg", "og"):
         try:
             n = int(params)
         except ValueError:
             raise SpecError(f"malformed {head} selector {spec!r} (want {head}:n:...)") from None
-        return IsotropicIndex(head, n, _parse_lam(body))
+        return classical.IsotropicIndex(head, n, _parse_lam(body))
     if head == "quad":
         try:
             n = int(params)
         except ValueError:
             raise SpecError(f"malformed quad selector {spec!r} (want quad:n:kind)") from None
         if body in ("max-plus", "max-minus"):
-            return QuadricIndex(n, body)
+            return classical.QuadricIndex(n, body)
         kind, sep2, j = body.rpartition("-")
         if not sep2:
             raise SpecError(f"malformed quadric kind {body!r}")
         try:
-            return QuadricIndex(n, kind, int(j))
+            return classical.QuadricIndex(n, kind, int(j))
         except ValueError as exc:
             raise SpecError(str(exc)) from None
     raise SpecError(f"unknown family {head!r} (want gr, lg, og, quad, e6 or e7)")
@@ -141,7 +135,7 @@ def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientP
 
 def _safe_token(poset: QuotientPoset, node) -> str:
     try:
-        return node_token(poset, node)
+        return _module(".golden").node_token(poset, node)
     except GoldenDataError:
         if node.degree is None:
             return str(node.dim)
@@ -169,29 +163,30 @@ def cmd_hasse(args) -> int:
 
 
 def _classical_dimension(idx) -> int:
-    if isinstance(idx, GrIndex):
-        return gr_dimension(idx)
-    if isinstance(idx, IsotropicIndex):
-        return isotropic_dimension(idx)
-    return quadric_dimension(idx)
+    classical = _module(".classical")
+    if isinstance(idx, classical.GrIndex):
+        return classical.gr_dimension(idx)
+    if isinstance(idx, classical.IsotropicIndex):
+        return classical.isotropic_dimension(idx)
+    return classical.quadric_dimension(idx)
 
 
 def _classical_witness(idx):
-    if isinstance(idx, GrIndex):
-        return moduli_witness_gr(idx)
-    if isinstance(idx, IsotropicIndex):
-        return moduli_witness_isotropic(idx)
-    return quadric_witness(idx)
+    classical, witnesses = _module(".classical"), _module(".witnesses")
+    if isinstance(idx, classical.GrIndex):
+        return witnesses.moduli_witness_gr(idx)
+    if isinstance(idx, classical.IsotropicIndex):
+        return witnesses.moduli_witness_isotropic(idx)
+    return witnesses.quadric_witness(idx)
 
 
 def cmd_classify(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
         target, token = parsed
-        node = resolve_token(quotient(target), token)
-        from .verify import certificates  # a refused token never loads the pipeline
-
-        row = certificates(target, args.golden_dir).row(node)
+        node = _module(".golden").resolve_token(quotient(target), token)
+        # a refused token never loads the pipeline
+        row = _module(".verify").certificates(target, args.golden_dir).row(node)
         print(f"class: {target}:{row['token']}")
         print(f"dimension: {row['dim']}")
         print(f"degree: {row['degree']}")
@@ -204,7 +199,7 @@ def cmd_classify(args) -> int:
                 if key != "kind":
                     print(f"    {key}: {detail[key]}")
         return 0
-    verdict = classify(parsed)
+    verdict = _module(".rigidity").classify(parsed)
     print(f"class: {parsed}")
     print(f"dimension: {_classical_dimension(parsed)}")
     print(f"verdict: {verdict}")
@@ -223,16 +218,18 @@ def cmd_degree(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
         target, token = parsed
-        print(resolve_token(quotient(target), token).degree)
+        print(_module(".golden").resolve_token(quotient(target), token).degree)
         return 0
-    if isinstance(parsed, GrIndex):
-        print(gr_degree(parsed))
+    classical = _module(".classical")
+    if isinstance(parsed, classical.GrIndex):
+        print(classical.gr_degree(parsed))
         return 0
-    if isinstance(parsed, QuadricIndex):
-        print(quadric_degree(parsed))
+    if isinstance(parsed, classical.QuadricIndex):
+        print(classical.quadric_degree(parsed))
         return 0
     if parsed.family == "og":
-        print(quotient("og", parsed.n).node_by_fingerprint(og_to_fingerprint(parsed)).degree)
+        poset = quotient("og", parsed.n)  # refuses an over-cap n before the fingerprint
+        print(poset.node_by_fingerprint(classical.og_to_fingerprint(parsed)).degree)
         return 0
     raise SpecError(
         "degree is not implemented for lg classes (the minimal embedding is not minuscule)"
@@ -243,17 +240,18 @@ def cmd_dual(args) -> int:
     parsed = parse_class_spec(args.spec)
     if isinstance(parsed, tuple):
         target, token = parsed
-        poset = quotient(target)
-        node = resolve_token(poset, token)
-        print(f"{target}:{node_token(poset, poset.poincare_dual(node))}")
+        poset, golden = quotient(target), _module(".golden")
+        node = golden.resolve_token(poset, token)
+        print(f"{target}:{golden.node_token(poset, poset.poincare_dual(node))}")
         return 0
-    if isinstance(parsed, GrIndex):
-        print(dual_index(parsed))
+    classical = _module(".classical")
+    if isinstance(parsed, classical.GrIndex):
+        print(classical.dual_index(parsed))
         return 0
-    if isinstance(parsed, IsotropicIndex):
-        print(isotropic_dual(parsed))
+    if isinstance(parsed, classical.IsotropicIndex):
+        print(classical.isotropic_dual(parsed))
         return 0
-    print(quadric_dual(parsed))
+    print(classical.quadric_dual(parsed))
     return 0
 
 
@@ -269,19 +267,18 @@ def _parse_type(text: str):
 
 
 def cmd_tits(args) -> int:
-    from .tits import context_json_dict, make_context, transform_rows
-
+    tits = _module(".tits")
     family, rank = _parse_type(args.type)
     try:
         datum = weyl.build_cartan(family, rank)
-        ctx = make_context(datum, {args.p}, {args.q})
+        ctx = tits.make_context(datum, {args.p}, {args.q})
     except (ValueError, TypeError) as exc:
         raise SpecError(str(exc)) from None
     if args.json:
-        print(json.dumps(context_json_dict(ctx), sort_keys=True, indent=2))
+        print(_module("json").dumps(tits.context_json_dict(ctx), sort_keys=True, indent=2))
         return 0
     print(f"context: {ctx.label()}  d_tau={ctx.d_tau}")
-    for row in transform_rows(ctx):
+    for row in tits.transform_rows(ctx):
         src, dst = row["src"], row["dst"]
         verdict = "injective" if row["injective"] else "collapsing"
         print(
@@ -292,16 +289,14 @@ def cmd_tits(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import verify_all, verify_e6, verify_e7, verify_table1
-
+    verify = _module(".verify")
     if args.target == "all":
-        reports = verify_all(args.golden_dir)
+        reports = verify.verify_all(args.golden_dir)
     else:
-        verify_one = {"e6": verify_e6, "e7": verify_e7, "table1": verify_table1}[args.target]
-        reports = [verify_one(args.golden_dir)]
+        reports = [getattr(verify, f"verify_{args.target}")(args.golden_dir)]
     if args.json:
         blob = [r.to_json_dict() for r in reports]
-        print(json.dumps(blob[0] if len(blob) == 1 else blob, sort_keys=True, indent=2))
+        print(_module("json").dumps(blob[0] if len(blob) == 1 else blob, sort_keys=True, indent=2))
     else:
         for r in reports:
             sys.stdout.write(r.to_text())

@@ -25,22 +25,16 @@ bare ambiguous token is a usage error (TokenError, exit code 2).
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from .frozen import Frozen
-from .poset import QuotientPoset, SchubertNode, quotient
+from .poset import GOLDEN_POSETS, GoldenDataError, QuotientPoset, SchubertNode, quotient
 
 DECORATIONS = ("rigid", "plus", "star", "T")
 
 GOLDEN_ENV_VAR = "SCHUBFLEX_GOLDEN_DIR"
-
-#: verify-target name -> golden file stem
-GOLDEN_POSETS = {"e6": "e6_p6", "e7": "e7_p7"}
-
-
-class GoldenDataError(Exception):
-    """A golden file is malformed or disagrees with the live poset."""
 
 
 class TokenError(ValueError):
@@ -75,6 +69,12 @@ def golden_dir(explicit: str | os.PathLike | None = None) -> Path:
     env = os.environ.get(GOLDEN_ENV_VAR)
     if env:
         return Path(env)
+    return _packaged_dir()
+
+
+@lru_cache(maxsize=None)
+def _packaged_dir() -> Path:
+    """The copy shipped in the package, located once per process."""
     return Path(str(resources.files("schubflex").joinpath("data", "golden")))
 
 

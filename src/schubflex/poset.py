@@ -48,11 +48,9 @@ e7) to its quotient; :func:`quotient` serves every caller that names a family.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from . import weyl
-from .classical import quadric_poset_family
 from .frozen import Frozen
 from .weyl import CartanDatum, InternalError
 
@@ -189,24 +187,23 @@ class QuotientPoset:
     def type_label(self) -> str:
         return f"{self.datum.family}{self.datum.rank}"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.type_label(),
-            "parabolic": sorted(self.marked),
-            "nodes": [
-                {
-                    "id": n.id,
-                    "dim": n.dim,
-                    "degree": n.degree,
-                    "min_word": list(n.min_word),
-                }
-                for n in self.nodes
-            ],
-            "covers": [[lo, hi] for lo, hi in self.covers],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """The poset as json.dumps(..., sort_keys=True, indent=2) writes its schema, spelled out.
+
+        Every key and string is fixed or an ASCII id, so nothing needs escaping.
+        """
+        nodes = [
+            f'{{\n      "degree": {"null" if n.degree is None else n.degree},'
+            f'\n      "dim": {n.dim},\n      "id": "{n.id}",'
+            f'\n      "min_word": {_json_list(map(str, n.min_word), 3)}\n    }}'
+            for n in self.nodes
+        ]
+        covers = [f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in self.covers]
+        return (
+            f'{{\n  "covers": {_json_list(covers, 1)},\n  "nodes": {_json_list(nodes, 1)},'
+            f'\n  "parabolic": {_json_list(map(str, sorted(self.marked)), 1)},'
+            f'\n  "type": "{self.type_label()}"\n}}\n'
+        )
 
     def to_dot(self) -> str:
         lines = [
@@ -223,6 +220,13 @@ class QuotientPoset:
         return "\n".join(lines) + "\n"
 
 
+def _json_list(items, depth: int) -> str:
+    """A JSON array of already-written items, opened at indent level ``depth``."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+
+
 def build_quotient_poset(
     datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP
 ) -> QuotientPoset:
@@ -231,11 +235,8 @@ def build_quotient_poset(
     Raises ValueError as :func:`quotient_size` does, whether cached or not.
     """
     marked = frozenset(marked)
-    expected = quotient_size(datum, marked, size_cap)
-    poset = _quotient(datum, marked)
-    if len(poset.nodes) != expected:
-        raise InternalError(f"enumerated {len(poset.nodes)} cosets, order formula says {expected}")
-    return poset
+    quotient_size(datum, marked, size_cap)
+    return _quotient(datum, marked)
 
 
 def quotient_size(datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -245,13 +246,22 @@ def quotient_size(datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP) 
     exceed ``size_cap`` cosets or store more than :data:`weyl.MAX_COORDINATES`
     fingerprint coordinates.
     """
+    count = _class_count(datum, frozenset(marked))
+    _check_size(count, datum.rank, size_cap)
+    return count
+
+
+def _order_formula(datum: CartanDatum, marked: frozenset[int]) -> int:
+    """|W| / |W_P|; raises ValueError if the marked set is invalid."""
     marked = weyl._check_marked(datum, marked)
     generators = [i for i in range(1, datum.rank + 1) if i not in marked]
     count = weyl.weyl_order(datum)
-    if generators:
-        count //= weyl.levi_order(datum, generators)
-    _check_size(count, datum.rank, size_cap)
-    return count
+    return count // weyl.levi_order(datum, generators) if generators else count
+
+
+# The count quotient_size checks, once per quotient, so a warm lookup does not
+# recount the Levi subgroup.
+_class_count = lru_cache(maxsize=None)(_order_formula)
 
 
 def _check_size(count: int | None, rank: int, size_cap: int) -> None:
@@ -282,6 +292,17 @@ def _comb(n: int, k: int, limit: int) -> int | None:
     return count
 
 
+def quadric_poset_family(n: int) -> tuple[str, int]:
+    """The (family, rank) whose node-1 quotient is Q^n; undefined for n = 2."""
+    if n == 2:
+        raise ValueError("Q^2 is not a single-marked-node quotient of B/D type here")
+    if n == 1:
+        return ("A", 1)  # the conic is a line in disguise
+    if n % 2:
+        return ("B", (n + 1) // 2)
+    return ("D", (n + 2) // 2)
+
+
 # Family head -> (Cartan family, rank, marked node, closed-form class count) of
 # its quotient, as a function of the selector's integer parameters (gr:k,n lg:n
 # og:n quad:n e6 e7) and a limit: a count above it is None, so a huge parameter
@@ -295,6 +316,15 @@ QUOTIENTS = {
     "e6": lambda limit: ("E", 6, 6, 27),
     "e7": lambda limit: ("E", 7, 7, 56),
 }
+
+#: The heads whose classes carry golden decorations -> golden file stem.  It
+#: and GoldenDataError live here, not in golden, so the spec parser and the
+#: CLI's error handling need not load the golden tables.
+GOLDEN_POSETS = {"e6": "e6_p6", "e7": "e7_p7"}
+
+
+class GoldenDataError(Exception):
+    """A golden file is malformed or disagrees with the live poset."""
 
 
 def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
@@ -336,6 +366,11 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     except KeyError as exc:
         raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
 
+    # Against the formula itself, not _class_count's copy: each enumeration
+    # meets a count worked out beside it.
+    expected = _order_formula(datum, marked)
+    if len(records) != expected:
+        raise InternalError(f"enumerated {len(records)} cosets, order formula says {expected}")
     width = max(3, len(str(len(records) - 1)))
     nodes = tuple(
         SchubertNode(f"n{idx:0{width}d}", dim, fp, word, degree)

@@ -299,3 +299,20 @@ def corner_peeling_count(shape: tuple[int, ...]) -> int:
             smaller[i] -= 1
             total += corner_peeling_count(tuple(smaller))
     return total
+
+
+def poset_json_dict(poset) -> dict:
+    """The document that :meth:`~schubflex.poset.QuotientPoset.to_json` spells out by hand.
+
+    ``json.dumps(poset_json_dict(p), sort_keys=True, indent=2) + "\\n"`` is the
+    stdlib encoding of the same schema.
+    """
+    return {
+        "type": poset.type_label(),
+        "parabolic": sorted(poset.marked),
+        "nodes": [
+            {"id": n.id, "dim": n.dim, "degree": n.degree, "min_word": list(n.min_word)}
+            for n in poset.nodes
+        ],
+        "covers": [[lo, hi] for lo, hi in poset.covers],
+    }

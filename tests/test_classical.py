@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import corner_peeling_count, fingerprint_to_gr, gr_pairing, gr_to_fingerprint, ungroup
 from schubflex import classical, weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
-from schubflex.poset import build_quotient_poset
+from schubflex.poset import build_quotient_poset, quadric_poset_family
 
 
 @st.composite
@@ -285,7 +285,7 @@ def test_og_fingerprint_known_values():
 
 def test_quadric_class_count_matches_quotient_poset():
     for n in [1, 3, 4, 5, 6, 8, 9]:
-        family, rank = classical.quadric_poset_family(n)
+        family, rank = quadric_poset_family(n)
         p = build_quotient_poset(weyl.build_cartan(family, rank), {1})
         classes = classical.quadric_classes(n)
         assert len(p.nodes) == len(classes), f"Q^{n}"
@@ -293,7 +293,7 @@ def test_quadric_class_count_matches_quotient_poset():
             classical.quadric_dimension(c) for c in classes
         )
     with pytest.raises(ValueError):
-        classical.quadric_poset_family(2)
+        quadric_poset_family(2)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import heap_quotient, is_reduced, word_dual
+from oracles import heap_quotient, is_reduced, poset_json_dict, word_dual
 from schubflex import poset, weyl
 from schubflex.poset import (
     InternalError,
@@ -411,6 +411,18 @@ def test_json_export_shape(g24):
         assert lo in ids and hi in ids
     # byte-determinism
     assert g24.to_json() == g24.to_json()
+
+
+def test_json_export_matches_the_stdlib_encoder():
+    selectors = [("e6",), ("e7",)]
+    selectors += [("gr", k, n) for n in range(2, 12) for k in range(1, n)]
+    selectors += [("og", n) for n in range(2, 10)] + [("lg", n) for n in range(1, 9)]
+    selectors += [("quad", n) for n in range(1, 40) if n != 2]
+    assert len(selectors) == 111
+    for selector in selectors:
+        p = quotient(*selector)
+        expected = json.dumps(poset_json_dict(p), sort_keys=True, indent=2) + "\n"
+        assert p.to_json() == expected, selector
 
 
 def test_dot_export_shape(g24):

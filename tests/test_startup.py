@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import ast
+import builtins
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from schubflex import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -19,21 +24,38 @@ def _python(code: str) -> subprocess.CompletedProcess:
     )
 
 
+def _imports(path: Path, top_level_only: bool = False):
+    """(line, modules, names) of each import statement in a module's source.
+
+    ``import a, b`` gives modules [a, b] and no names; ``from x import y, z``
+    gives modules [x] and names [y, z].  With ``top_level_only``, imports
+    inside a function body are left out.
+    """
+    stack = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""], [alias.name for alias in node.names]
+        elif not (top_level_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_modules():
+    return sorted((SRC / "schubflex").glob("*.py"))
+
+
 def test_package_does_not_import_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize, and builds each
     # record class at import time; the records are slots classes whose
     # fields Frozen.__init__ stores.
-    found = []
-    for path in sorted((SRC / "schubflex").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
+    found = [
+        f"{path.name}:{line}"
+        for path in _package_modules()
+        for line, modules, _ in _imports(path)
+        if any(m.split(".")[0] == "dataclasses" for m in modules)
+    ]
     assert found == [], f"dataclasses imported in the package: {found}"
 
 
@@ -41,19 +63,39 @@ def test_constructions_and_verification_import_no_classifier():
     # The witness engines and the verify pipeline decide flexibility by their
     # own constructions, so "multi-rigid or witnessed" compares two
     # independent answers; they meet the classifiers only in cli classify.
-    found = []
-    for name in ("witnesses.py", "verify.py"):
-        path = SRC / "schubflex" / name
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or "", *(alias.name for alias in node.names)]
-            else:
-                continue
-            if any(n.split(".")[-1] == "rigidity" for n in names):
-                found.append(f"{name}:{node.lineno}")
+    found = [
+        f"{name}:{line}"
+        for name in ("witnesses.py", "verify.py")
+        for line, modules, names in _imports(SRC / "schubflex" / name)
+        if any(n.split(".")[-1] == "rigidity" for n in modules + names)
+    ]
     assert found == [], f"classifier imported by a construction module: {found}"
+
+
+def test_the_modules_every_command_loads_import_no_later_layer():
+    # cli imports weyl and poset (which imports frozen) at the top, so every
+    # command compiles them; what they import, every command compiles too.
+    later = {"classical", "golden", "rigidity", "witnesses", "tits", "verify"}
+    found = [
+        f"{name}:{line}"
+        for name in ("weyl.py", "frozen.py", "poset.py")
+        for line, modules, names in _imports(SRC / "schubflex" / name)
+        if later & {n.split(".")[-1] for n in modules + names}
+    ]
+    assert found == [], f"a start-up module imports a later layer: {found}"
+
+
+def test_no_package_module_imports_json_at_the_top():
+    # json's pure-Python encoder serves indented output; the poset export
+    # spells its schema out, and only the commands that print other JSON
+    # load it (cli._module).
+    found = [
+        f"{path.name}:{line}"
+        for path in _package_modules()
+        for line, modules, _ in _imports(path, top_level_only=True)
+        if any(m.split(".")[0] == "json" for m in modules)
+    ]
+    assert found == [], f"json imported at module level: {found}"
 
 
 def test_commands_load_only_what_they_run():
@@ -80,6 +122,69 @@ print(code, out.getvalue().count("RESULT"), loaded())
         "[0, 0, 2] []",
         "0 3 ['schubflex.tits', 'schubflex.verify']",
     ]
+
+
+_LATER = ("classical", "golden", "rigidity", "witnesses")
+
+
+def _loaded_after(*commands) -> list[str]:
+    """Which of the later modules and json a fresh process holds after ``commands``."""
+    proc = _python(
+        f"""
+import contextlib, io, sys
+from schubflex.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(list(argv)) for argv in {commands!r}]
+names = [f"schubflex.{{name}}" for name in {_LATER!r}] + ["json"]
+print(codes, sorted(name for name in names if name in sys.modules))
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_hasse_json_dot_and_refusals_load_no_later_module():
+    commands = (("hasse", "gr:2,5", "--json"), ("hasse", "og:9", "--dot"), ("hasse", "og:40"))
+    assert _loaded_after(*commands) == "[0, 0, 2] []"
+
+
+def test_hasse_text_loads_golden_for_its_tokens_only():
+    assert _loaded_after(("hasse", "lg:8"),) == "[0] ['schubflex.golden']"
+
+
+def test_repeated_commands_run_no_import_statement(monkeypatch):
+    commands = [
+        ["classify", "gr:2,5:1,3"],
+        ["classify", "og:5:2,3"],
+        ["classify", "quad:7:linear-2"],
+        ["classify", "e6:9:9"],
+        ["degree", "gr:2,5:1,3"],
+        ["degree", "og:5:2,3"],
+        ["degree", "quad:6:max-plus"],
+        ["degree", "e7:22:5586"],
+        ["dual", "lg:3:1,2"],
+        ["dual", "e6:9:9"],
+        ["hasse", "e6"],
+        ["hasse", "gr:2,5", "--json"],
+        ["hasse", "og:5", "--dot"],
+    ]
+
+    def run_all():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return [cli.main(argv) for argv in commands]
+
+    assert run_all() == [0] * len(commands)  # the warm-up loads what each needs
+    imports = []
+    original = builtins.__import__
+
+    def counting(*args, **kwargs):
+        imports.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting)
+    assert run_all() == [0] * len(commands)
+    assert imports == []
 
 
 def test_verify_all_builds_each_sweep_context_once():
