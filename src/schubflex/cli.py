@@ -21,10 +21,21 @@ quad:7  e6  e7.  Every command that needs a family's poset goes through
 :func:`schubflex.poset.quotient`, which reads the one family table,
 :data:`schubflex.poset.QUOTIENTS`.
 
+:data:`COMMANDS` is the one table of the six commands: each one's handler,
+help line, positionals and options.  :meth:`Parser.parse_args` reads an argv
+against it in one pass, and ``-h`` prints help built from it and exits 0.
+Options are matched by their exact names, as ``--opt value`` or
+``--opt=value``; a word after ``--`` is always a positional.  An unknown
+command or option, a missing or extra argument, a bad number or choice, and
+``--json`` with ``--dot`` each raise :class:`SpecError`, so :func:`main`
+reports every usage error in the same one ``error:`` line and exit 2 as a
+malformed spec.
+
 Each command is one process, so start-up is most of its time, and most of
 start-up is compiling the modules it imports.  This module imports only
-:mod:`~schubflex.weyl` and :mod:`~schubflex.poset`, which every command needs,
-and loads the rest through :func:`_module` on first need.  ``hasse`` loads
+:mod:`~schubflex.weyl`, :mod:`~schubflex.frozen` and :mod:`~schubflex.poset`,
+which every command needs, and loads the rest through :func:`_module` on
+first need; it reads argv without :mod:`argparse`.  ``hasse`` loads
 :mod:`~schubflex.golden` only for its text output's class tokens; a classical
 spec loads :mod:`~schubflex.classical`, and its ``classify`` adds
 :mod:`~schubflex.rigidity` and :mod:`~schubflex.witnesses`.  The certificate
@@ -37,13 +48,13 @@ import statement after the first command of each kind.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib
 import os
 import sys
 
 from . import weyl
+from .frozen import Frozen
 from .poset import (
     DEFAULT_SIZE_CAP,
     GOLDEN_POSETS,
@@ -142,12 +153,12 @@ def _safe_token(poset: QuotientPoset, node) -> str:
         return f"{node.dim}:{node.degree}"
 
 
-def cmd_hasse(args) -> int:
-    poset = build_selector(args.selector, args.size_cap)
-    if args.json:
+def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    poset = build_selector(selector, size_cap)
+    if output == "json":
         sys.stdout.write(poset.to_json())
         return 0
-    if args.dot:
+    if output == "dot":
         sys.stdout.write(poset.to_dot())
         return 0
     print(
@@ -180,13 +191,13 @@ def _classical_witness(idx):
     return witnesses.quadric_witness(idx)
 
 
-def cmd_classify(args) -> int:
-    parsed = parse_class_spec(args.spec)
+def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
+    parsed = parse_class_spec(spec)
     if isinstance(parsed, tuple):
         target, token = parsed
         node = _module(".golden").resolve_token(quotient(target), token)
         # a refused token never loads the pipeline
-        row = _module(".verify").certificates(target, args.golden_dir).row(node)
+        row = _module(".verify").certificates(target, golden_dir).row(node)
         print(f"class: {target}:{row['token']}")
         print(f"dimension: {row['dim']}")
         print(f"degree: {row['degree']}")
@@ -214,8 +225,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_degree(args) -> int:
-    parsed = parse_class_spec(args.spec)
+def cmd_degree(spec: str) -> int:
+    parsed = parse_class_spec(spec)
     if isinstance(parsed, tuple):
         target, token = parsed
         print(_module(".golden").resolve_token(quotient(target), token).degree)
@@ -236,8 +247,8 @@ def cmd_degree(args) -> int:
     )
 
 
-def cmd_dual(args) -> int:
-    parsed = parse_class_spec(args.spec)
+def cmd_dual(spec: str) -> int:
+    parsed = parse_class_spec(spec)
     if isinstance(parsed, tuple):
         target, token = parsed
         poset, golden = quotient(target), _module(".golden")
@@ -266,15 +277,15 @@ def _parse_type(text: str):
     return body[0], rank
 
 
-def cmd_tits(args) -> int:
+def cmd_tits(type_name: str, p: int, q: int, output: str = "text") -> int:
     tits = _module(".tits")
-    family, rank = _parse_type(args.type)
+    family, rank = _parse_type(type_name)
     try:
         datum = weyl.build_cartan(family, rank)
-        ctx = tits.make_context(datum, {args.p}, {args.q})
+        ctx = tits.make_context(datum, {p}, {q})
     except (ValueError, TypeError) as exc:
         raise SpecError(str(exc)) from None
-    if args.json:
+    if output == "json":
         print(_module("json").dumps(tits.context_json_dict(ctx), sort_keys=True, indent=2))
         return 0
     print(f"context: {ctx.label()}  d_tau={ctx.d_tau}")
@@ -288,13 +299,13 @@ def cmd_tits(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(target: str, golden_dir: str | None = None, output: str = "text") -> int:
     verify = _module(".verify")
-    if args.target == "all":
-        reports = verify.verify_all(args.golden_dir)
+    if target == "all":
+        reports = verify.verify_all(golden_dir)
     else:
-        reports = [getattr(verify, f"verify_{args.target}")(args.golden_dir)]
-    if args.json:
+        reports = [getattr(verify, f"verify_{target}")(golden_dir)]
+    if output == "json":
         blob = [r.to_json_dict() for r in reports]
         print(_module("json").dumps(blob[0] if len(blob) == 1 else blob, sort_keys=True, indent=2))
     else:
@@ -303,60 +314,165 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schubflex",
-        description="Schubert-class posets, rigidity verdicts and movability certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(Frozen):
+    """One command: its handler, its help line, its positionals and its options.
 
-    p = sub.add_parser("hasse", help="print a quotient poset (text, JSON or DOT)")
-    p.add_argument("selector", help="gr:k,n lg:n og:n quad:n e6 e7")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable poset")
-    fmt.add_argument("--dot", action="store_true", help="Graphviz input")
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, metavar="N")
-    p.set_defaults(func=cmd_hasse)
+    ``args`` holds one ``(NAME, converter, allowed values or None, help)`` per
+    positional, and the handler takes their values in that order.  ``options``
+    maps each option to ``(keyword, converter, METAVAR, help)``.  A flag has
+    converter and METAVAR None and sets its keyword to its own name without
+    the dashes, so two flags that share a keyword exclude each other.
+    """
 
-    p = sub.add_parser("classify", help="rigidity verdict and a witness for one class")
-    p.add_argument("spec", help="a class spec, like gr:2,5:1,3 or e6:9:9")
-    p.add_argument("--golden-dir", default=None, metavar="DIR")
-    p.set_defaults(func=cmd_classify)
+    __slots__ = ("handler", "help", "args", "options")
 
-    p = sub.add_parser("degree", help="degree of one class in its minimal embedding")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("dual", help="Poincare dual of one class")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_dual)
+_JSON = ("output", None, None, "machine-readable output")
+_GOLDEN_DIR = ("golden_dir", str, "DIR", "decoration tables to check instead of the shipped ones")
+_SPEC = ("SPEC", str, None, "a class spec, like gr:2,5:1,3 or e6:9:9")
 
-    p = sub.add_parser("tits", help="incidence sweep of one quotient into another")
-    p.add_argument("type", help="a family letter and rank, like e6")
-    p.add_argument("p", type=int, help="marked node of the target quotient")
-    p.add_argument("q", type=int, help="marked node of the swept quotient")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tits)
+COMMANDS = {
+    "hasse": Command(
+        cmd_hasse,
+        "print a quotient poset (text, JSON or DOT)",
+        (("SELECTOR", str, None, "gr:k,n lg:n og:n quad:n e6 e7"),),
+        {
+            "--json": _JSON,
+            "--dot": ("output", None, None, "Graphviz input"),
+            "--size-cap": ("size_cap", int, "N", f"most classes to build ({DEFAULT_SIZE_CAP})"),
+        },
+    ),
+    "classify": Command(
+        cmd_classify,
+        "rigidity verdict and a witness for one class",
+        (_SPEC,),
+        {"--golden-dir": _GOLDEN_DIR},
+    ),
+    "degree": Command(cmd_degree, "degree of one class in its minimal embedding", (_SPEC,), {}),
+    "dual": Command(cmd_dual, "Poincare dual of one class", (_SPEC,), {}),
+    "tits": Command(
+        cmd_tits,
+        "incidence sweep of one quotient into another",
+        (
+            ("TYPE", str, None, "a family letter and rank, like e6"),
+            ("P", int, None, "marked node of the target quotient"),
+            ("Q", int, None, "marked node of the swept quotient"),
+        ),
+        {"--json": _JSON},
+    ),
+    "verify": Command(
+        cmd_verify,
+        "check the shipped decoration tables from scratch",
+        (("TARGET", str, ("e6", "e7", "table1", "all"), "e6, e7, table1 or all"),),
+        {"--golden-dir": _GOLDEN_DIR, "--json": _JSON},
+    ),
+}
 
-    p = sub.add_parser("verify", help="check the shipped decoration tables from scratch")
-    p.add_argument("target", choices=["e6", "e7", "table1", "all"])
-    p.add_argument("--golden-dir", default=None, metavar="DIR")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    return parser
+def _usage(name: str) -> str:
+    command = COMMANDS[name]
+    words = [name, *(meta for meta, _, _, _ in command.args)]
+    for opt, (_, _, meta, _) in command.options.items():
+        words.append(f"[{opt} {meta}]" if meta else f"[{opt}]")
+    return "schubflex " + " ".join(words)
+
+
+def _help() -> int:
+    lines = ["Schubert-class posets, rigidity verdicts and movability certificates."]
+    for name, command in COMMANDS.items():
+        lines += ["", _usage(name), f"  {command.help}"]
+        lines += [f"    {meta:<18s}{text}" for meta, _, _, text in command.args]
+        lines += [
+            f"    {f'{opt} {meta}' if meta else opt:<18s}{text}"
+            for opt, (_, _, meta, text) in command.options.items()
+        ]
+    print("\n".join(lines))
+    return 0
+
+
+def _is_option(word: str) -> bool:
+    """Whether ``word`` names an option; as in argparse, "-", "-1", "-.5" and "-a b" are values."""
+    if word[:1] != "-" or word == "-" or " " in word:
+        return False
+    return not word[1:].replace(".", "", 1).isdecimal()
+
+
+def _convert(name: str, label: str, convert, choices, word: str):
+    try:
+        value = convert(word)
+    except ValueError:
+        raise SpecError(f"{name} {label}: invalid {convert.__name__} value {word!r}") from None
+    if choices is not None and value not in choices:
+        raise SpecError(f"{name} {label}: invalid choice {word!r} (want {', '.join(choices)})")
+    return value
+
+
+class Parser:
+    """Reads an argv against :data:`COMMANDS` in one pass; it keeps no state between calls."""
+
+    def parse_args(self, argv) -> tuple:
+        """``(handler, positional values, option keywords)`` of ``argv``.
+
+        ``-h`` or ``--help`` anywhere before a ``--`` gives the help handler,
+        and every word after the ``--`` is a positional value.  Every other
+        malformed argv raises :class:`SpecError`.
+        """
+        cut = argv.index("--") if "--" in argv else len(argv)
+        if "-h" in argv[:cut] or "--help" in argv[:cut]:
+            return _help, (), {}
+        if not argv or argv[0] not in COMMANDS:
+            got = f"unknown command {argv[0]!r}" if argv else "missing command"
+            raise SpecError(f"{got} (want one of {', '.join(COMMANDS)}; -h describes them)")
+        name = argv[0]
+        command, values, keywords = COMMANDS[name], [], {}
+        words = iter(argv[1:cut])
+        for word in words:
+            if not _is_option(word):
+                values.append(word)
+                continue
+            opt, eq, text = word.partition("=")
+            if opt not in command.options:
+                raise SpecError(f"{name}: unknown option {opt!r} (usage: {_usage(name)})")
+            keyword, convert, meta, _ = command.options[opt]
+            if convert is None:
+                prior = keywords.setdefault(keyword, opt[2:])
+                if eq or prior != opt[2:]:
+                    why = "takes no value" if eq else f"is not allowed with --{prior}"
+                    raise SpecError(f"{name}: {opt} {why}")
+                continue
+            if not eq:
+                text = next(words, "--")
+                if _is_option(text):
+                    raise SpecError(f"{name}: {opt} needs a value {meta}")
+            keywords[keyword] = _convert(name, opt, convert, None, text)
+        values += argv[cut + 1 :]
+        if len(values) != len(command.args):
+            missing = " ".join(meta for meta, _, _, _ in command.args[len(values) :])
+            extra = values[len(command.args) :]
+            got = f"missing {missing}" if missing else f"extra argument {extra[0]!r}"
+            raise SpecError(f"{name}: {got} (usage: {_usage(name)})")
+        args = [
+            _convert(name, meta, convert, choices, word)
+            for (meta, convert, choices, _), word in zip(command.args, values)
+        ]
+        return command.handler, args, keywords
+
+
+def build_parser() -> Parser:
+    """A new parser of :data:`COMMANDS`; a caller may rebind its ``parse_args``, say to time it."""
+    return Parser()
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process; argparse keeps no per-parse state on it."""
+def _parser() -> Parser:
+    """The one parser of this process; it keeps no per-parse state."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args, keywords = _parser().parse_args(sys.argv[1:] if argv is None else argv)
+        code = handler(*args, **keywords)
         sys.stdout.flush()
         return code
     except GoldenDataError as exc:

@@ -292,28 +292,34 @@ def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> dict | None:
 
     assignment: dict = {}
     used: set = set()
-
-    def place(i: int) -> bool:
-        if i == len(sub_sorted):
-            return True
+    # Depth-first search with an explicit stack, so a poset of any height
+    # needs no recursion: tried[i] counts the candidates of sub_sorted[i]
+    # already tried, and i falls back one place when they run out.
+    tried = [0] * len(sub_sorted)
+    i = 0
+    while 0 <= i < len(sub_sorted):
         key, dim, deg = sub_sorted[i]
-        for cand in by_label.get((dim, deg), ()):
-            if cand in used:
-                continue
-            if any(
-                lo in assignment and (assignment[lo], cand) not in amb_covers
+        if key in assignment:  # back from a dead end: free this place's candidate
+            used.remove(assignment.pop(key))
+        cands = by_label.get((dim, deg), ())
+        j = tried[i]
+        while j < len(cands) and (
+            cands[j] in used
+            or any(
+                lo in assignment and (assignment[lo], cands[j]) not in amb_covers
                 for lo in down.get(key, ())
-            ):
-                continue
-            assignment[key] = cand
-            used.add(cand)
-            if place(i + 1):
-                return True
-            del assignment[key]
-            used.remove(cand)
-        return False
-
-    if not place(0):
+            )
+        ):
+            j += 1
+        if j == len(cands):
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = j + 1
+        assignment[key] = cands[j]
+        used.add(cands[j])
+        i += 1
+    if i < 0:
         return None
     # the label/cover-respecting injection must be a full poset isomorphism
     mapped = {(assignment[lo], assignment[hi]) for lo, hi in sub_covers}

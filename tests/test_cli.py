@@ -463,10 +463,61 @@ def test_malformed_lam_is_usage_error(capsys):
     assert "error:" in err
 
 
-def test_missing_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_missing_subcommand_exits_2(capsys):
+    assert run([], capsys) == (
+        2,
+        "",
+        "error: missing command (want one of hasse, classify, degree, dual, tits, verify;"
+        " -h describes them)\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["hasse"],
+        ["verify", "nope"],
+        ["hasse", "gr:2,4", "--json", "--dot"],
+        ["hasse", "gr:2,4", "--size-cap", "x"],
+        ["tits", "a2", "x", "2"],
+        ["degree", "gr:2,4:1", "extra"],
+        ["hasse", "gr:2,4", "--bogus"],
+        ["hasse", "gr:2,4", "--size-cap"],
+        ["hasse", "gr:2,4", "--json=yes"],
+        ["hasse", "--js", "gr:2,4"],  # no abbreviations
+        ["classify", "--", "--golden-dir", "x"],  # after --, every word is a value
+        ["--json", "hasse", "gr:2,4"],
+    ],
+)
+def test_argv_shape_errors_exit_2_in_one_line(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == "", argv
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["degree", "--help"], ["bogus", "-h"]])
+def test_help_names_every_command(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 0 and err == ""
+    for name in cli.COMMANDS:
+        assert f"schubflex {name} " in out, name
+    assert "--size-cap N" in out and "--golden-dir DIR" in out
+
+
+def test_options_take_either_form_and_any_place(capsys):
+    expected = run(["hasse", "gr:2,4", "--json", "--size-cap", "10"], capsys)
+    assert expected[0] == 0
+    for argv in (
+        ["hasse", "--size-cap=10", "--json", "gr:2,4"],
+        ["hasse", "--json", "--json", "--size-cap", "3", "--size-cap", "10", "gr:2,4"],
+        ["hasse", "--json", "--", "gr:2,4"],
+    ):
+        assert run(argv, capsys) == expected, argv
+    assert run(["hasse", "gr:2,4", "--size-cap", "5"], capsys)[0] == 2  # 6 classes
+    # a number that looks like an option is a value, as with argparse
+    assert run(["tits", "a2", "-1", "2"], capsys)[2].startswith("error: marked node -1")
 
 
 def test_tits_text_a2(capsys):
@@ -496,6 +547,31 @@ def test_tits_json_matches_schema(capsys):
     assert len(blob["rows"]) == 27
     injective = sum(r["injective"] for r in blob["rows"])
     assert injective == 10
+
+
+def test_verify_json_matches_schema(tmp_path, capsys):
+    schema = _schema("verify.schema.json")
+    rc, out, _ = run(["verify", "all", "--json"], capsys)
+    assert rc == 0
+    reports = json.loads(out)
+    jsonschema.validate(reports, schema)
+    assert [r["target"] for r in reports] == ["e6", "e7", "table1"]
+
+    dst = _tamper(tmp_path, 3, "rigid")
+    rc, out, _ = run(["verify", "e6", "--json", "--golden-dir", str(dst)], capsys)
+    assert rc == 1
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert report["ok"] is False and report["problems"]
+
+    # the schema is not vacuous: a class row without its token, or a report
+    # without its problems, fails
+    del report["rows"][0]["token"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema)
+    del reports[2]["problems"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(reports, schema)
 
 
 def test_tits_bad_marking_is_usage_error(capsys):
@@ -583,16 +659,6 @@ def test_output_is_byte_deterministic_across_processes():
         assert a.stdout == b.stdout, f"BUG: {argv} output depends on hash seed"
 
 
-def _outcome(argv, capsys):
-    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 REUSE_ARGVS = [
     ["hasse", "gr:2,4"],
     ["hasse", "e6", "--json"],
@@ -623,11 +689,11 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     cli._parser.cache_clear()
     try:
         argvs = REUSE_ARGVS * 2
-        shared = [_outcome(argv, capsys) for argv in argvs]
+        shared = [run(argv, capsys) for argv in argvs]
         assert len(built) == 1
         for argv, outcome in zip(argvs, shared):
             cli._parser.cache_clear()
-            assert outcome == _outcome(argv, capsys), argv
+            assert outcome == run(argv, capsys), argv
     finally:
         cli._parser.cache_clear()
     assert {code for code, _, _ in shared} == {0, 2}

@@ -9,6 +9,7 @@ import pytest
 
 from schubflex import weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
+from schubflex.cli import Command, cmd_degree
 from schubflex.frozen import Frozen
 from schubflex.golden import GoldenRow, TransformRow, load_golden_poset
 from schubflex.poset import SchubertNode, quotient
@@ -44,10 +45,11 @@ FIELDS = {
     TitsContext: _context_fields,
     Witness: lambda: ("Linear", {"node": "n001", "cover": "n002"}),
     Certificates: _certificates_fields,
+    Command: lambda: (cmd_degree, "degree", (("SPEC", str, None, "a class"),), {}),
 }
 
 # records holding a dict field: equal by value, unhashable
-UNHASHABLE = (Witness, Certificates)
+UNHASHABLE = (Witness, Certificates, Command)
 
 
 def _package_records(cls=Frozen):

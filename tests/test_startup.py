@@ -128,7 +128,7 @@ _LATER = ("classical", "golden", "rigidity", "witnesses")
 
 
 def _loaded_after(*commands) -> list[str]:
-    """Which of the later modules and json a fresh process holds after ``commands``."""
+    """Which later modules, json, argparse and gettext a fresh process holds after ``commands``."""
     proc = _python(
         f"""
 import contextlib, io, sys
@@ -136,7 +136,7 @@ from schubflex.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(list(argv)) for argv in {commands!r}]
-names = [f"schubflex.{{name}}" for name in {_LATER!r}] + ["json"]
+names = [f"schubflex.{{name}}" for name in {_LATER!r}] + ["json", "argparse", "gettext"]
 print(codes, sorted(name for name in names if name in sys.modules))
 """
     )
@@ -151,6 +151,18 @@ def test_hasse_json_dot_and_refusals_load_no_later_module():
 
 def test_hasse_text_loads_golden_for_its_tokens_only():
     assert _loaded_after(("hasse", "lg:8"),) == "[0] ['schubflex.golden']"
+
+
+def test_import_help_usage_errors_and_degree_load_no_argument_parser():
+    # cli reads argv against its own command table; argparse and the gettext
+    # it imports would cost every command their compile time.
+    assert _loaded_after() == "[] []"
+    assert _loaded_after(("--help",), ("bogus",), ("hasse", "gr:2,4", "--json", "--dot")) == (
+        "[0, 2, 2] []"
+    )
+    assert _loaded_after(("degree", "gr:2,5:1,3"), ("degree", "e7:22:5586")) == (
+        "[0, 0] ['schubflex.classical', 'schubflex.golden']"
+    )
 
 
 def test_repeated_commands_run_no_import_statement(monkeypatch):

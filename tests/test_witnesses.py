@@ -25,6 +25,7 @@ from schubflex.witnesses import (
     bertini_witness,
     cone_embedding,
     divisor_witness,
+    interval_isomorphism,
     linear_space_witness,
     moduli_witness_gr,
     moduli_witness_isotropic,
@@ -332,6 +333,21 @@ def test_cone_embedding_rejects_wrong_shapes(e6p6, og510):
     assert cone_embedding(og510, e6p6, e6p6.top()) is None
     g24 = build_quotient_poset(weyl.build_cartan("A", 3), {2})
     assert cone_embedding(g24, e6p6, resolve_token(e6p6, "11:12")) is None
+
+
+@pytest.mark.parametrize(
+    "sub, ambient", [(("gr", 1, 2100), ("gr", 1, 2100)), (("og", 12), ("lg", 11))]
+)
+def test_interval_isomorphism_of_posets_past_the_recursion_limit(sub, ambient):
+    # The matcher places one class per step of an explicit stack; a search
+    # that recursed once per class overflowed the stack near 1,000 classes.
+    # og:n+1 and lg:n have the same Bruhat order, since W(B_n) = W(C_n).
+    sub, ambient = quotient(*sub), quotient(*ambient)
+    phi = interval_isomorphism(sub, ambient, ambient.top())
+    assert phi is not None and len(phi) == len(sub.nodes) >= 2048
+    assert sorted(phi.values()) == sorted(n.id for n in ambient.nodes)
+    assert all(ambient.node(phi[n.id]).dim == n.dim for n in sub.nodes)
+    assert {(phi[lo], phi[hi]) for lo, hi in sub.covers} == set(ambient.covers)
 
 
 if __name__ == "__main__":
