@@ -17,9 +17,11 @@ Class specs name a family and a class in one colon-joined argument:
     e7:22:5586          same on the 56-class poset
 
 Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
-quad:7  e6  e7.  Every command that needs a family's poset goes through
+quad:7  e6  e7.  One function, :func:`read_selector`, reads both a ``hasse``
+selector and the selector part of a class spec, so both are refused in the
+same words.  Every command that needs a family's poset goes through
 :func:`schubflex.poset.quotient`, which reads the one family table,
-:data:`schubflex.poset.QUOTIENTS`.
+:data:`schubflex.poset.QUOTIENTS`; a row also holds the selector's form.
 
 :data:`COMMANDS` is the one table of the six commands: each one's handler,
 help line, positionals and options.  :meth:`Parser.parse_args` reads an argv
@@ -77,70 +79,71 @@ class SpecError(ValueError):
 
 def _parse_lam(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(int, text.split(","))) if text else ()
     except ValueError:
         raise SpecError(f"malformed index list {text!r} (want comma-joined integers)") from None
 
 
+def read_selector(head: str, params: str) -> tuple[int, ...]:
+    """The integer parameters of ``head:params``, a selector or a class spec's selector part.
+
+    Each kind of mistake has one refusal: an unknown family, parameters unlike
+    the family's written form (gr:k,n lg:n og:n quad:n e6 e7), and a gr k
+    outside 1..n-1.
+    """
+    if head not in QUOTIENTS:
+        raise SpecError(f"unknown family {head!r} (want gr, lg, og, quad, e6 or e7)")
+    try:
+        if head == "gr":
+            k, n = map(int, params.split(","))
+        elif head not in GOLDEN_POSETS:
+            return (int(params),)
+        elif params:
+            raise ValueError(params)
+        else:
+            return ()
+    except ValueError:
+        form = QUOTIENTS[head][0]
+        raise SpecError(f"malformed selector {head + ':' + params!r} (want {form})") from None
+    if not 1 <= k <= n - 1:
+        raise SpecError(f"need 1 <= k <= n-1 in {'gr:' + params!r}")
+    return k, n
+
+
 def parse_class_spec(spec: str):
     """A classical index object, or ("e6"|"e7", token) for exceptional specs."""
-    head, sep, rest = spec.partition(":")
+    head, sep, body = spec.partition(":")
     if not sep:
         raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
-    if head in GOLDEN_POSETS:
-        return (head, rest)
+    if head in GOLDEN_POSETS:  # the selector part is the head: the token holds a colon
+        return (head, body)
+    params, _, body = body.partition(":")
+    params = read_selector(head, params)
     classical = _module(".classical")
-    params, _, body = rest.partition(":")
     if head == "gr":
-        try:
-            k, n = (int(x) for x in params.split(","))
-        except ValueError:
-            raise SpecError(f"malformed gr selector {spec!r} (want gr:k,n:...)") from None
-        return classical.GrIndex(k, n, _parse_lam(body))
-    if head in ("lg", "og"):
-        try:
-            n = int(params)
-        except ValueError:
-            raise SpecError(f"malformed {head} selector {spec!r} (want {head}:n:...)") from None
-        return classical.IsotropicIndex(head, n, _parse_lam(body))
-    if head == "quad":
-        try:
-            n = int(params)
-        except ValueError:
-            raise SpecError(f"malformed quad selector {spec!r} (want quad:n:kind)") from None
-        if body in ("max-plus", "max-minus"):
-            return classical.QuadricIndex(n, body)
-        kind, sep2, j = body.rpartition("-")
-        if not sep2:
-            raise SpecError(f"malformed quadric kind {body!r}")
-        try:
-            return classical.QuadricIndex(n, kind, int(j))
-        except ValueError as exc:
-            raise SpecError(str(exc)) from None
-    raise SpecError(f"unknown family {head!r} (want gr, lg, og, quad, e6 or e7)")
+        return classical.GrIndex(*params, _parse_lam(body))
+    if head != "quad":
+        return classical.IsotropicIndex(head, *params, _parse_lam(body))
+    if body in ("max-plus", "max-minus"):
+        return classical.QuadricIndex(*params, body)
+    kind, _, j = body.rpartition("-")
+    try:
+        j = int(j)
+    except ValueError:
+        kind = ""
+    if not kind:
+        want = "linear-j, colinear-j, max-plus or max-minus"
+        raise SpecError(f"malformed quadric kind {body!r} (want {want})")
+    return classical.QuadricIndex(*params, kind, j)
 
 
 def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
     head, _, params = selector.partition(":")
-    if head not in QUOTIENTS:
-        raise SpecError(f"unknown poset selector {selector!r}")
+    params = read_selector(head, params)
     try:
-        if head in GOLDEN_POSETS:
-            if params:
-                raise SpecError(f"selector {head!r} takes no parameters, got {selector!r}")
-            return quotient(head, size_cap=size_cap)
-        if head == "gr":
-            k, n = (int(x) for x in params.split(","))
-            if not 1 <= k <= n - 1:
-                raise SpecError(f"need 1 <= k <= n-1 in {selector!r}")
-            return quotient(head, k, n, size_cap=size_cap)
-        return quotient(head, int(params), size_cap=size_cap)
-    except SpecError:
-        raise
-    except (ValueError, TypeError) as exc:
+        return quotient(head, *params, size_cap=size_cap)
+    except ValueError as exc:
         raise SpecError(f"bad selector {selector!r}: {exc}") from None
 
 
@@ -280,11 +283,7 @@ def _parse_type(text: str):
 def cmd_tits(type_name: str, p: int, q: int, output: str = "text") -> int:
     tits = _module(".tits")
     family, rank = _parse_type(type_name)
-    try:
-        datum = weyl.build_cartan(family, rank)
-        ctx = tits.make_context(datum, {p}, {q})
-    except (ValueError, TypeError) as exc:
-        raise SpecError(str(exc)) from None
+    ctx = tits.make_context(weyl.build_cartan(family, rank), {p}, {q})
     if output == "json":
         print(_module("json").dumps(tits.context_json_dict(ctx), sort_keys=True, indent=2))
         return 0
@@ -335,7 +334,7 @@ COMMANDS = {
     "hasse": Command(
         cmd_hasse,
         "print a quotient poset (text, JSON or DOT)",
-        (("SELECTOR", str, None, "gr:k,n lg:n og:n quad:n e6 e7"),),
+        (("SELECTOR", str, None, " ".join(form for form, _ in QUOTIENTS.values())),),
         {
             "--json": _JSON,
             "--dot": ("output", None, None, "Graphviz input"),

@@ -42,8 +42,8 @@ tuples of nodes; ``covers`` derives the (lo id, hi id) pairs the exports
 print.  Inside the package a class is passed as its node; ids appear only in
 output, golden tables and certificate payloads.
 
-:data:`QUOTIENTS` is the one table from a family head (gr, lg, og, quad, e6,
-e7) to its quotient; :func:`quotient` serves every caller that names a family.
+:data:`QUOTIENTS` is the one family table, from a head to its selector's
+form and its quotient; :func:`quotient` serves every caller that names a family.
 """
 
 from __future__ import annotations
@@ -303,18 +303,18 @@ def quadric_poset_family(n: int) -> tuple[str, int]:
     return ("D", (n + 2) // 2)
 
 
-# Family head -> (Cartan family, rank, marked node, closed-form class count) of
-# its quotient, as a function of the selector's integer parameters (gr:k,n lg:n
-# og:n quad:n e6 e7) and a limit: a count above it is None, so a huge parameter
-# never costs a huge integer.  quotient() checks the count, and the count times
-# the rank, before any datum.
+# Family head -> (the selector's written form, layout).  The layout gives the
+# (Cartan family, rank, marked node, closed-form class count) of the quotient
+# from the selector's integer parameters and a limit: a count above it is None,
+# so a huge parameter never costs a huge integer.  quotient() checks the count,
+# and the count times the rank, before any datum.
 QUOTIENTS = {
-    "gr": lambda k, n, limit: ("A", n - 1, k, _comb(n, k, limit)),
-    "lg": lambda n, limit: ("C", n, n, 2**n if n < limit.bit_length() else None),
-    "og": lambda n, limit: ("D", n, n, 2 ** (n - 1) if n <= limit.bit_length() else None),
-    "quad": lambda n, limit: (*quadric_poset_family(n), 1, n + 2 - n % 2),
-    "e6": lambda limit: ("E", 6, 6, 27),
-    "e7": lambda limit: ("E", 7, 7, 56),
+    "gr": ("gr:k,n", lambda k, n, limit: ("A", n - 1, k, _comb(n, k, limit))),
+    "lg": ("lg:n", lambda n, limit: ("C", n, n, 2**n if n < limit.bit_length() else None)),
+    "og": ("og:n", lambda n, limit: ("D", n, n, 2 ** (n - 1) if n <= limit.bit_length() else None)),
+    "quad": ("quad:n", lambda n, limit: (*quadric_poset_family(n), 1, n + 2 - n % 2)),
+    "e6": ("e6", lambda limit: ("E", 6, 6, 27)),
+    "e7": ("e7", lambda limit: ("E", 7, 7, 56)),
 }
 
 #: The heads whose classes carry golden decorations -> golden file stem.  It
@@ -330,7 +330,7 @@ class GoldenDataError(Exception):
 def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
     """The shared quotient poset of a family head and its parameters."""
     # Refusals spell out class counts up to max(size_cap, 2^64) (_check_size).
-    family, rank, marked, count = QUOTIENTS[head](*params, max(size_cap, 2**64))
+    family, rank, marked, count = QUOTIENTS[head][1](*params, max(size_cap, 2**64))
     _check_size(count, rank, size_cap)
     return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 

@@ -101,6 +101,45 @@ def test_malformed_hasse_selector_is_usage_error(selector, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "selector,words",
+    [
+        ("gr:2", "want gr:k,n"),
+        ("gr:x,5", "want gr:k,n"),
+        ("gr:2,5,7", "want gr:k,n"),
+        ("gr:5,5", "need 1 <= k <= n-1 in 'gr:5,5'"),
+        ("og:x", "want og:n"),
+        ("lg:", "want lg:n"),
+        ("quad:x", "want quad:n"),
+        ("quad:3,4", "want quad:n"),
+        ("zz:3", "unknown family 'zz'"),
+        ("e6:1", "want e6"),
+    ],
+)
+def test_malformed_selector_part_is_refused_alike_in_hasse_and_class_specs(
+    selector, words, capsys
+):
+    # e6:1:1 is the e6 class token 1:1, so e6:1 is a malformed selector in hasse only.
+    argvs = [["hasse", selector]]
+    if not selector.startswith("e6"):
+        argvs += [[command, f"{selector}:1"] for command in ("classify", "degree")]
+    refusals = {run(argv, capsys) for argv in argvs}
+    assert len(refusals) == 1, refusals
+    ((rc, out, err),) = refusals
+    assert (rc, out, err.count("\n")) == (2, "", 1) and err.startswith("error: "), err
+    assert words in err
+    assert "unpack" not in err and "invalid literal" not in err
+
+
+def test_malformed_quadric_kind_names_the_kinds(capsys):
+    rc, out, err = run(["classify", "quad:5:linear-x"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: malformed quadric kind 'linear-x'"
+        " (want linear-j, colinear-j, max-plus or max-minus)\n"
+    )
+
+
 def test_hasse_never_enumerates_roots(monkeypatch, capsys):
     # The size cap is checked from closed-form orders, so no hasse selector,
     # under the cap or over it, needs the positive roots.  The Cartan cache is
@@ -799,6 +838,7 @@ def test_spec_grammar_answers_or_refuses_in_one_line(argv):
     else:
         assert code == 2, (argv, code, err)
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "unpack" not in err and "invalid literal" not in err, (argv, err)
 
 
 if __name__ == "__main__":
