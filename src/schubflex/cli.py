@@ -111,15 +111,24 @@ def read_selector(head: str, params: str) -> tuple[int, ...]:
     return k, n
 
 
-def parse_class_spec(spec: str):
-    """A classical index object, or ("e6"|"e7", token) for exceptional specs."""
+def parse_class_spec(spec: str, bounded: bool = False):
+    """A classical index object, or ("e6"|"e7", token) for exceptional specs.
+
+    ``bounded`` refuses a classical spec whose selector's rank fails
+    :func:`weyl.check_rank` before its index is built.
+    """
     head, sep, body = spec.partition(":")
     if not sep:
         raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
     if head in GOLDEN_POSETS:  # the selector part is the head: the token holds a colon
         return (head, body)
-    params, _, body = body.partition(":")
-    params = read_selector(head, params)
+    text, _, body = body.partition(":")
+    params = read_selector(head, text)
+    if bounded and (head, params) != ("quad", (2,)):  # Q^2 has no quotient of its own
+        try:
+            weyl.check_rank(QUOTIENTS[head][1](*params, 0)[1])
+        except ValueError as exc:
+            raise SpecError(f"bad selector {head + ':' + text!r}: {exc}") from None
     classical = _module(".classical")
     if head == "gr":
         return classical.GrIndex(*params, _parse_lam(body))
@@ -159,14 +168,15 @@ def _safe_token(poset: QuotientPoset, node) -> str:
 def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_CAP) -> int:
     poset = build_selector(selector, size_cap)
     if output == "json":
-        sys.stdout.write(poset.to_json())
+        poset.to_json(sys.stdout)
         return 0
     if output == "dot":
-        sys.stdout.write(poset.to_dot())
+        poset.to_dot(sys.stdout)
         return 0
+    covers = sum(len(poset.lower_covers(n)) for n in poset.nodes)  # no tuple of every pair
     print(
         f"{poset.type_label()} / P{sorted(poset.marked)}: "
-        f"{len(poset.nodes)} classes, {len(poset.covers)} covers, "
+        f"{len(poset.nodes)} classes, {covers} covers, "
         f"dimension {poset.dimension}"
     )
     for dim in range(poset.dimension + 1):
@@ -195,7 +205,7 @@ def _classical_witness(idx):
 
 
 def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
-    parsed = parse_class_spec(spec)
+    parsed = parse_class_spec(spec, bounded=True)
     if isinstance(parsed, tuple):
         target, token = parsed
         node = _module(".golden").resolve_token(quotient(target), token)
@@ -245,13 +255,17 @@ def cmd_degree(spec: str) -> int:
         poset = quotient("og", parsed.n)  # refuses an over-cap n before the fingerprint
         print(poset.node_by_fingerprint(classical.og_to_fingerprint(parsed)).degree)
         return 0
+    if parsed.n == 1:  # LG(1,2) = P^1, the one minuscule lg: a chain, one class per dimension
+        (node,) = quotient("lg", 1).nodes_by_dim(classical.isotropic_dimension(parsed))
+        print(node.degree)
+        return 0
     raise SpecError(
         "degree is not implemented for lg classes (the minimal embedding is not minuscule)"
     )
 
 
 def cmd_dual(spec: str) -> int:
-    parsed = parse_class_spec(spec)
+    parsed = parse_class_spec(spec, bounded=True)
     if isinstance(parsed, tuple):
         target, token = parsed
         poset, golden = quotient(target), _module(".golden")

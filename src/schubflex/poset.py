@@ -11,10 +11,13 @@ Facts the implementation leans on:
 * Walking from the identity coset by right multiplication with s_i increases
   minimal length exactly when fingerprint coordinate i is positive, so a BFS
   from lambda discovers every coset once, at depth equal to the minimal
-  representative's length (= the Schubert variety's dimension).
+  representative's length (= the Schubert variety's dimension).  A class
+  keeps only its BFS parent's index and the letter from it, O(rank) in all
+  with its fingerprint: its minimal word is the parent's plus that letter.
 * Quotient Bruhat order is the restriction of Bruhat order to minimal
   representatives; ``leq`` implements the standard lifting recursion on the
-  w^{-1}(rho) vectors it computes from the two minimal words.
+  w^{-1}(rho) vectors it computes from the two minimal words, each read off
+  the parent links.
 * Right multiplication by w_0 sends fingerprint fp to (-fp[iota(i)])_i, iota
   the opposition involution, so a Poincare dual is one O(rank) lookup.
 * Covers need no comparisons (lifting property, Bjorner-Brenti GTM 231,
@@ -38,9 +41,10 @@ Facts the implementation leans on:
 keeps each poset it builds for the life of the process, so all callers share
 one object per quotient, which is therefore immutable (frozen nodes, degrees
 fixed at construction).  Each direction of the order is stored once, as
-tuples of nodes; ``covers`` derives the (lo id, hi id) pairs the exports
-print.  Inside the package a class is passed as its node; ids appear only in
-output, golden tables and certificate payloads.
+tuples of nodes; ``covers`` derives the (lo id, hi id) pairs, and the exports
+write the same pairs to a stream a batch at a time, with the minimal words
+rebuilt in BFS order as they go.  Inside the package a class is passed as its
+node; ids appear only in output, golden tables and certificate payloads.
 
 :data:`QUOTIENTS` is the one family table, from a head to its selector's
 form and its quotient; :func:`quotient` serves every caller that names a family.
@@ -49,6 +53,7 @@ form and its quotient; :func:`quotient` serves every caller that names a family.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from . import weyl
 from .frozen import Frozen
@@ -77,9 +82,15 @@ def minuscule(datum: CartanDatum, marked) -> bool:
 
 
 class SchubertNode(Frozen):
-    """One Schubert class: a coset of W_P in W."""
+    """One Schubert class: a coset of W_P in W.
 
-    __slots__ = ("id", "dim", "fingerprint", "min_word", "degree")
+    ``parent`` is the index of the class the BFS first reached it from (None
+    at the bottom) and ``letter`` the simple reflection it took, so the
+    minimal word is the parent's plus ``letter``.  The parent is an index, not
+    a node: records hash and compare every field.
+    """
+
+    __slots__ = ("id", "dim", "fingerprint", "parent", "letter", "degree")
 
     def __repr__(self) -> str:
         deg = "?" if self.degree is None else self.degree
@@ -144,7 +155,12 @@ class QuotientPoset:
     def leq(self, a: SchubertNode, b: SchubertNode) -> bool:
         """Bruhat comparison of two classes (containment of Schubert varieties)."""
         r = weyl.rho(self.datum)
-        va, vb = (weyl.act(self.datum, x.min_word[::-1], r) for x in (a, b))
+        words = ([], [])  # the minimal words of a and b, last letter first
+        for x, word in zip((a, b), words):
+            while x.parent is not None:
+                word.append(x.letter)
+                x = self.nodes[x.parent]
+        va, vb = (weyl.act(self.datum, word, r) for word in words)
         while vb != r:
             i = next(k for k in range(self.datum.rank) if vb[k] < 0) + 1
             if va[i - 1] < 0:
@@ -187,37 +203,46 @@ class QuotientPoset:
     def type_label(self) -> str:
         return f"{self.datum.family}{self.datum.rank}"
 
-    def to_json(self) -> str:
-        """The poset as json.dumps(..., sort_keys=True, indent=2) writes its schema, spelled out.
+    def to_json(self, out) -> None:
+        """Write the poset to ``out`` as json.dumps(..., sort_keys=True, indent=2) writes its schema.
 
-        Every key and string is fixed or an ASCII id, so nothing needs escaping.
+        The document is spelled out and written a batch of items at a time.
+        Every key and string is fixed or an ASCII id, so nothing needs
+        escaping.  Minimal words are rebuilt in BFS order, each from its
+        parent's, and each is kept only until the next dimension is written.
         """
-        nodes = [
-            f'{{\n      "degree": {"null" if n.degree is None else n.degree},'
-            f'\n      "dim": {n.dim},\n      "id": "{n.id}",'
-            f'\n      "min_word": {_json_list(map(str, n.min_word), 3)}\n    }}'
-            for n in self.nodes
-        ]
-        covers = [f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in self.covers]
-        return (
-            f'{{\n  "covers": {_json_list(covers, 1)},\n  "nodes": {_json_list(nodes, 1)},'
-            f'\n  "parabolic": {_json_list(map(str, sorted(self.marked)), 1)},'
+
+        def nodes():
+            words, below, dim = {}, {}, 0  # index -> word, at dim and at dim - 1
+            for k, n in enumerate(self.nodes):
+                if n.dim != dim:
+                    words, below, dim = {}, words, n.dim
+                word = words[k] = () if n.parent is None else below[n.parent] + (n.letter,)
+                yield (
+                    f'{{\n      "degree": {"null" if n.degree is None else n.degree},'
+                    f'\n      "dim": {n.dim},\n      "id": "{n.id}",'
+                    f'\n      "min_word": {_json_list(map(str, word), 3)}\n    }}'
+                )
+
+        out.write('{\n  "covers": ')
+        pairs = ((lo, hi.id) for lo, his in self._up.items() for hi in his)
+        _write_list(out, (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in pairs), 1)
+        out.write(',\n  "nodes": ')
+        _write_list(out, nodes(), 1)
+        out.write(
+            f',\n  "parabolic": {_json_list(map(str, sorted(self.marked)), 1)},'
             f'\n  "type": "{self.type_label()}"\n}}\n'
         )
 
-    def to_dot(self) -> str:
-        lines = [
-            "digraph hasse {",
-            "  rankdir=BT;",
-            '  node [shape=plaintext, fontname="Helvetica"];',
-        ]
-        for n in self.nodes:
-            label = f"{n.dim}:{n.degree}" if n.degree is not None else str(n.dim)
-            lines.append(f'  {n.id} [label="{label}"];')
-        for lo, hi in self.covers:
-            lines.append(f"  {lo} -> {hi};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def to_dot(self, out) -> None:
+        """Write the Hasse diagram to ``out`` as Graphviz input, a batch of lines at a time."""
+        out.write('digraph hasse {\n  rankdir=BT;\n')
+        out.write('  node [shape=plaintext, fontname="Helvetica"];\n')
+        labels = (n.dim if n.degree is None else f"{n.dim}:{n.degree}" for n in self.nodes)
+        _write_batches(out, (f'  {n.id} [label="{to}"];\n' for n, to in zip(self.nodes, labels)))
+        pairs = ((lo, hi.id) for lo, his in self._up.items() for hi in his)
+        _write_batches(out, (f"  {lo} -> {hi};\n" for lo, hi in pairs))
+        out.write("}\n")
 
 
 def _json_list(items, depth: int) -> str:
@@ -225,6 +250,29 @@ def _json_list(items, depth: int) -> str:
     inner = "\n" + "  " * (depth + 1)
     body = ("," + inner).join(items)
     return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+
+
+def _write_list(out, items, depth: int) -> None:
+    """Write :func:`_json_list` of ``items``, which must not be empty, to ``out``.
+
+    The exports' lists never are: a quotient has at least two classes, so it
+    has a cover too.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    _write_batches(out, items, "," + inner, "[" + inner)
+    out.write("\n" + "  " * depth + "]")
+
+
+def _write_batches(out, items, sep: str = "", lead: str = "") -> None:
+    """Write ``lead + sep.join(items)`` to ``out``, one batch of items at a time.
+
+    One write per batch costs less than one per item, and a batch of 256
+    stays small even where each item spells out a long minimal word.
+    """
+    items = iter(items)
+    while batch := list(islice(items, 256)):
+        out.write(lead + sep.join(batch))
+        lead = sep
 
 
 def build_quotient_poset(
@@ -341,7 +389,8 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     lam = tuple(1 if (i + 1) in marked else 0 for i in range(datum.rank))
     graded = minuscule(datum, marked)
     index = {lam: 0}
-    records = [(lam, (), 0, 1 if graded else None)]  # fingerprint, min_word, dim, degree
+    # fingerprint, dim, BFS parent's index, letter from the parent, degree
+    records = [(lam, 0, None, None, 1 if graded else None)]
     down: list[list[int]] = [[]]
     try:
         # records is its own BFS queue, so classes are expanded in order of
@@ -349,7 +398,7 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
         # covers y of idx with y[i] > 0 to covers ys of dim d - 1.  Those were
         # found while classes of dim d - 2 were expanded, all before idx, so
         # each is already indexed and has its degree.
-        for idx, (fp, word, dim, _) in enumerate(records):
+        for idx, (fp, dim, _, _, _) in enumerate(records):
             for i in range(1, datum.rank + 1):
                 if fp[i - 1] > 0:
                     child = weyl.reflect(datum, i, fp)
@@ -359,9 +408,9 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
                             for y in down[idx]
                             if records[y][0][i - 1] > 0
                         ]
-                        degree = sum(records[lo][3] for lo in los) if graded else None
+                        degree = sum(records[lo][4] for lo in los) if graded else None
                         index[child] = len(records)
-                        records.append((child, word + (i,), dim + 1, degree))
+                        records.append((child, dim + 1, idx, i, degree))
                         down.append(los)
     except KeyError as exc:
         raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
@@ -373,9 +422,10 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
         raise InternalError(f"enumerated {len(records)} cosets, order formula says {expected}")
     width = max(3, len(str(len(records) - 1)))
     nodes = tuple(
-        SchubertNode(f"n{idx:0{width}d}", dim, fp, word, degree)
-        for idx, (fp, word, dim, degree) in enumerate(records)
+        SchubertNode(f"n{idx:0{width}d}", dim, fp, parent, letter, degree)
+        for idx, (fp, dim, parent, letter, degree) in enumerate(records)
     )
+    del records, index  # not held while the poset builds its maps
     return QuotientPoset(datum, marked, nodes, down)
 
 

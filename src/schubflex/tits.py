@@ -12,7 +12,7 @@ the nodes outside Q.  On fingerprint vectors that is
 which is looked up in the target poset.  lambda_P is dominant, so
 w0_Q(lambda_P) is the one weight of its W_Q-orbit with no positive coordinate
 outside Q; and u = u' s_i for u's BFS parent u', so u's target is s_i of
-u''s.  The dimension shift
+u''s, found by the parent's node index and u's letter.  The dimension shift
 
     d_tau = dim G/P_{P union Q} - dim G/Q
 
@@ -81,13 +81,13 @@ def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
     low = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
     while (i := next((g for g in unmarked if low[g - 1] > 0), None)) is not None:
         low = weyl.reflect(datum, i, low)
-    sweep = {(): low}  # min_word of a G/Q class -> its target fingerprint
+    sweep = []  # sweep[k]: the G/P class that G/Q class k sweeps onto
     targets, sources = {}, {}
     for node in q_poset.nodes:  # BFS order: each parent before its children
-        word = node.min_word
-        if word:
-            sweep[word] = weyl.reflect(datum, word[-1], sweep[word[:-1]])
-        target = p_poset.node_by_fingerprint(sweep[word])
+        parent = node.parent
+        fp = low if parent is None else weyl.reflect(datum, node.letter, sweep[parent].fingerprint)
+        target = p_poset.node_by_fingerprint(fp)
+        sweep.append(target)
         targets[node.id] = target
         sources.setdefault(target.id, []).append(node)
     return TitsContext(

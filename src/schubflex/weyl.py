@@ -89,6 +89,15 @@ def _edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
     return edges
 
 
+def check_rank(rank: int) -> None:
+    """Refuse a rank whose quotients would pass :data:`MAX_COORDINATES` whatever is marked."""
+    if rank * (rank + 1) > MAX_COORDINATES:  # each quotient has at least rank + 1 classes
+        raise ValueError(
+            f"rank {rank} is too large: its quotients would store over {MAX_COORDINATES} "
+            "fingerprint coordinates"
+        )
+
+
 @lru_cache(maxsize=None)
 def build_cartan(family: str, rank: int) -> CartanDatum:
     """Build the Dynkin diagram of one of A, B, C, D (Bourbaki) or E6/E7."""
@@ -99,11 +108,7 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
             raise ValueError(f"family E supports rank 6 or 7, got {rank}")
     elif rank < _MIN_RANK[family]:
         raise ValueError(f"family {family} needs rank >= {_MIN_RANK[family]}, got {rank}")
-    if rank * (rank + 1) > MAX_COORDINATES:  # each quotient has at least rank + 1 classes
-        raise ValueError(
-            f"rank {rank} is too large: its quotients would store over {MAX_COORDINATES} "
-            "fingerprint coordinates"
-        )
+    check_rank(rank)
 
     bonds = [[] for _ in range(rank)]
     for i, j, cij, cji in _edges(family, rank):

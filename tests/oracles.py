@@ -80,6 +80,35 @@ def _w0_word(datum: CartanDatum) -> tuple[int, ...]:
     return longest_element(datum, range(1, datum.rank + 1))
 
 
+def min_word(poset, node) -> tuple[int, ...]:
+    """The minimal word of ``node``, read off by walking its BFS parents to the bottom."""
+    letters = []
+    while node.parent is not None:
+        letters.append(node.letter)
+        node = poset.nodes[node.parent]
+    return tuple(reversed(letters))
+
+
+def word_bfs(datum: CartanDatum, marked) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Fingerprint -> minimal word of every coset of W_P \\ W, by a BFS that carries each word.
+
+    Classes are expanded in the order they are found, each by the letters
+    1..rank that go up, and a class keeps the word it was first found with, as
+    the package's BFS does; only here each class holds its whole word.
+    """
+    lam = tuple(1 if (i + 1) in marked else 0 for i in range(datum.rank))
+    words = {lam: ()}
+    queue = [lam]
+    for fp in queue:
+        for i in range(1, datum.rank + 1):
+            if fp[i - 1] > 0:
+                child = dense_reflect(datum, i, fp)
+                if child not in words:
+                    words[child] = words[fp] + (i,)
+                    queue.append(child)
+    return words
+
+
 def word_dual(poset, node):
     """Poincare dual of ``node``: its fingerprint moved by w_0, spelled as a word and applied."""
     return poset.node_by_fingerprint(act(poset.datum, _w0_word(poset.datum), node.fingerprint))
@@ -169,7 +198,7 @@ def w0q_word(ctx) -> tuple[int, ...]:
 
 def max_rep_word(ctx, node) -> tuple[int, ...]:
     """Reduced word for the maximal representative w0_Q * u of a G/Q coset."""
-    word = w0q_word(ctx) + tuple(node.min_word)
+    word = w0q_word(ctx) + min_word(ctx.q_poset, node)
     assert is_reduced(ctx.datum, word), f"lengths must add for w0_Q * u at {node.id}"
     return word
 
@@ -185,7 +214,7 @@ def sweep_targets(ctx) -> dict[str, str]:
     w0q = w0q_word(ctx)
     return {
         node.id: ctx.p_poset.node_by_fingerprint(
-            act(ctx.datum, tuple(reversed(w0q + tuple(node.min_word))), lam_p)
+            act(ctx.datum, tuple(reversed(w0q + min_word(ctx.q_poset, node))), lam_p)
         ).id
         for node in ctx.q_poset.nodes
     }
@@ -311,7 +340,7 @@ def poset_json_dict(poset) -> dict:
         "type": poset.type_label(),
         "parabolic": sorted(poset.marked),
         "nodes": [
-            {"id": n.id, "dim": n.dim, "degree": n.degree, "min_word": list(n.min_word)}
+            {"id": n.id, "dim": n.dim, "degree": n.degree, "min_word": list(min_word(poset, n))}
             for n in poset.nodes
         ],
         "covers": [[lo, hi] for lo, hi in poset.covers],

@@ -460,6 +460,46 @@ def test_degree_lg_refused(capsys):
     assert "not implemented for lg" in err
 
 
+def test_degree_of_lg1_reads_the_p1_poset(capsys):
+    # LG(1,2) = P^1 is minuscule: its point and its line have degree 1, as
+    # hasse lg:1 labels them; lg:2 on is refused.
+    for spec in ("lg:1:", "lg:1:1"):
+        assert run(["degree", spec], capsys) == (0, "1\n", "")
+    rc, out, err = run(["degree", "lg:2:1"], capsys)
+    assert (rc, out) == (2, "") and "not implemented for lg" in err
+
+
+@pytest.mark.parametrize(
+    "argv, rank",
+    [
+        (["classify", "gr:3,1000000:1,3,4"], 999999),
+        (["dual", "og:1000000:1,2"], 1000000),
+        (["classify", "gr:3,4473:1,2,3"], 4472),
+        (["dual", "lg:4472:1"], 4472),
+        (["classify", "og:4472:1"], 4472),
+        (["dual", "quad:8942:linear-1"], 4472),
+    ],
+)
+def test_classify_and_dual_refuse_selectors_past_the_rank_bound(argv, rank, capsys):
+    # The class itself is small, but an answer that spells out a class of
+    # such a selector runs to megabytes.
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith("error: bad selector ") and f"rank {rank} is too large" in err
+
+
+def test_classify_and_dual_answer_at_the_rank_bound(capsys):
+    # Rank 4471 passes the bound, and Q^2 (no quotient of its own) still answers.
+    for argv in (
+        ["classify", "gr:3,4472:1,2,3"],
+        ["dual", "lg:4471:4471"],
+        ["dual", "quad:8941:linear-1"],
+        ["dual", "quad:2:max-plus"],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert rc == 0 and err == "" and out, argv
+
+
 def test_dual_values(capsys):
     for spec, want in [
         ("gr:2,5:1,3", "gr:2,5:3,5"),

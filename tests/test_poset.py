@@ -1,12 +1,13 @@
 """Unit tests for quotient-poset construction, order, degrees, duality."""
 
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import heap_quotient, is_reduced, poset_json_dict, word_dual
+from oracles import heap_quotient, is_reduced, min_word, poset_json_dict, word_bfs, word_dual
 from schubflex import poset, weyl
 from schubflex.poset import (
     InternalError,
@@ -15,6 +16,7 @@ from schubflex.poset import (
     minuscule,
     quotient,
 )
+from schubflex.tits import make_context
 
 
 def _by_dim_then_ids(poset, pairs):
@@ -66,8 +68,8 @@ def test_projective_plane_by_hand():
     assert [n.dim for n in p2.nodes] == [0, 1, 2]
     assert [n.degree for n in p2.nodes] == [1, 1, 1]
     assert [n.fingerprint for n in p2.nodes] == [(1, 0), (-1, 1), (0, -1)]
-    assert p2.node("n001").min_word == (1,)
-    assert p2.node("n002").min_word == (1, 2)
+    assert min_word(p2, p2.node("n001")) == (1,)
+    assert min_word(p2, p2.node("n002")) == (1, 2)
 
 
 def test_g24_shape_and_degrees(g24):
@@ -111,13 +113,40 @@ def test_known_quotient_sizes():
         assert len(p.nodes) == size, f"{family}{rank}/{sorted(marked)}"
 
 
-def test_min_words_are_reduced_and_consistent(e6):
-    datum = e6.datum
-    lam = (0, 0, 0, 0, 0, 1)
-    for n in e6.nodes:
-        assert is_reduced(datum, n.min_word)
-        assert len(n.min_word) == n.dim
-        assert weyl.act(datum, tuple(reversed(n.min_word)), lam) == n.fingerprint
+def _word_posets():
+    e7p6 = make_context(weyl.build_cartan("E", 7), {7}, {6}).q_poset
+    assert len(e7p6.nodes) == 756
+    return [quotient("e6"), quotient("e7"), e7p6] + [
+        quotient(*selector) for selector in (("gr", 4, 9), ("og", 8), ("lg", 6), ("quad", 9))
+    ]
+
+
+def test_min_words_are_reduced_and_consistent():
+    # Each word is read off by walking BFS parents, and must be the word a
+    # BFS that carries every word finds for the same class.
+    for p in _word_posets():
+        datum = p.datum
+        oracle = word_bfs(datum, p.marked)
+        assert len(oracle) == len(p.nodes)
+        lam = tuple(1 if i + 1 in p.marked else 0 for i in range(datum.rank))
+        for n in p.nodes:
+            word = min_word(p, n)
+            assert word == oracle[n.fingerprint], (p.type_label(), n.id)
+            assert len(word) == n.dim and is_reduced(datum, word)
+            assert weyl.act(datum, tuple(reversed(word)), lam) == n.fingerprint
+
+
+def test_classes_hold_no_tuple_longer_than_the_rank():
+    # A class stores its BFS parent's index and one letter, not its minimal
+    # word, so its footprint is O(rank) at every dimension.
+    for p in _word_posets():
+        for n in p.nodes:
+            for name in poset.SchubertNode.__slots__:
+                value = getattr(n, name)
+                if isinstance(value, tuple):
+                    assert len(value) == p.datum.rank, (p.type_label(), n.id, name)
+                else:
+                    assert value is None or type(value) in (int, str), (n.id, name, value)
 
 
 def test_graded_with_unique_ends(e6, og510):
@@ -400,8 +429,14 @@ def test_size_cap_enforced():
         build_quotient_poset(weyl.build_cartan("E", 7), set(range(1, 8)))
 
 
+def _exported(export) -> str:
+    out = io.StringIO()
+    export(out)
+    return out.getvalue()
+
+
 def test_json_export_shape(g24):
-    doc = json.loads(g24.to_json())
+    doc = json.loads(_exported(g24.to_json))
     assert doc["type"] == "A3"
     assert doc["parabolic"] == [2]
     assert len(doc["nodes"]) == 6
@@ -410,7 +445,7 @@ def test_json_export_shape(g24):
     for lo, hi in doc["covers"]:
         assert lo in ids and hi in ids
     # byte-determinism
-    assert g24.to_json() == g24.to_json()
+    assert _exported(g24.to_json) == _exported(g24.to_json)
 
 
 def test_json_export_matches_the_stdlib_encoder():
@@ -422,11 +457,11 @@ def test_json_export_matches_the_stdlib_encoder():
     for selector in selectors:
         p = quotient(*selector)
         expected = json.dumps(poset_json_dict(p), sort_keys=True, indent=2) + "\n"
-        assert p.to_json() == expected, selector
+        assert _exported(p.to_json) == expected, selector
 
 
 def test_dot_export_shape(g24):
-    dot = g24.to_dot()
+    dot = _exported(g24.to_dot)
     assert dot.startswith("digraph")
     assert 'n000 [label="0:1"];' in dot
     assert dot.count("->") == len(g24.covers)

@@ -150,9 +150,16 @@ def test_hasse_json_dot_and_refusals_load_no_later_module():
 
 
 def test_class_specs_refused_for_their_family_or_selector_load_no_classical():
-    # The selector part is read before the classical index types are needed.
-    commands = (("classify", "zz:1:2"), ("degree", "gr:x,5:1"), ("dual", "og:5,5:1"))
-    assert _loaded_after(*commands) == "[2, 2, 2] []"
+    # The selector part is read, and its rank bounded, before the classical
+    # index types are needed.
+    commands = (
+        ("classify", "zz:1:2"),
+        ("degree", "gr:x,5:1"),
+        ("dual", "og:5,5:1"),
+        ("classify", "gr:3,1000000:1,3,4"),
+        ("dual", "og:1000000:1,2"),
+    )
+    assert _loaded_after(*commands) == "[2, 2, 2, 2, 2] []"
 
 
 def test_hasse_text_loads_golden_for_its_tokens_only():

@@ -2,7 +2,14 @@
 
 import pytest
 
-from oracles import max_rep_word, scan_depth2_oracle, scan_witness, sweep_targets, w0q_word
+from oracles import (
+    max_rep_word,
+    min_word,
+    scan_depth2_oracle,
+    scan_witness,
+    sweep_targets,
+    w0q_word,
+)
 from schubflex import poset, weyl
 from schubflex.golden import node_token, resolve_token
 from schubflex.poset import build_quotient_poset
@@ -53,7 +60,7 @@ def test_a2_max_rep_concatenation(a2ctx):
     # w0_Q is the longest element of the subgroup missing node 2, so <s1>
     assert w0q_word(a2ctx) == (1,)
     mid = a2ctx.q_poset.nodes_by_dim(1)[0]
-    assert max_rep_word(a2ctx, mid) == (1,) + tuple(mid.min_word)
+    assert max_rep_word(a2ctx, mid) == (1,) + min_word(a2ctx.q_poset, mid)
 
 
 def test_transform_shift_table():
