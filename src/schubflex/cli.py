@@ -238,15 +238,25 @@ def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
     return 0
 
 
+def _print_degree(degree: int) -> None:
+    try:
+        text = str(degree)
+    except ValueError:  # past sys.get_int_max_str_digits(), whose advice is not ours to give
+        raise ValueError(
+            f"the degree has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
+    print(text)
+
+
 def cmd_degree(spec: str) -> int:
-    parsed = parse_class_spec(spec)
+    parsed = parse_class_spec(spec, bounded=True)
     if isinstance(parsed, tuple):
         target, token = parsed
         print(_module(".golden").resolve_token(quotient(target), token).degree)
         return 0
     classical = _module(".classical")
     if isinstance(parsed, classical.GrIndex):
-        print(classical.gr_degree(parsed))
+        _print_degree(classical.gr_degree(parsed))
         return 0
     if isinstance(parsed, classical.QuadricIndex):
         print(classical.quadric_degree(parsed))
@@ -294,12 +304,18 @@ def _parse_type(text: str):
     return body[0], rank
 
 
+def _dump_json(blob) -> None:
+    """Print ``blob`` as json.dumps(blob, sort_keys=True, indent=2) spells it, written as encoded."""
+    _module("json").dump(blob, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
+
+
 def cmd_tits(type_name: str, p: int, q: int, output: str = "text") -> int:
     tits = _module(".tits")
     family, rank = _parse_type(type_name)
     ctx = tits.make_context(weyl.build_cartan(family, rank), {p}, {q})
     if output == "json":
-        print(_module("json").dumps(tits.context_json_dict(ctx), sort_keys=True, indent=2))
+        _dump_json(tits.context_json_dict(ctx))
         return 0
     print(f"context: {ctx.label()}  d_tau={ctx.d_tau}")
     for row in tits.transform_rows(ctx):
@@ -320,7 +336,7 @@ def cmd_verify(target: str, golden_dir: str | None = None, output: str = "text")
         reports = [getattr(verify, f"verify_{target}")(golden_dir)]
     if output == "json":
         blob = [r.to_json_dict() for r in reports]
-        print(_module("json").dumps(blob[0] if len(blob) == 1 else blob, sort_keys=True, indent=2))
+        _dump_json(blob[0] if len(blob) == 1 else blob)
     else:
         for r in reports:
             sys.stdout.write(r.to_text())

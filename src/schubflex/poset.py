@@ -40,11 +40,23 @@ Facts the implementation leans on:
 :func:`quotient_size` checks its class count before anything is built.  It
 keeps each poset it builds for the life of the process, so all callers share
 one object per quotient, which is therefore immutable (frozen nodes, degrees
-fixed at construction).  Each direction of the order is stored once, as
-tuples of nodes; ``covers`` derives the (lo id, hi id) pairs, and the exports
-write the same pairs to a stream a batch at a time, with the minimal words
-rebuilt in BFS order as they go.  Inside the package a class is passed as its
-node; ids appear only in output, golden tables and certificate payloads.
+fixed at construction).  What a poset holds, and when:
+
+* Built with it: the nodes, in BFS order (so dimension order, which makes
+  each dimension one slice of them), where each slice starts, and each
+  class's lower covers as a tuple of nodes, keyed by id.  That serves
+  ``lower_covers``, ``lower_interval``, ``nodes_by_dim``, ``top`` and the
+  exports.
+* Built on first use, then kept: the lookups by id (``node``), by
+  fingerprint (``node_by_fingerprint``, ``poincare_dual``) and by
+  (dimension, degree) (``find_nodes``), and the upper covers
+  (``upper_covers``).  ``hasse --json``/``--dot`` build none of them.
+* Never held whole: ``covers`` and the exports gather the cover pairs one
+  dimension at a time, and the exports write them to a stream a
+  batch at a time, with the minimal words rebuilt in BFS order as they go.
+
+Inside the package a class is passed as its node; ids appear only in
+output, golden tables and certificate payloads.
 
 :data:`QUOTIENTS` is the one family table, from a head to its selector's
 form and its quotient; :func:`quotient` serves every caller that names a family.
@@ -52,7 +64,7 @@ form and its quotient; :func:`quotient` serves every caller that names a family.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 from . import weyl
@@ -100,32 +112,79 @@ class SchubertNode(Frozen):
 class QuotientPoset:
     """Bruhat poset of W_P \\ W for a marked node set, built by build_quotient_poset.
 
-    ``down[i]`` lists the indices of the lower covers of ``nodes[i]``.
-    Shared between callers, so never mutated after construction.
+    ``down[i]`` lists the indices of the lower covers of ``nodes[i]``; the
+    poset takes the lists over and drops each one once its covers are
+    stored, so the two copies are never held whole.  Shared between callers,
+    so never mutated after construction, apart from the lookups built on
+    first use.
     """
 
-    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, down):
+    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, down: list):
         self.datum = datum
         self.marked = marked
         self.nodes = nodes
-        self._by_id = {n.id: n for n in nodes}
-        self._by_fp = {n.fingerprint: n for n in nodes}
-        self._by_dim, self._by_dim_degree = {}, {}  # dim, (dim, degree) -> nodes
-        up: list[list[SchubertNode]] = [[] for _ in nodes]
-        for n, los in zip(nodes, down):
-            self._by_dim.setdefault(n.dim, []).append(n)
-            self._by_dim_degree.setdefault((n.dim, n.degree), []).append(n)
-            for lo in los:
-                up[lo].append(n)
-        # Ids are zero-padded node indices, so index order is id order.
-        self._up = {n.id: tuple(his) for n, his in zip(nodes, up)}
-        self._down = {n.id: tuple(map(nodes.__getitem__, sorted(los))) for n, los in zip(nodes, down)}
-        self.dimension = max(n.dim for n in nodes)
+        self._down = {}  # id -> lower covers, in id order
+        starts = []  # nodes[starts[d]:starts[d + 1]] are the classes of dimension d
+        for k, n in enumerate(nodes):
+            # Ids are zero-padded node indices, so index order is id order.
+            self._down[n.id] = tuple(map(nodes.__getitem__, sorted(down[k])))
+            down[k] = None
+            if n.dim == len(starts):
+                starts.append(k)
+            elif n.dim != len(starts) - 1:
+                raise InternalError(f"class {n.id} of dim {n.dim} is out of BFS order")
+        self._starts = (*starts, len(nodes))
+        self.dimension = len(starts) - 1
+
+    @cached_property
+    def _by_id(self) -> dict:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _by_fp(self) -> dict:
+        return {n.fingerprint: n for n in self.nodes}
+
+    @cached_property
+    def _by_dim_degree(self) -> dict:
+        found: dict[tuple, list[SchubertNode]] = {}
+        for n in self.nodes:
+            found.setdefault((n.dim, n.degree), []).append(n)
+        return found
+
+    @cached_property
+    def _up(self) -> dict:
+        """Id -> upper covers, in id order."""
+        up: dict[str, list[SchubertNode]] = {n.id: [] for n in self.nodes}
+        for hi in self.nodes:
+            for lo in self._down[hi.id]:
+                up[lo.id].append(hi)
+        return {lo: tuple(his) for lo, his in up.items()}
+
+    def _layer(self, dim: int) -> tuple:
+        """The classes of dimension ``dim``, in id order."""
+        if not 0 <= dim <= self.dimension:
+            return ()
+        return self.nodes[self._starts[dim] : self._starts[dim + 1]]
+
+    def _cover_pairs(self):
+        """(lo id, hi id) of every cover: lo in id order, then hi.
+
+        Every cover raises the dimension by one, so the upper covers are
+        gathered one dimension at a time and never held for the whole poset.
+        """
+        for dim in range(self.dimension):
+            up: dict[str, list[str]] = {n.id: [] for n in self._layer(dim)}
+            for hi in self._layer(dim + 1):
+                for lo in self._down[hi.id]:
+                    up[lo.id].append(hi.id)
+            for lo, his in up.items():
+                for hi in his:
+                    yield lo, hi
 
     @property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """(lo id, hi id) of every cover, sorted: lo in id order, then hi."""
-        return tuple([(lo, hi.id) for lo, his in self._up.items() for hi in his])
+        return tuple(self._cover_pairs())
 
     # -- lookup -----------------------------------------------------------
 
@@ -139,13 +198,13 @@ class QuotientPoset:
         return self.nodes[0]
 
     def top(self) -> SchubertNode:
-        tops = self._by_dim[self.dimension]
+        tops = self._layer(self.dimension)
         if len(tops) != 1:
             raise InternalError(f"quotient poset has {len(tops)} maximal classes")
         return tops[0]
 
     def nodes_by_dim(self, dim: int) -> list[SchubertNode]:
-        return list(self._by_dim.get(dim, ()))
+        return list(self._layer(dim))
 
     def find_nodes(self, dim: int, degree: int) -> list[SchubertNode]:
         return list(self._by_dim_degree.get((dim, degree), ()))
@@ -225,8 +284,8 @@ class QuotientPoset:
                 )
 
         out.write('{\n  "covers": ')
-        pairs = ((lo, hi.id) for lo, his in self._up.items() for hi in his)
-        _write_list(out, (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in pairs), 1)
+        pairs = (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in self._cover_pairs())
+        _write_list(out, pairs, 1)
         out.write(',\n  "nodes": ')
         _write_list(out, nodes(), 1)
         out.write(
@@ -240,8 +299,7 @@ class QuotientPoset:
         out.write('  node [shape=plaintext, fontname="Helvetica"];\n')
         labels = (n.dim if n.degree is None else f"{n.dim}:{n.degree}" for n in self.nodes)
         _write_batches(out, (f'  {n.id} [label="{to}"];\n' for n, to in zip(self.nodes, labels)))
-        pairs = ((lo, hi.id) for lo, his in self._up.items() for hi in his)
-        _write_batches(out, (f"  {lo} -> {hi};\n" for lo, hi in pairs))
+        _write_batches(out, (f"  {lo} -> {hi};\n" for lo, hi in self._cover_pairs()))
         out.write("}\n")
 
 

@@ -193,7 +193,7 @@ def test_over_cap_selectors_refuse_before_any_cartan_datum(monkeypatch, capsys):
     "argv",
     [
         ["hasse", "lg:100000000000000"],
-        ["degree", "og:100000000000000:1"],
+        ["degree", "og:4471:1"],  # the largest og under the rank bound
         ["hasse", "gr:200000,400000"],
         ["hasse", "lg:10000000"],
         ["hasse", "og:20000"],
@@ -498,6 +498,26 @@ def test_classify_and_dual_answer_at_the_rank_bound(capsys):
     ):
         rc, out, err = run(argv, capsys)
         assert rc == 0 and err == "" and out, argv
+
+
+def test_degree_refuses_a_selector_past_the_rank_bound(capsys):
+    # As classify and dual do: before the bound, degree of this class spent
+    # seconds in the hook length product, then failed to print the result.
+    rc, out, err = run(["degree", "gr:3,30000:29998,29999,30000"], capsys)
+    assert (rc, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith("error: bad selector 'gr:3,30000': rank 29999 is too large")
+
+
+def test_degree_past_the_digit_limit_is_refused_in_its_own_words(capsys):
+    # The degree of gr:3,3000:2998,2999,3000 has 4,276 digits and prints; the
+    # one of gr:3,4000 has more than Python converts to text, and the refusal
+    # must not pass on Python's advice to lift that limit.
+    rc, out, err = run(["degree", "gr:3,3000:2998,2999,3000"], capsys)
+    assert (rc, err, len(out)) == (0, "", 4277) and out.rstrip().isdecimal()
+    rc, out, err = run(["degree", "gr:3,4000:3998,3999,4000"], capsys)
+    limit = sys.get_int_max_str_digits()
+    assert (rc, out) == (2, "")
+    assert err == f"error: the degree has more than {limit} digits, too many to print\n"
 
 
 def test_dual_values(capsys):

@@ -158,8 +158,9 @@ def test_class_specs_refused_for_their_family_or_selector_load_no_classical():
         ("dual", "og:5,5:1"),
         ("classify", "gr:3,1000000:1,3,4"),
         ("dual", "og:1000000:1,2"),
+        ("degree", "gr:3,30000:29998,29999,30000"),
     )
-    assert _loaded_after(*commands) == "[2, 2, 2, 2, 2] []"
+    assert _loaded_after(*commands) == "[2, 2, 2, 2, 2, 2] []"
 
 
 def test_hasse_text_loads_golden_for_its_tokens_only():
