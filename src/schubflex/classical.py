@@ -20,7 +20,7 @@ shifted values into (value, multiplicity) runs, written mu_1^{i_1}...mu_t^{i_t}.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, fsum, lgamma, log
 
 from .frozen import Frozen
 
@@ -107,6 +107,21 @@ def standard_tableau_count(shape: tuple[int, ...]) -> int:
 def gr_degree(idx: GrIndex) -> int:
     """Projective degree of sigma_lambda in the Pluecker embedding."""
     return standard_tableau_count(tuple(sorted(shifted(idx.lam), reverse=True)))
+
+
+def gr_degree_log10(idx: GrIndex) -> float:
+    """log10 of gr_degree(idx) in floats, O(k^2): a digit count without the exact product.
+
+    It is log10(cells!) less the log10 of the hook product, summed a row at a
+    time: with k rows and l_i = shape[i] + k - 1 - i, the hook lengths of row
+    i are 1..l_i without the l_i - l_j of the rows j below it (Frobenius).
+    """
+    shape = sorted(shifted(idx.lam), reverse=True)
+    firsts = [part + len(shape) - 1 - i for i, part in enumerate(shape)]
+    logs = lgamma(sum(shape) + 1)
+    for i, first in enumerate(firsts):
+        logs += fsum(map(log, [first - below for below in firsts[i + 1 :]])) - lgamma(first + 1)
+    return logs / log(10)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import math
 import os
 import sys
 
@@ -111,20 +112,19 @@ def read_selector(head: str, params: str) -> tuple[int, ...]:
     return k, n
 
 
-def parse_class_spec(spec: str, bounded: bool = False):
-    """A classical index object, or ("e6"|"e7", token) for exceptional specs.
+def parse_class_spec(spec: str):
+    """A classical index object, or ("e6"|"e7", node) for exceptional specs.
 
-    ``bounded`` refuses a classical spec whose selector's rank fails
-    :func:`weyl.check_rank` before its index is built.
+    A classical selector's rank is bounded (:func:`weyl.check_rank`) before its index is built.
     """
     head, sep, body = spec.partition(":")
     if not sep:
         raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
     if head in GOLDEN_POSETS:  # the selector part is the head: the token holds a colon
-        return (head, body)
+        return head, _module(".golden").resolve_token(quotient(head), body)
     text, _, body = body.partition(":")
     params = read_selector(head, text)
-    if bounded and (head, params) != ("quad", (2,)):  # Q^2 has no quotient of its own
+    if (head, params) != ("quad", (2,)):  # Q^2 has no quotient of its own
         try:
             weyl.check_rank(QUOTIENTS[head][1](*params, 0)[1])
         except ValueError as exc:
@@ -205,18 +205,15 @@ def _classical_witness(idx):
 
 
 def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
-    parsed = parse_class_spec(spec, bounded=True)
+    parsed = parse_class_spec(spec)  # a refused token never loads the pipeline
     if isinstance(parsed, tuple):
-        target, token = parsed
-        node = _module(".golden").resolve_token(quotient(target), token)
-        # a refused token never loads the pipeline
+        target, node = parsed
         row = _module(".verify").certificates(target, golden_dir).row(node)
         print(f"class: {target}:{row['token']}")
         print(f"dimension: {row['dim']}")
         print(f"degree: {row['degree']}")
         print(f"decoration: {row['decoration']}")
-        certs = ", ".join(row["certificates"]) if row["certificates"] else "none"
-        print(f"certificates: {certs}")
+        print(f"certificates: {', '.join(row['certificates']) or 'none'}")
         for detail in row["details"]:
             print(f"  [{detail['kind']}]")
             for key in sorted(detail):
@@ -238,25 +235,30 @@ def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
     return 0
 
 
-def _print_degree(degree: int) -> None:
-    try:
-        text = str(degree)
-    except ValueError:  # past sys.get_int_max_str_digits(), whose advice is not ours to give
-        raise ValueError(
-            f"the degree has more than {sys.get_int_max_str_digits()} digits, too many to print"
-        ) from None
-    print(text)
+def _print_gr_degree(idx) -> None:
+    """Print a gr degree, refused past sys.get_int_max_str_digits() (0 sets no limit).
+
+    The degree is at most (k(n-k))!; past that, a float estimate refuses before the product.
+    """
+    classical, limit = _module(".classical"), sys.get_int_max_str_digits()
+    big = limit and math.lgamma(idx.k * (idx.n - idx.k) + 1) >= (limit + 1) * math.log(10)
+    if not big or classical.gr_degree_log10(idx) < limit + 1:  # + 1: past the float error
+        try:
+            print(classical.gr_degree(idx))  # str() raises before anything is written
+            return
+        except ValueError:  # past the limit, whose advice is not ours to give
+            pass
+    raise ValueError(f"the degree has more than {limit} digits, too many to print")
 
 
 def cmd_degree(spec: str) -> int:
-    parsed = parse_class_spec(spec, bounded=True)
+    parsed = parse_class_spec(spec)
     if isinstance(parsed, tuple):
-        target, token = parsed
-        print(_module(".golden").resolve_token(quotient(target), token).degree)
+        print(parsed[1].degree)
         return 0
     classical = _module(".classical")
     if isinstance(parsed, classical.GrIndex):
-        _print_degree(classical.gr_degree(parsed))
+        _print_gr_degree(parsed)
         return 0
     if isinstance(parsed, classical.QuadricIndex):
         print(classical.quadric_degree(parsed))
@@ -275,12 +277,11 @@ def cmd_degree(spec: str) -> int:
 
 
 def cmd_dual(spec: str) -> int:
-    parsed = parse_class_spec(spec, bounded=True)
+    parsed = parse_class_spec(spec)
     if isinstance(parsed, tuple):
-        target, token = parsed
-        poset, golden = quotient(target), _module(".golden")
-        node = golden.resolve_token(poset, token)
-        print(f"{target}:{golden.node_token(poset, poset.poincare_dual(node))}")
+        target, node = parsed
+        poset = quotient(target)
+        print(f"{target}:{_module('.golden').node_token(poset, poset.poincare_dual(node))}")
         return 0
     classical = _module(".classical")
     if isinstance(parsed, classical.GrIndex):

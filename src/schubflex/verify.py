@@ -3,9 +3,10 @@
 Every class of the two exceptional posets carries a frozen decoration:
 "rigid", "plus" (Bertini-movable), "star" (cone-movable) or "T"
 (transform-movable).  :func:`certificates` is the one pipeline that runs
-every witness engine from scratch on the shared posets; verification holds
-the decorations it collects to the following rules, and ``classify`` prints
-the same row for a single class:
+every witness engine from scratch on the shared posets, once per process for
+each poset and golden directory; verification holds the decorations it
+collects to the following rules, and ``classify`` prints the same row for a
+single class:
 
 * a rigid class must collect no certificate at all;
 * a non-rigid class must collect at least one;
@@ -20,9 +21,13 @@ through the live sweep.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
+
 from .classical import fingerprint_to_og
 from .frozen import Frozen
 from .golden import (
+    golden_dir as resolve_golden_dir,
     load_golden_poset,
     load_transform_table,
     node_token,
@@ -115,9 +120,7 @@ def _cone_certificates(
 ) -> None:
     phi = cone_embedding(sub, ambient, apex)
     if phi is None:
-        problems.append(
-            f"no cone embedding of {base_name} under the apex {apex.id}"
-        )
+        problems.append(f"no cone embedding of {base_name} under the apex {apex.id}")
         return
     for s in sub.nodes:
         if not base_is_flexible(s):
@@ -139,9 +142,7 @@ def _cone_certificates(
         )
 
 
-def _tits_certificates(
-    certs: dict[str, list[Witness]], ctx: TitsContext, oracle
-) -> None:
+def _tits_certificates(certs: dict[str, list[Witness]], ctx: TitsContext, oracle) -> None:
     for node in ctx.p_poset.nodes:
         w = tits_flexibility_witness(ctx, node, oracle)
         if w is not None:
@@ -195,8 +196,8 @@ class Certificates(Frozen):
     """Every engine's witnesses on one decorated poset; built by certificates().
 
     ``golden`` is the poset's :class:`GoldenPoset`, ``witnesses`` maps each
-    class id to its list of witnesses, and ``problems`` lists what went wrong;
-    the dict makes the record unhashable.
+    class id to the tuple of its witnesses, read-only, and ``problems`` is a
+    tuple of what went wrong: every caller in the process shares the record.
     """
 
     __slots__ = ("poset", "golden", "witnesses", "problems")
@@ -215,72 +216,75 @@ class Certificates(Frozen):
         }
 
 
-def _e7_interval(e6p6: QuotientPoset, problems: list[str]):
-    """The sweep E7/P1 -> E7/P7 and the 27-class copy psi inside E7/P1.
+@lru_cache(maxsize=None)
+def _e7_interval(e6p6: QuotientPoset):
+    """The sweep E7/P1 -> E7/P7, the 27-class copy psi inside E7/P1, and its problems.
 
     psi maps the 27-class poset onto the interval below the sweep of the
-    E7/P7 bottom class into E7/P1; it is None, with a problem noted, when the
-    interval carries no graded copy.
+    E7/P7 bottom class into E7/P1, read-only; it is None, with one problem,
+    when the interval carries no graded copy.  Both the e7 certificates and
+    the transform table read it, so the search runs once per 27-class poset.
     """
     datum = quotient("e7").datum
     ctx71 = make_context(datum, {7}, {1})
     ctx17 = make_context(datum, {1}, {7})
     apex = transform(ctx17, ctx17.q_poset.bottom())
     psi = interval_isomorphism(e6p6, ctx71.q_poset, apex)
-    if psi is None:
-        problems.append(
-            f"no graded copy of the 27-class poset under the interval apex {apex.id}"
-        )
-    return ctx71, psi
+    gap = f"no graded copy of the 27-class poset under the interval apex {apex.id}"
+    return (ctx71, None, (gap,)) if psi is None else (ctx71, MappingProxyType(psi), ())
 
 
 def certificates(target: str, golden_dir=None) -> Certificates:
-    """Run every witness engine on the e6 or e7 poset.
+    """Every witness engine's certificates on the e6 or e7 poset, run once per process.
 
-    Both targets load the 27-class table: e7's cone and interval gates read
-    its decorations.
+    The golden directory is resolved as :func:`schubflex.golden.golden_dir`
+    does, and the record is kept per shared poset and resolved directory, so
+    a rebuilt poset or another directory gets a run of its own.
     """
+    return _certificates(target, quotient(target), resolve_golden_dir(golden_dir))
+
+
+@lru_cache(maxsize=None)
+def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
+    # Both targets load the 27-class table: e7's cone and interval gates read it.
     problems: list[str] = []
     e6p6 = quotient("e6")
-    golden6 = load_golden_poset("e6", golden_dir)
-
+    golden6 = load_golden_poset("e6", directory)
+    golden = golden6 if target == "e6" else load_golden_poset("e7", directory)
+    certs = _basic_certificates(poset)
     if target == "e6":
-        certs = _basic_certificates(e6p6)
         _cone_certificates(
             certs,
             problems,
-            e6p6,
+            poset,
             quotient("og", 5),
-            resolve_token(e6p6, "11:12"),
+            resolve_token(poset, "11:12"),
             lambda s: moduli_witness_isotropic(fingerprint_to_og(5, s.fingerprint)) is not None,
             "the 10-dimensional spinor quotient",
         )
-        ctx61 = make_context(e6p6.datum, {6}, {1})
+        ctx61 = make_context(poset.datum, {6}, {1})
         _tits_certificates(certs, ctx61, lambda src: basic_witness_homes(ctx61.q_poset, src))
-        ctx65 = make_context(e6p6.datum, {6}, {5})
-        _tits_certificates(certs, ctx65, depth2_oracle(make_context(e6p6.datum, {5}, {6})))
-        return Certificates(e6p6, golden6, certs, problems)
-
-    e7p7 = quotient("e7")
-    golden7 = load_golden_poset("e7", golden_dir)
-
-    certs = _basic_certificates(e7p7)
-    flexible6 = {n.id for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"}
-    _cone_certificates(
-        certs,
-        problems,
-        e7p7,
-        e6p6,
-        resolve_token(e7p7, "17:78"),
-        lambda s: s.id in flexible6,
-        "the 16-dimensional 27-class quotient",
-    )
-    ctx71, psi = _e7_interval(e6p6, problems)
-    if psi is not None:
-        _tits_certificates(certs, ctx71, interval_oracle(ctx71, psi, flexible6))
-    ctx76 = make_context(e7p7.datum, {7}, {6})
-    _tits_certificates(certs, ctx76, depth2_oracle(make_context(e7p7.datum, {6}, {7})))
-    return Certificates(e7p7, golden7, certs, problems)
+        ctx65 = make_context(poset.datum, {6}, {5})
+        _tits_certificates(certs, ctx65, depth2_oracle(make_context(poset.datum, {5}, {6})))
+    else:
+        flexible6 = {n.id for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"}
+        _cone_certificates(
+            certs,
+            problems,
+            poset,
+            e6p6,
+            resolve_token(poset, "17:78"),
+            lambda s: s.id in flexible6,
+            "the 16-dimensional 27-class quotient",
+        )
+        ctx71, psi, gap = _e7_interval(e6p6)
+        problems += gap
+        if psi is not None:
+            _tits_certificates(certs, ctx71, interval_oracle(ctx71, psi, flexible6))
+        ctx76 = make_context(poset.datum, {7}, {6})
+        _tits_certificates(certs, ctx76, depth2_oracle(make_context(poset.datum, {6}, {7})))
+    witnesses = MappingProxyType({key: tuple(found) for key, found in certs.items()})
+    return Certificates(poset, golden, witnesses, tuple(problems))
 
 
 def _apply_rules(report: VerifyReport, found: Certificates) -> None:
@@ -317,12 +321,10 @@ def verify_e6(golden_dir=None) -> VerifyReport:
     return report
 
 
-def verify_e7(golden_dir=None, e6_report: VerifyReport | None = None) -> VerifyReport:
+def verify_e7(golden_dir=None) -> VerifyReport:
     """Check the 56-class decorations; trusts the 27-class report it verifies."""
     report = VerifyReport("e7")
-    if e6_report is None:
-        e6_report = verify_e6(golden_dir)
-    if not e6_report.ok:
+    if not verify_e6(golden_dir).ok:
         report.problems.append(
             "the 27-class decorations failed verification and cannot gate "
             "the cone and interval certificates here"
@@ -338,7 +340,8 @@ def verify_table1(golden_dir=None) -> VerifyReport:
     golden6 = load_golden_poset("e6", golden_dir)
     golden7 = load_golden_poset("e7", golden_dir)
 
-    ctx71, psi = _e7_interval(e6p6, report.problems)
+    ctx71, psi, gap = _e7_interval(e6p6)
+    report.problems += gap
     if psi is None:
         return report
 
@@ -389,9 +392,4 @@ def verify_table1(golden_dir=None) -> VerifyReport:
 
 
 def verify_all(golden_dir=None) -> list[VerifyReport]:
-    e6_report = verify_e6(golden_dir)
-    return [
-        e6_report,
-        verify_e7(golden_dir, e6_report=e6_report),
-        verify_table1(golden_dir),
-    ]
+    return [verify_e6(golden_dir), verify_e7(golden_dir), verify_table1(golden_dir)]

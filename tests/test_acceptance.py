@@ -61,7 +61,7 @@ def report_e6():
 
 @pytest.fixture(scope="module")
 def report_e7(report_e6):
-    return verify_e7(e6_report=report_e6)
+    return verify_e7()
 
 
 def _degree_table(poset):

@@ -1,7 +1,7 @@
 """Unit tests for classical index arithmetic."""
 
 from itertools import combinations
-from math import comb
+from math import comb, log10
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +157,22 @@ def test_standard_tableau_count_of_large_shapes():
     assert classical.standard_tableau_count((1500, 1500)) == catalan(1500)
     assert classical.gr_degree(GrIndex(2, 3002, (3001, 3002))) == catalan(3000)
     assert classical.gr_degree(GrIndex(1, 3001, (3001,))) == 1
+
+
+def _gr_index_of(shape):
+    """A GrIndex whose degree counts the standard tableaux of ``shape``."""
+    lam = tuple(part + i for i, part in enumerate(sorted(shape) or [0], start=1))
+    return GrIndex(len(lam), lam[-1] + 1, lam)
+
+
+def test_gr_degree_log10_estimates_the_digits_of_the_degree():
+    # The estimate lets degree refuse a class before the exact product.
+    for shape in (shape for cells in range(13) for shape in _partitions(cells, cells)):
+        expected = log10(corner_peeling_count(shape))
+        assert abs(classical.gr_degree_log10(_gr_index_of(shape)) - expected) < 1e-9, shape
+    for shape in [(2997,) * 3, (1500, 1500), (3000,), tuple(range(60, 0, -1)), (40,) * 40]:
+        expected = log10(classical.standard_tableau_count(shape))
+        assert abs(classical.gr_degree_log10(_gr_index_of(shape)) - expected) < 1e-6, shape
 
 
 def test_gr_degree_memo_holds_only_the_queried_shape():

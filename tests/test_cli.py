@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from math import comb
 
 import jsonschema
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import word_dual
-from schubflex import cli, poset, weyl, witnesses
+from schubflex import classical, cli, poset, weyl, witnesses
 from schubflex.classical import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
 from schubflex.golden import golden_dir, node_token
@@ -515,6 +516,38 @@ def test_degree_past_the_digit_limit_is_refused_in_its_own_words(capsys):
     rc, out, err = run(["degree", "gr:3,3000:2998,2999,3000"], capsys)
     assert (rc, err, len(out)) == (0, "", 4277) and out.rstrip().isdecimal()
     rc, out, err = run(["degree", "gr:3,4000:3998,3999,4000"], capsys)
+    limit = sys.get_int_max_str_digits()
+    assert (rc, out) == (2, "")
+    assert err == f"error: the degree has more than {limit} digits, too many to print\n"
+
+
+def test_degrees_on_both_sides_of_the_digit_limit(capsys):
+    # gr:2,m+2:m+1,m+2 has degree Catalan(m), the hook length count of the
+    # 2 x m rectangle, with 634 to 648 digits here.  Up to the limit it prints
+    # in full; past it, refused on the estimate or on the exact value alike.
+    limit = 640
+    texts = {m: str(comb(2 * m, m) // (m + 1)) for m in range(1060, 1085)}
+    assert {limit - 1, limit, limit + 1, limit + 2} <= {len(t) for t in texts.values()}
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = {m: run(["degree", f"gr:2,{m + 2}:{m + 1},{m + 2}"], capsys) for m in texts}
+    finally:
+        sys.set_int_max_str_digits(old)
+    refused = f"error: the degree has more than {limit} digits, too many to print\n"
+    for m, text in texts.items():
+        want = (0, text + "\n", "") if len(text) <= limit else (2, "", refused)
+        assert got[m] == want, m
+
+
+def test_degree_far_past_the_digit_limit_is_refused_on_its_estimate(capsys, monkeypatch):
+    # 90,000 cells: the exact hook product spent seconds here before the
+    # refusal; a float estimate of the digit count refuses without it.
+    def exact(idx):
+        raise AssertionError("the exact degree was computed")
+
+    monkeypatch.setattr(classical, "gr_degree", exact)
+    rc, out, err = run(["degree", "gr:300,600:" + ",".join(map(str, range(301, 601)))], capsys)
     limit = sys.get_int_max_str_digits()
     assert (rc, out) == (2, "")
     assert err == f"error: the degree has more than {limit} digits, too many to print\n"

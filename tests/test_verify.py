@@ -12,8 +12,8 @@ import shutil
 
 import pytest
 
-from schubflex import poset
-from schubflex.golden import GoldenDataError, golden_dir
+from schubflex import poset, verify
+from schubflex.golden import GOLDEN_ENV_VAR, GoldenDataError, golden_dir
 from schubflex.poset import quotient
 from schubflex.verify import certificates, verify_all, verify_e6, verify_e7, verify_table1
 
@@ -76,7 +76,7 @@ def report_e6():
 
 @pytest.fixture(scope="module")
 def report_e7(report_e6):
-    return verify_e7(e6_report=report_e6)
+    return verify_e7()
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,81 @@ def test_verify_all_builds_each_quotient_once():
 @pytest.mark.parametrize("target", ["e6", "e7"])
 def test_certificates_run_on_the_family_table_poset(target):
     assert certificates(target).poset is quotient(target)
+
+
+@pytest.mark.parametrize("target", ["e6", "e7"])
+def test_certificates_run_once_per_shared_poset(target):
+    first = certificates(target)
+    assert certificates(target) is first
+    poset._quotient.cache_clear()
+    fresh = certificates(target)
+    assert fresh is not first and fresh.poset is quotient(target)
+    assert certificates(target) is fresh
+
+
+def test_certificates_run_once_per_golden_directory(tmp_path, monkeypatch):
+    shipped = certificates("e6")
+    dst = _copy_golden(tmp_path)
+    _rewrite_row(dst / "e6_p6.tsv", "n011", 3, "rigid")
+    tampered = certificates("e6", golden_dir=dst)
+    assert tampered is not shipped
+    assert (shipped.golden.decoration("n011"), tampered.golden.decoration("n011")) == (
+        "plus",
+        "rigid",
+    )
+    monkeypatch.setenv(GOLDEN_ENV_VAR, str(dst))
+    assert certificates("e6") is tampered  # the same resolved directory
+    monkeypatch.setenv(GOLDEN_ENV_VAR, str(golden_dir(None).parent))
+    with pytest.raises(GoldenDataError):  # no tables there
+        certificates("e6")
+    monkeypatch.delenv(GOLDEN_ENV_VAR)
+    assert certificates("e6") is shipped
+
+
+def test_shared_certificates_cannot_be_changed():
+    found = certificates("e7")
+    node_id = found.poset.top().id
+    with pytest.raises(TypeError):
+        found.witnesses[node_id] = ()
+    with pytest.raises(AttributeError):
+        found.witnesses[node_id].append(None)
+    with pytest.raises(AttributeError):
+        found.problems.append("late")
+    with pytest.raises(AttributeError):
+        found.witnesses = {}
+
+
+def test_verify_all_runs_the_e7_interval_search_once(monkeypatch):
+    searches, search = [], verify.interval_isomorphism
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(verify, "interval_isomorphism", counting)
+    poset._quotient.cache_clear()
+    assert all(report.ok for report in verify.verify_all())
+    assert len(searches) == 1
+
+
+def test_verify_table1_builds_three_quotients_and_runs_no_engine(monkeypatch):
+    # E6/P6, E7/P7 and E7/P1: the table replays the sweep without certificates.
+    def engine(*args):
+        raise AssertionError("verify table1 ran a witness engine")
+
+    for name in (
+        "linear_space_witness",
+        "bertini_witness",
+        "divisor_witness",
+        "cone_embedding",
+        "basic_witness_homes",
+        "moduli_witness_isotropic",
+        "tits_flexibility_witness",
+    ):
+        monkeypatch.setattr(verify, name, engine)
+    poset._quotient.cache_clear()
+    assert verify_table1().ok
+    assert poset._quotient.cache_info().misses == 3
 
 
 def test_report_serialization_round_trips(report_e6):
