@@ -3,15 +3,19 @@
     python3 scripts/footprint.py PARENT CHANGE [--runs N] [--json OUT] [SELECTOR ...]
 
 PARENT and CHANGE are checkouts of this repository, each with its own
-``src/``.  A SELECTOR is one ``hasse`` argv in quotes, like "og:16 --json";
-without any, :data:`SELECTORS` are measured.  Standard library only, Linux
-(``os.wait4``).
+``src/``; relative paths are taken from the current directory.  A SELECTOR
+is one ``hasse`` argv in quotes, like "og:16 --json"; without any,
+:data:`SELECTORS` are measured.  Standard library only, Linux
+(``/proc/self/status``).
 
 For each selector the two trees run alternately, ``--runs`` times each, the
-parent first on odd runs.  A run is ``python -m schubflex.cli hasse ...`` in
-a fresh child with stdout to /dev/null: its wall time is measured here, and
-its peak resident memory is the ``ru_maxrss`` that ``os.wait4`` returns for
-that child alone.  Held bytes per class come from one more child per tree.
+parent first on odd runs.  A run is ``hasse ...`` in a fresh child through
+``bench/cli_op.py``, which runs ``schubflex.cli`` as ``python -m`` does, with
+stdout to /dev/null: its wall time is measured here, and its peak resident
+memory is the ``VmHWM`` the child reads from its own status at exit.  (The
+``ru_maxrss`` of ``os.wait4`` will not do: ``subprocess`` starts children with
+vfork, so that figure also holds this process's own high-water mark.)  Held
+bytes per class come from one more child per tree.
 It builds the selector's Cartan datum and loads the modules the command
 needs, then starts tracemalloc, runs the same command through ``cli.main``
 into /dev/null, and divides the memory still traced at the end by the class
@@ -19,7 +23,8 @@ count.  That is the shared poset plus whatever lookups the command built.
 
 The report prints medians, one line per selector and tree.  ``--json`` also
 writes them, with every run, in the ``selectors`` form of the BENCH_*.json
-files.
+files.  The script exits 1 if any run of a selector did not exit 0, so a
+tree that cannot answer is never read as a measurement.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+# The benchmark's one-op runner, which reports the child's own peak.
+CLI_OP = Path(__file__).resolve().parents[1] / "bench" / "cli_op.py"
 
 SELECTORS = (
     "og:16",
@@ -68,19 +77,26 @@ def _env(tree: str) -> dict:
 
 
 def run_once(tree: str, argv: list[str]) -> dict:
-    """Wall seconds, peak MiB and exit code of one ``hasse`` child in ``tree``."""
+    """Wall seconds, peak MiB (None if unreported) and exit code of one ``hasse`` child in ``tree``."""
+    read, write = os.pipe()
     start = time.perf_counter()
-    child = subprocess.Popen(
-        [sys.executable, "-m", "schubflex.cli", "hasse", *argv],
-        cwd=tree,
-        env=_env(tree),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(child.pid, 0)
+    try:
+        child = subprocess.Popen(
+            [sys.executable, str(CLI_OP), str(write), "hasse", *argv],
+            cwd=tree,
+            env=_env(tree),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            pass_fds=(write,),
+        )
+    finally:
+        os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        kib = fh.read()
+    child.wait()
     wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": wall, "peak_mib": usage.ru_maxrss / 1024, "exit": child.returncode}
+    peak = int(kib) / 1024 if kib else None
+    return {"wall_s": wall, "peak_mib": peak, "exit": child.returncode}
 
 
 def held_per_class(tree: str, argv: list[str]) -> float | None:
@@ -107,7 +123,8 @@ def measure(trees: dict[str, str], selector: str, runs: int) -> dict:
     for side, tree in trees.items():
         done = row[side]["runs"]
         row[side]["wall_s"] = round(statistics.median(r["wall_s"] for r in done), 3)
-        row[side]["peak_mib"] = round(statistics.median(r["peak_mib"] for r in done), 1)
+        peaks = [r["peak_mib"] for r in done if r["peak_mib"] is not None]
+        row[side]["peak_mib"] = round(statistics.median(peaks), 1) if peaks else None
         row[side]["exits"] = sorted({r["exit"] for r in done})
         held = held_per_class(tree, argv)
         row[side]["held_b_per_class"] = None if held is None else round(held)
@@ -122,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=5, help="runs per tree and selector (5)")
     parser.add_argument("--json", metavar="OUT", help="also write the table and every run here")
     args = parser.parse_args(argv)
-    trees = {"parent": args.parent, "change": args.change}
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     rows = {}
     print(f"{'selector':<22s}{'tree':<8s}{'wall_s':>8s}{'peak_mib':>10s}{'held_b/class':>14s}")
     for selector in args.selectors:
@@ -131,17 +148,27 @@ def main(argv=None) -> int:
             got = row[side]
             held = "-" if got["held_b_per_class"] is None else got["held_b_per_class"]
             label = selector if side == "parent" else ""
-            print(f"{label:<22s}{side:<8s}{got['wall_s']:>8.3f}{got['peak_mib']:>10.1f}{held:>14}")
+            peak = "-" if got["peak_mib"] is None else f"{got['peak_mib']:.1f}"
+            print(f"{label:<22s}{side:<8s}{got['wall_s']:>8.3f}{peak:>10s}{held:>14}")
     if args.json:
         method = (
-            "scripts/footprint.py: each command a fresh child, its peak from os.wait4's ru_maxrss; "
+            "scripts/footprint.py: each command a fresh child through bench/cli_op.py, its peak "
+            "its own VmHWM; "
             "parent and change alternated; median wall s and peak MiB; held bytes per class from "
             "tracemalloc after the same command run through cli.main, Cartan datum and modules loaded first"
         )
         with open(args.json, "w") as out:
             json.dump({"method": method, "rows": rows}, out, indent=2)
             out.write("\n")
-    return 0
+    failed = [
+        f"hasse {selector} in {side} exited {rows[f'hasse {selector}'][side]['exits']}"
+        for selector in args.selectors
+        for side in SIDES
+        if rows[f"hasse {selector}"][side]["exits"] != [0]
+    ]
+    for line in failed:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

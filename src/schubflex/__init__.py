@@ -5,6 +5,8 @@ Subpackages by capability:
 * :mod:`schubflex.weyl` -- Dynkin diagrams, reflections, closed forms (no words).
 * :mod:`schubflex.poset` -- parabolic-quotient Hasse diagrams, degrees, duals;
   each quotient is built once per process and shared, immutable.
+* :mod:`schubflex.diagram` -- the poset record: classes, order, duality and
+  exports (re-exported by :mod:`schubflex.poset`).
 * :mod:`schubflex.classical` -- index arithmetic for Grassmannian, Lagrangian,
   orthogonal and quadric Schubert classes.
 * :mod:`schubflex.rigidity` -- multi-rigidity classifiers for all families.
@@ -13,6 +15,7 @@ Subpackages by capability:
 * :mod:`schubflex.tits` -- incidence-variety transforms between quotients.
 * :mod:`schubflex.verify` -- decoration and transform-table verification.
 * :mod:`schubflex.cli` -- command-line front end (``schubflex``).
+* :mod:`schubflex.commands` -- class-spec readers and the command handlers.
 """
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ shifted values into (value, multiplicity) runs, written mu_1^{i_1}...mu_t^{i_t}.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from math import factorial, fsum, lgamma, log
 
 from .frozen import Frozen
@@ -110,18 +111,28 @@ def gr_degree(idx: GrIndex) -> int:
 
 
 def gr_degree_log10(idx: GrIndex) -> float:
-    """log10 of gr_degree(idx) in floats, O(k^2): a digit count without the exact product.
+    """log10 of gr_degree(idx) in floats: a digit count without the exact product.
 
     It is log10(cells!) less the log10 of the hook product, summed a row at a
     time: with k rows and l_i = shape[i] + k - 1 - i, the hook lengths of row
     i are 1..l_i without the l_i - l_j of the rows j below it (Frobenius).
+    The l_j of a run of equal rows are consecutive, so what one run removes
+    from row i is a range, whose log is a difference of two lgammas: O(k) per
+    run of equal parts, so O(k) for a rectangle.
     """
     shape = sorted(shifted(idx.lam), reverse=True)
-    firsts = [part + len(shape) - 1 - i for i, part in enumerate(shape)]
-    logs = lgamma(sum(shape) + 1)
-    for i, first in enumerate(firsts):
-        logs += fsum(map(log, [first - below for below in firsts[i + 1 :]])) - lgamma(first + 1)
-    return logs / log(10)
+    runs, row = [], 0  # (l of a run's top row, its row count), top run first
+    for part, rows in groupby(shape):
+        count = len(list(rows))
+        runs.append((part + len(shape) - 1 - row, count))
+        row += count
+    terms = [lgamma(sum(shape) + 1)]
+    for r, (top, count) in enumerate(runs):
+        for first in range(top, top - count, -1):
+            # Its own run's rows below remove 1..first - (top - count + 1).
+            terms.append(lgamma(first - top + count) - lgamma(first + 1))
+            terms += [lgamma(first - low + c) - lgamma(first - low) for low, c in runs[r + 1 :]]
+    return fsum(terms) / log(10)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ Lines starting with ``#`` are comments.  The directory is resolved from an
 explicit argument, then the SCHUBFLEX_GOLDEN_DIR environment variable, then
 the packaged copy.  Loading cross-checks every row against the live poset and
 raises GoldenDataError on any mismatch (the CLI reports these as
-data-integrity failures, exit code 3).
+data-integrity failures, exit code 3).  A decoration table is loaded and
+checked once per process for each shared poset and resolved directory, and
+the loaded table is shared and read-only.
 
 Class tokens are ``dim:degree`` strings.  Where two classes share dimension
 and degree (only the degree-1 pairs in dimension 4 of the 27-node poset and
@@ -28,6 +30,7 @@ import os
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .frozen import Frozen
 from .poset import GOLDEN_POSETS, GoldenDataError, QuotientPoset, SchubertNode, quotient
@@ -52,7 +55,7 @@ class TransformRow(Frozen):
 class GoldenPoset:
     def __init__(self, name: str, rows: list[GoldenRow]):
         self.name = name
-        self.rows = {r.node_id: r for r in rows}
+        self.rows = MappingProxyType({r.node_id: r for r in rows})
         if len(self.rows) != len(rows):
             raise GoldenDataError(f"{name}: duplicate node ids")
 
@@ -96,9 +99,20 @@ def _read_rows(path: Path, n_fields: int) -> list[list[str]]:
 
 
 def load_golden_poset(target: str, directory=None) -> GoldenPoset:
-    """Load e6/e7 golden decorations, checked against the live poset of ``target``."""
+    """Load e6/e7 golden decorations, checked against the live poset of ``target``.
+
+    The directory is resolved as :func:`golden_dir` does.  The table is read
+    and checked once per process for each target, shared poset and resolved
+    directory, the key :func:`schubflex.verify.certificates` uses, so a
+    rebuilt poset or another directory gets its own load and check.
+    """
+    return _load_golden_poset(target, quotient(target), golden_dir(directory))
+
+
+@lru_cache(maxsize=None)
+def _load_golden_poset(target: str, poset: QuotientPoset, directory: Path) -> GoldenPoset:
     stem = GOLDEN_POSETS[target]
-    path = golden_dir(directory) / f"{stem}.tsv"
+    path = directory / f"{stem}.tsv"
     rows = []
     for node_id, dim_s, deg_s, deco, comment in _read_rows(path, 5):
         try:
@@ -115,7 +129,7 @@ def load_golden_poset(target: str, directory=None) -> GoldenPoset:
             )
         rows.append(GoldenRow(node_id, dim, deg, deco, comment))
     golden = GoldenPoset(stem, rows)
-    check_against(golden, quotient(target))
+    check_against(golden, poset)
     return golden
 
 

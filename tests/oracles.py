@@ -8,8 +8,9 @@ compare the two.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import fsum, lgamma, log
 
-from schubflex.classical import GrIndex, dual_index, gr_dimension
+from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
 from schubflex.weyl import CartanDatum, act, reflect, rho
 from schubflex.witnesses import Witness, basic_witness_homes
 
@@ -328,6 +329,22 @@ def corner_peeling_count(shape: tuple[int, ...]) -> int:
             smaller[i] -= 1
             total += corner_peeling_count(tuple(smaller))
     return total
+
+
+
+def pairwise_gr_degree_log10(idx: GrIndex) -> float:
+    """log10 of gr_degree(idx) in floats, one log per pair of rows: O(k^2).
+
+    log10(cells!) less the log10 of the hook product, a row at a time: with k
+    rows and l_i = shape[i] + k - 1 - i, the hook lengths of row i are 1..l_i
+    without the l_i - l_j of the rows j below it (Frobenius).
+    """
+    shape = sorted(shifted(idx.lam), reverse=True)
+    firsts = [part + len(shape) - 1 - i for i, part in enumerate(shape)]
+    logs = lgamma(sum(shape) + 1)
+    for i, first in enumerate(firsts):
+        logs += fsum(map(log, [first - below for below in firsts[i + 1 :]])) - lgamma(first + 1)
+    return logs / log(10)
 
 
 def poset_json_dict(poset) -> dict:

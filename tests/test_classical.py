@@ -1,13 +1,21 @@
 """Unit tests for classical index arithmetic."""
 
+import random
 from itertools import combinations
-from math import comb, log10
+from math import comb, isclose, log10
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import corner_peeling_count, fingerprint_to_gr, gr_pairing, gr_to_fingerprint, ungroup
+from oracles import (
+    corner_peeling_count,
+    fingerprint_to_gr,
+    gr_pairing,
+    gr_to_fingerprint,
+    pairwise_gr_degree_log10,
+    ungroup,
+)
 from schubflex import classical, weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
 from schubflex.poset import build_quotient_poset, quadric_poset_family
@@ -173,6 +181,22 @@ def test_gr_degree_log10_estimates_the_digits_of_the_degree():
     for shape in [(2997,) * 3, (1500, 1500), (3000,), tuple(range(60, 0, -1)), (40,) * 40]:
         expected = log10(classical.standard_tableau_count(shape))
         assert abs(classical.gr_degree_log10(_gr_index_of(shape)) - expected) < 1e-6, shape
+
+
+def test_gr_degree_log10_per_run_agrees_with_the_pairwise_sum():
+    # Seeded shapes with few and with many equal parts, and the full class at
+    # the rank bound: the 2236-row rectangle of G(2236, 4472).
+    rng = random.Random(21)
+    indices = [GrIndex(2236, 4472, tuple(range(2237, 4473)))]
+    for _ in range(200):
+        n = rng.randint(2, 80)
+        k = rng.randint(1, n - 1)
+        indices.append(GrIndex(k, n, tuple(sorted(rng.sample(range(1, n + 1), k)))))
+        parts = sorted(rng.sample(range(1, 60), rng.randint(1, 6)))
+        indices.append(_gr_index_of([part for part in parts for _ in range(rng.randint(1, 40))]))
+    for idx in indices:
+        fast, slow = classical.gr_degree_log10(idx), pairwise_gr_degree_log10(idx)
+        assert isclose(fast, slow, rel_tol=1e-12, abs_tol=1e-12), (idx, fast, slow)
 
 
 def test_gr_degree_memo_holds_only_the_queried_shape():

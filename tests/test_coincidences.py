@@ -31,7 +31,7 @@ import pytest
 from oracles import fingerprint_to_gr
 from schubflex import classical, rigidity, witnesses
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
-from schubflex.cli import read_selector
+from schubflex.commands import read_selector
 from schubflex.poset import quotient
 
 DIMENSION = {

@@ -9,7 +9,8 @@ import pytest
 
 from schubflex import weyl
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
-from schubflex.cli import Command, cmd_degree
+from schubflex.cli import Command
+from schubflex.commands import cmd_degree
 from schubflex.frozen import Frozen
 from schubflex.golden import GoldenRow, TransformRow, load_golden_poset
 from schubflex.poset import SchubertNode, quotient

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from schubflex import golden, poset
 from schubflex.golden import (
     GoldenDataError,
     TokenError,
@@ -115,6 +116,56 @@ def test_malformed_rows_rejected(tmp_path):
         load_golden_poset("e6", tmp_path)
     with pytest.raises(GoldenDataError):
         load_golden_poset("e7", tmp_path)  # file absent
+
+
+def _counting_reads(monkeypatch) -> list:
+    """The paths golden._read_rows is asked to read from now on."""
+    reads, real = [], golden._read_rows
+    monkeypatch.setattr(golden, "_read_rows", lambda path, n: reads.append(path) or real(path, n))
+    return reads
+
+
+def test_a_table_is_read_once_per_poset_and_directory(tmp_path, monkeypatch):
+    other = tmp_path / "other"
+    other.mkdir()
+    for name in ("e6_p6.tsv", "e7_p7.tsv"):
+        (tmp_path / name).write_bytes((SHIPPED / name).read_bytes())
+    (other / "e6_p6.tsv").write_bytes((SHIPPED / "e6_p6.tsv").read_bytes())
+    reads = _counting_reads(monkeypatch)
+    first = load_golden_poset("e6", tmp_path)
+    assert load_golden_poset("e6", str(tmp_path)) is first  # the same directory, resolved
+    monkeypatch.setenv("SCHUBFLEX_GOLDEN_DIR", str(tmp_path))
+    assert load_golden_poset("e6") is first
+    assert reads == [tmp_path / "e6_p6.tsv"]
+    # Another target, and another directory, get their own read and check.
+    seven = load_golden_poset("e7", tmp_path)
+    copy = load_golden_poset("e6", other)
+    assert reads == [tmp_path / "e6_p6.tsv", tmp_path / "e7_p7.tsv", other / "e6_p6.tsv"]
+    assert copy is not first and dict(copy.rows) == dict(first.rows)
+    assert seven.name == "e7_p7"
+    with pytest.raises(TypeError):
+        first.rows["n000"] = None  # shared, so read-only
+
+
+def test_a_rebuilt_poset_gets_its_own_load(tmp_path, monkeypatch):
+    (tmp_path / "e6_p6.tsv").write_bytes((SHIPPED / "e6_p6.tsv").read_bytes())
+    first = load_golden_poset("e6", tmp_path)
+    reads = _counting_reads(monkeypatch)
+    poset._quotient.cache_clear()
+    try:
+        again = load_golden_poset("e6", tmp_path)
+    finally:
+        poset._quotient.cache_clear()
+    assert again is not first and reads == [tmp_path / "e6_p6.tsv"]
+
+
+def test_a_malformed_table_raises_on_every_load(tmp_path, monkeypatch):
+    (tmp_path / "e6_p6.tsv").write_text("n000\t0\t1\tshiny\tx\n")
+    reads = _counting_reads(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(GoldenDataError, match="unknown decoration"):
+            load_golden_poset("e6", tmp_path)
+    assert len(reads) == 2
 
 
 @pytest.fixture()

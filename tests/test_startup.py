@@ -9,6 +9,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from schubflex import cli
@@ -73,22 +74,70 @@ def test_constructions_and_verification_import_no_classifier():
 
 
 def test_the_modules_every_command_loads_import_no_later_layer():
-    # cli imports weyl and poset (which imports frozen) at the top, so every
-    # command compiles them; what they import, every command compiles too.
+    # cli imports commands (which imports weyl and poset) at the top, and
+    # poset imports diagram and frozen, so every command compiles them; what
+    # they import, every command compiles too.
     later = {"classical", "golden", "rigidity", "witnesses", "tits", "verify"}
     found = [
         f"{name}:{line}"
-        for name in ("weyl.py", "frozen.py", "poset.py")
+        for name in ("cli.py", "commands.py", "weyl.py", "frozen.py", "poset.py", "diagram.py")
         for line, modules, names in _imports(SRC / "schubflex" / name)
         if later & {n.split(".")[-1] for n in modules + names}
     ]
     assert found == [], f"a start-up module imports a later layer: {found}"
 
 
+# Calibrated on CPython 3.11.7, where cli.py (1,388 KiB) and poset.py (1,234
+# KiB) failed it before each was split in two, and the largest module is now
+# verify.py at 962 KiB.
+COMPILE_PEAK_BOUND = 1024 * 1024
+
+
+def test_no_module_compile_holds_more_than_a_mib():
+    # Compiling a module holds all its tokens and its syntax tree at once, so
+    # the largest module a command compiles sets the floor of its peak
+    # memory, and every command compiles cli, commands, poset and diagram.
+    peaks = {}
+    for path in _package_modules():
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    over = {name: peak // 1024 for name, peak in peaks.items() if peak > COMPILE_PEAK_BOUND}
+    assert over == {}, f"modules whose compile holds more than 1 MiB (KiB): {over}"
+
+
+def test_no_package_module_imports_cli():
+    # python -m schubflex.cli runs cli as __main__, so a package module that
+    # imported schubflex.cli would compile it a second time.
+    def imports_cli(modules, names):
+        return any(
+            m.split(".")[-1] == "cli" or (m in ("", "schubflex") and "cli" in names)
+            for m in modules
+        )
+
+    found = [
+        f"{path.name}:{line}"
+        for path in _package_modules()
+        for line, modules, names in _imports(path)
+        if imports_cli(modules, names)
+    ]
+    assert found == [], f"schubflex.cli imported in the package: {found}"
+    # The handlers load modules by name, too.
+    assert not any(
+        isinstance(node, ast.Constant) and node.value in (".cli", "schubflex.cli")
+        for path in _package_modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
 def test_no_package_module_imports_json_at_the_top():
     # json's pure-Python encoder serves indented output; the poset export
     # spells its schema out, and only the commands that print other JSON
-    # load it (cli._module).
+    # load it (commands._module).
     found = [
         f"{path.name}:{line}"
         for path in _package_modules()
