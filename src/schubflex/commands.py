@@ -13,34 +13,35 @@ Class specs name a family and a class in one colon-joined argument:
 Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
 quad:7  e6  e7.  One function, :func:`read_selector`, reads both a ``hasse``
 selector and the selector part of a class spec, so both are refused in the
-same words.  Every command that needs a family's poset goes through
-:func:`schubflex.poset.quotient`, which reads the one family table,
-:data:`schubflex.poset.QUOTIENTS`; a row also holds the selector's form.
-A malformed spec raises :class:`SpecError`.
+same words.  :data:`FAMILIES` has one row per family: how its class is read
+and how ``classify``, ``degree`` and ``dual`` answer.  Every command that
+needs a family's poset gets it from :func:`schubflex.poset.quotient`.  A
+malformed spec raises :class:`SpecError`.
 
 This module imports only :mod:`~schubflex.weyl` and :mod:`~schubflex.poset`
 (with what they import), which every command needs, and loads the rest
 through :func:`_module` on first need.  ``hasse`` loads
-:mod:`~schubflex.golden` only for its text output's class tokens; a classical
-spec loads :mod:`~schubflex.classical`, and its ``classify`` adds
-:mod:`~schubflex.rigidity` and :mod:`~schubflex.witnesses`.  The certificate
-pipeline (:mod:`~schubflex.verify` and :mod:`~schubflex.tits`) loads only in
-``verify``, ``tits``, and ``classify`` of an e6/e7 class once its token has
-resolved, so a refused token loads nothing more.  :func:`_module` caches each
-module, so a process that runs many commands through ``cli.main`` runs no
-import statement after the first command of each kind.  No package module
-imports :mod:`schubflex.cli`: ``python -m schubflex.cli`` runs it as
-``__main__``, so an import would compile it a second time.
+:mod:`~schubflex.golden` only for its text output's class tokens.  A class
+spec loads :mod:`~schubflex.classical`, or :mod:`~schubflex.golden` for an
+e6/e7 token; ``classify`` adds :mod:`~schubflex.rigidity`, and
+:mod:`~schubflex.witnesses` for a flexible class, or for an e6/e7 class the
+certificate pipeline (:mod:`~schubflex.verify`, which loads the rest) once its
+token has resolved, so a refused token loads nothing more.  :func:`_module`
+caches each module, so a process that runs many commands through
+``cli.main`` runs no import statement after the first command of each kind.
+No package module imports :mod:`schubflex.cli`: ``python -m schubflex.cli``
+runs it as ``__main__``, so an import would compile it a second time.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 import sys
+from functools import lru_cache, partial
 
 from . import weyl
+from .diagram import _write_batches
 from .poset import (
     DEFAULT_SIZE_CAP,
     GOLDEN_POSETS,
@@ -51,7 +52,7 @@ from .poset import (
 )
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def _module(name: str):
     """The module ``name`` (``.x`` for a package module), imported on first use."""
     return importlib.import_module(name, __package__)
@@ -95,30 +96,9 @@ def read_selector(head: str, params: str) -> tuple[int, ...]:
     return k, n
 
 
-def parse_class_spec(spec: str):
-    """A classical index object, or ("e6"|"e7", node) for exceptional specs.
-
-    A classical selector's rank is bounded (:func:`weyl.check_rank`) before its index is built.
-    """
-    head, sep, body = spec.partition(":")
-    if not sep:
-        raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
-    if head in GOLDEN_POSETS:  # the selector part is the head: the token holds a colon
-        return head, _module(".golden").resolve_token(quotient(head), body)
-    text, _, body = body.partition(":")
-    params = read_selector(head, text)
-    if (head, params) != ("quad", (2,)):  # Q^2 has no quotient of its own
-        try:
-            weyl.check_rank(QUOTIENTS[head][1](*params, 0)[1])
-        except ValueError as exc:
-            raise SpecError(f"bad selector {head + ':' + text!r}: {exc}") from None
-    classical = _module(".classical")
-    if head == "gr":
-        return classical.GrIndex(*params, _parse_lam(body))
-    if head != "quad":
-        return classical.IsotropicIndex(head, *params, _parse_lam(body))
+def _quadric_index(classical, n: int, body: str):
     if body in ("max-plus", "max-minus"):
-        return classical.QuadricIndex(*params, body)
+        return classical.QuadricIndex(n, body)
     kind, _, j = body.rpartition("-")
     try:
         j = int(j)
@@ -127,7 +107,116 @@ def parse_class_spec(spec: str):
     if not kind:
         want = "linear-j, colinear-j, max-plus or max-minus"
         raise SpecError(f"malformed quadric kind {body!r} (want {want})")
-    return classical.QuadricIndex(*params, kind, j)
+    return classical.QuadricIndex(n, kind, j)
+
+
+def _verdict(dimension: str, classifier: str, witness: str, idx, golden_dir) -> int:
+    """Print a classical class's verdict, and a witness if it is flexible."""
+    verdict = getattr(_module(".rigidity"), classifier)(idx)
+    dim = getattr(_module(".classical"), dimension)(idx)
+    print(f"class: {idx}\ndimension: {dim}\nverdict: {verdict}")
+    if not verdict.rigid:
+        w = getattr(_module(".witnesses"), witness)(idx)
+        if w is None:
+            print("witness: none found", file=sys.stderr)
+            return 1
+        print(f"witness: {w.kind}")
+        for key in sorted(w.payload):
+            print(f"  {key}: {w.payload[key]}")
+    return 0
+
+
+def _certificate_row(cls, golden_dir) -> int:
+    """Print an e6/e7 class's row of its poset's certificates."""
+    target, _, node = cls
+    row = _module(".verify").certificates(target, golden_dir).row(node)
+    print(f"class: {target}:{row['token']}\ndimension: {row['dim']}\ndegree: {row['degree']}")
+    print(f"decoration: {row['decoration']}")
+    print(f"certificates: {', '.join(row['certificates']) or 'none'}")
+    for detail in row["details"]:
+        print(f"  [{detail['kind']}]")
+        for key in sorted(detail):
+            if key != "kind":
+                print(f"    {key}: {detail[key]}")
+    return 0
+
+
+def _gr_degree(idx) -> str:
+    """A gr degree, refused past sys.get_int_max_str_digits() (0 sets no limit).
+
+    The degree is at most (k(n-k))!; past that, a float estimate refuses before the product.
+    """
+    classical, limit = _module(".classical"), sys.get_int_max_str_digits()
+    big = limit and math.lgamma(idx.k * (idx.n - idx.k) + 1) >= (limit + 1) * math.log(10)
+    if not big or classical.gr_degree_log10(idx) < limit + 1:  # + 1: past the float error
+        try:
+            return str(classical.gr_degree(idx))
+        except ValueError:  # past the limit, whose advice is not ours to give
+            pass
+    raise ValueError(f"the degree has more than {limit} digits, too many to print")
+
+
+def _lg_degree(idx) -> int:
+    if idx.n != 1:
+        raise SpecError(
+            "degree is not implemented for lg classes (the minimal embedding is not minuscule)"
+        )
+    return 1  # LG(1,2) = P^1, the one minuscule lg: a point and the line, both of degree 1
+
+
+def _og_degree(idx) -> int:
+    poset = quotient("og", idx.n)  # refuses an over-cap n before the fingerprint
+    return poset.node_by_fingerprint(_module(".classical").og_to_fingerprint(idx)).degree
+
+
+def _token_dual(cls) -> str:
+    target, poset, node = cls
+    return f"{target}:{_module('.golden').node_token(poset, poset.poincare_dual(node))}"
+
+
+#: One row per class family: (reader, classify, degree, dual).  A classical
+#: reader takes classical, the selector's parameters and the class part; an
+#: e6/e7 class is read as (head, poset, node).  The rest look up what they call
+#: when called, so each module loads on first need and bench/tracer.py sees it.
+FAMILIES = {
+    "gr": (lambda classical, k, n, body: classical.GrIndex(k, n, _parse_lam(body)),
+           partial(_verdict, "gr_dimension", "classify_gr", "moduli_witness_gr"),
+           _gr_degree, lambda idx: _module(".classical").dual_index(idx)),
+    "lg": (lambda classical, n, body: classical.IsotropicIndex("lg", n, _parse_lam(body)),
+           partial(_verdict, "isotropic_dimension", "classify_lg", "moduli_witness_isotropic"),
+           _lg_degree, lambda idx: _module(".classical").isotropic_dual(idx)),
+    "og": (lambda classical, n, body: classical.IsotropicIndex("og", n, _parse_lam(body)),
+           partial(_verdict, "isotropic_dimension", "classify_og", "moduli_witness_isotropic"),
+           _og_degree, lambda idx: _module(".classical").isotropic_dual(idx)),
+    "quad": (_quadric_index,
+             partial(_verdict, "quadric_dimension", "classify_quadric", "quadric_witness"),
+             lambda idx: _module(".classical").quadric_degree(idx),
+             lambda idx: _module(".classical").quadric_dual(idx)),
+    "e6": (None, _certificate_row, lambda cls: cls[2].degree, _token_dual),
+    "e7": (None, _certificate_row, lambda cls: cls[2].degree, _token_dual),
+}
+
+
+def parse_class_spec(spec: str) -> tuple:
+    """The :data:`FAMILIES` row of a class spec, and its class.
+
+    A classical selector's rank is bounded (:func:`weyl.check_rank`) before its index is built.
+    """
+    head, sep, body = spec.partition(":")
+    if not sep:
+        raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
+    if head in GOLDEN_POSETS:  # the selector part is the head: the token holds a colon
+        poset = quotient(head)
+        return FAMILIES[head], (head, poset, _module(".golden").resolve_token(poset, body))
+    text, _, body = body.partition(":")
+    params = read_selector(head, text)
+    if (head, params) != ("quad", (2,)):  # Q^2 has no quotient of its own
+        try:
+            weyl.check_rank(QUOTIENTS[head][1](*params, 0)[1])
+        except ValueError as exc:
+            raise SpecError(f"bad selector {head + ':' + text!r}: {exc}") from None
+    row = FAMILIES[head]
+    return row, row[0](_module(".classical"), *params, body)
 
 
 def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
@@ -169,111 +258,20 @@ def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_
     return 0
 
 
-def _classical_dimension(idx) -> int:
-    classical = _module(".classical")
-    if isinstance(idx, classical.GrIndex):
-        return classical.gr_dimension(idx)
-    if isinstance(idx, classical.IsotropicIndex):
-        return classical.isotropic_dimension(idx)
-    return classical.quadric_dimension(idx)
-
-
-def _classical_witness(idx):
-    classical, witnesses = _module(".classical"), _module(".witnesses")
-    if isinstance(idx, classical.GrIndex):
-        return witnesses.moduli_witness_gr(idx)
-    if isinstance(idx, classical.IsotropicIndex):
-        return witnesses.moduli_witness_isotropic(idx)
-    return witnesses.quadric_witness(idx)
-
-
 def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
-    parsed = parse_class_spec(spec)  # a refused token never loads the pipeline
-    if isinstance(parsed, tuple):
-        target, node = parsed
-        row = _module(".verify").certificates(target, golden_dir).row(node)
-        print(f"class: {target}:{row['token']}")
-        print(f"dimension: {row['dim']}")
-        print(f"degree: {row['degree']}")
-        print(f"decoration: {row['decoration']}")
-        print(f"certificates: {', '.join(row['certificates']) or 'none'}")
-        for detail in row["details"]:
-            print(f"  [{detail['kind']}]")
-            for key in sorted(detail):
-                if key != "kind":
-                    print(f"    {key}: {detail[key]}")
-        return 0
-    verdict = _module(".rigidity").classify(parsed)
-    print(f"class: {parsed}")
-    print(f"dimension: {_classical_dimension(parsed)}")
-    print(f"verdict: {verdict}")
-    if not verdict.rigid:
-        w = _classical_witness(parsed)
-        if w is None:
-            print("witness: none found", file=sys.stderr)
-            return 1
-        print(f"witness: {w.kind}")
-        for key in sorted(w.payload):
-            print(f"  {key}: {w.payload[key]}")
-    return 0
-
-
-def _print_gr_degree(idx) -> None:
-    """Print a gr degree, refused past sys.get_int_max_str_digits() (0 sets no limit).
-
-    The degree is at most (k(n-k))!; past that, a float estimate refuses before the product.
-    """
-    classical, limit = _module(".classical"), sys.get_int_max_str_digits()
-    big = limit and math.lgamma(idx.k * (idx.n - idx.k) + 1) >= (limit + 1) * math.log(10)
-    if not big or classical.gr_degree_log10(idx) < limit + 1:  # + 1: past the float error
-        try:
-            print(classical.gr_degree(idx))  # str() raises before anything is written
-            return
-        except ValueError:  # past the limit, whose advice is not ours to give
-            pass
-    raise ValueError(f"the degree has more than {limit} digits, too many to print")
+    row, cls = parse_class_spec(spec)  # a refused token never loads the pipeline
+    return row[1](cls, golden_dir)
 
 
 def cmd_degree(spec: str) -> int:
-    parsed = parse_class_spec(spec)
-    if isinstance(parsed, tuple):
-        print(parsed[1].degree)
-        return 0
-    classical = _module(".classical")
-    if isinstance(parsed, classical.GrIndex):
-        _print_gr_degree(parsed)
-        return 0
-    if isinstance(parsed, classical.QuadricIndex):
-        print(classical.quadric_degree(parsed))
-        return 0
-    if parsed.family == "og":
-        poset = quotient("og", parsed.n)  # refuses an over-cap n before the fingerprint
-        print(poset.node_by_fingerprint(classical.og_to_fingerprint(parsed)).degree)
-        return 0
-    if parsed.n == 1:  # LG(1,2) = P^1, the one minuscule lg: a chain, one class per dimension
-        (node,) = quotient("lg", 1).nodes_by_dim(classical.isotropic_dimension(parsed))
-        print(node.degree)
-        return 0
-    raise SpecError(
-        "degree is not implemented for lg classes (the minimal embedding is not minuscule)"
-    )
+    row, cls = parse_class_spec(spec)
+    print(row[2](cls))
+    return 0
 
 
 def cmd_dual(spec: str) -> int:
-    parsed = parse_class_spec(spec)
-    if isinstance(parsed, tuple):
-        target, node = parsed
-        poset = quotient(target)
-        print(f"{target}:{_module('.golden').node_token(poset, poset.poincare_dual(node))}")
-        return 0
-    classical = _module(".classical")
-    if isinstance(parsed, classical.GrIndex):
-        print(classical.dual_index(parsed))
-        return 0
-    if isinstance(parsed, classical.IsotropicIndex):
-        print(classical.isotropic_dual(parsed))
-        return 0
-    print(classical.quadric_dual(parsed))
+    row, cls = parse_class_spec(spec)
+    print(row[3](cls))
     return 0
 
 
@@ -289,8 +287,9 @@ def _parse_type(text: str):
 
 
 def _dump_json(blob) -> None:
-    """Print ``blob`` as json.dumps(blob, sort_keys=True, indent=2) spells it, written as encoded."""
-    _module("json").dump(blob, sys.stdout, sort_keys=True, indent=2)
+    """Print ``blob`` as json.dumps(blob, sort_keys=True, indent=2) does, 256 chunks a write."""
+    encoder = _module("json").JSONEncoder(sort_keys=True, indent=2)
+    _write_batches(sys.stdout, encoder.iterencode(blob))
     sys.stdout.write("\n")
 
 

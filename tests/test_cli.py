@@ -706,6 +706,27 @@ def test_verify_json_matches_schema(tmp_path, capsys):
         jsonschema.validate(reports, schema)
 
 
+def test_verify_json_is_written_in_batches():
+    # Under PYTHONUNBUFFERED each write to stdout is one system call, and the
+    # encoder yields thousands of chunks; they go out 256 to a write.
+    class CountingStdout(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    from schubflex.verify import verify_all
+
+    blob = [report.to_json_dict() for report in verify_all()]
+    chunks = len(list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(blob)))
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "all", "--json"]) == 0
+    assert out.getvalue() == json.dumps(blob, sort_keys=True, indent=2) + "\n"
+    assert chunks > 1000 and out.writes == -(-chunks // 256) + 1  # and the final newline
+
+
 def test_tits_bad_marking_is_usage_error(capsys):
     rc, _, err = run(["tits", "a2", "1", "9"], capsys)
     assert rc == 2 and "error:" in err

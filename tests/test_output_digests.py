@@ -57,6 +57,17 @@ DIGESTS = [
     ("dual og:5:1,4", "87e88879ca2d84265235a424a6c42671b14b2ac9833304383baeb2d4f9e1cccf"),
     ("dual e7:22:5586", "46f8c8b5027c6a440a2d3991184f069e2daa2195d95ab31100854df61d83cf63"),
     ("dual quad:7:linear-2", "4d5177cdfdc45771ff2214c4cbe2bb77b4ae0ea236654675d702c7dda39625bc"),
+    ("classify quad:7:linear-2", "881f8fe1b1c89000980635b0dce17edc3136b4db9cabfb355fafd7a3a6e2baec"),
+    ("classify quad:6:max-plus", "2c9be882a5e584cdc428978e6f5936ce36ddcc7597a635d064c377e5816327e8"),
+    ("classify e6:30:1", "317019e3de7261d6462034592309b2e4e52689728c7e25cb70b23b36241e8958"),
+    ("degree gr:3,7:1,4,6", "d9b877ced18282e72021744fee875b9b864272d28e33f68a886f60958135fe03"),
+    ("degree quad:6:max-plus", "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de"),
+    ("degree lg:1:1", "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de"),
+    ("degree lg:3:1,2", "8c7d6b17c999dbd88108aa21193f18c0db5810ec2dda53a184263a4070b88ad2"),
+    ("degree e6:9:9", "97ccaf6ae69890037f507178625b8ca91175d12f3c5d3912347ae11c59bee944"),
+    ("dual gr:2,5:1,3", "e303a05732cd2d042ff6a6bd2a0fb81bf727aeb15dba693f89f5106897192d72"),
+    ("dual lg:3:1,2", "f5dd08b8c2833f93da56931ffa9aa981db48ab8a8c596fd161a770043974b55c"),
+    ("dual e6:9:9", "65c392935b14a23cad8643111a2edb645761d8946cf00df6fe81d4f07377fcc2"),
     ("hasse gr:1,300", "d3a11a314602fc5d00a7d3136cac44a391585916e80f263bc070545d67bca2bb"),
     ("hasse gr:2,4000", "ca2b1d47c00712193451e49c2c1b8a8b29ce98f9cae7215a14f0f97011e5eb0a"),
 ]

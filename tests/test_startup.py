@@ -240,6 +240,10 @@ def test_repeated_commands_run_no_import_statement(monkeypatch):
         ["degree", "e7:22:5586"],
         ["dual", "lg:3:1,2"],
         ["dual", "e6:9:9"],
+        ["degree", "lg:1:1"],
+        ["dual", "gr:2,5:1,3"],
+        ["dual", "quad:6:max-plus"],
+        ["classify", "lg:3:1,2"],
         ["hasse", "e6"],
         ["hasse", "gr:2,5", "--json"],
         ["hasse", "og:5", "--dot"],
