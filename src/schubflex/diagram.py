@@ -26,10 +26,12 @@ What a poset holds, and when:
   dimension at a time, and the exports write them to a stream a
   batch at a time, with the minimal words rebuilt in BFS order as they go.
 
-Inside the package a class is passed as its node; ids appear only in
-output, golden tables and certificate payloads.  This module is apart from
-:mod:`~schubflex.poset` so that neither module's compile is large (see
-:mod:`~schubflex.cli`).
+Inside the package a class is passed as its node.  Ids key ``_down``,
+``_up`` and ``_by_id`` here, ``targets``/``sources`` in ``tits``, the
+certificate map of ``verify`` and the witness engines' matchings, and they
+appear in output, golden tables and certificate payloads.  This module is
+apart from :mod:`~schubflex.poset` so that neither module's compile is large
+(see :mod:`~schubflex.cli`).
 """
 
 from __future__ import annotations

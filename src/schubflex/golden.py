@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
@@ -38,6 +37,8 @@ from .poset import GOLDEN_POSETS, GoldenDataError, QuotientPoset, SchubertNode, 
 DECORATIONS = ("rigid", "plus", "star", "T")
 
 GOLDEN_ENV_VAR = "SCHUBFLEX_GOLDEN_DIR"
+
+_PACKAGED_DIR = Path(__file__).parent / "data" / "golden"
 
 
 class TokenError(ValueError):
@@ -72,13 +73,7 @@ def golden_dir(explicit: str | os.PathLike | None = None) -> Path:
     env = os.environ.get(GOLDEN_ENV_VAR)
     if env:
         return Path(env)
-    return _packaged_dir()
-
-
-@lru_cache(maxsize=None)
-def _packaged_dir() -> Path:
-    """The copy shipped in the package, located once per process."""
-    return Path(str(resources.files("schubflex").joinpath("data", "golden")))
+    return _PACKAGED_DIR
 
 
 def _read_rows(path: Path, n_fields: int) -> list[list[str]]:

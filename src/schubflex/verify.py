@@ -287,6 +287,10 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
     return Certificates(poset, golden, witnesses, tuple(problems))
 
 
+# The certificate kind that each flexible decoration needs.
+_NEEDS = {"plus": "Bertini", "star": "Cone", "T": "Tits"}
+
+
 def _apply_rules(report: VerifyReport, found: Certificates) -> None:
     report.problems.extend(found.problems)
     counts = {"rigid": 0, "plus": 0, "star": 0, "T": 0}
@@ -304,12 +308,10 @@ def _apply_rules(report: VerifyReport, found: Certificates) -> None:
             report.problems.append(
                 f"{token} is decorated {deco} but no engine certifies it"
             )
-        elif deco == "plus" and "Bertini" not in kinds:
-            report.problems.append(f"{token} is decorated plus without a Bertini certificate")
-        elif deco == "star" and "Cone" not in kinds:
-            report.problems.append(f"{token} is decorated star without a Cone certificate")
-        elif deco == "T" and "Tits" not in kinds:
-            report.problems.append(f"{token} is decorated T without a Tits certificate")
+        elif _NEEDS[deco] not in kinds:
+            report.problems.append(
+                f"{token} is decorated {deco} without a {_NEEDS[deco]} certificate"
+            )
     report.summary["classes"] = len(found.poset.nodes)
     report.summary.update(counts)
 
