@@ -30,16 +30,19 @@ the parent runs first on odd pairs.  A ``warm`` child imports
 the process ("cold").  Then it runs each of :data:`WARM_COMMANDS` once through
 ``cli.main`` and times ``--calls`` more calls of it, and ``--calls`` more
 ``verify_all()`` ("warm"), output to /dev/null, and reports each op's median
-in ms.  A ``footprint`` run is ``hasse SELECTOR`` in a child through
-``bench/cli_op.py``, stdout to /dev/null: its wall time is measured here, and
-its peak is the ``VmHWM`` the child reads from its own status at exit.  (The
-``ru_maxrss`` of ``os.wait4`` will not do: ``subprocess`` starts children with
-vfork, so that figure also holds this process's own high-water mark.)  After
-the pairs one more child per tree builds the selector's Cartan datum and loads
-the modules the command needs, then runs the command through ``cli.main``
-under tracemalloc and divides the memory still traced by the class count: the
-bytes a class holds.  A SELECTOR is one ``hasse`` argv in quotes, like
-"og:16 --json"; without any, :data:`SELECTORS` are measured.  ``footprint``
+in ms.  A SELECTOR is one argv in quotes: ``hasse`` and its arguments, like
+"og:16 --json", or a whole command line when its first word is one of
+:data:`COMMANDS`, like "degree og:18:1,5,7".  SELECTORs may come before the
+options, after them or both; without any, :data:`SELECTORS` are measured.  A
+``footprint`` run is one SELECTOR in a child through ``bench/cli_op.py``,
+stdout to /dev/null: its wall time is measured here, and its peak is the
+``VmHWM`` the child reads from its own status at exit.  (The ``ru_maxrss`` of
+``os.wait4`` will not do: ``subprocess`` starts children with vfork, so that
+figure also holds this process's own high-water mark.)  After the pairs of a
+``hasse`` SELECTOR one more child per tree builds the selector's Cartan datum
+and loads the modules the command needs, then runs the command through
+``cli.main`` under tracemalloc and divides the memory still traced by the
+class count: the bytes a class holds (n/a for other commands).  ``footprint``
 exits 1 if any run did not exit 0, so a tree that cannot answer is never read
 as a measurement.
 
@@ -70,6 +73,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CLI_OP = ROOT / "bench" / "cli_op.py"
 
 SIDES = ("parent", "change")
+
+#: The commands of ``schubflex.cli.COMMANDS``: a SELECTOR that starts with one is a whole argv.
+COMMANDS = ("hasse", "classify", "degree", "dual", "tits", "verify")
 
 #: The largest parameter of each classical family that is swept in full.
 SMALL = {"gr": 10, "lg": 8, "og": 9, "quad": 16}
@@ -229,8 +235,8 @@ def report(stats: dict, method: str, runs: dict, out: str | None) -> None:
     print(f"{'':<24s}{'metric':<18s}" + "".join(f"{word:>{width}s}" for word, width in head))
     for name, metrics in stats.items():
         for metric, got in metrics.items():
-            if got is None:
-                print(f"{name:<24s}{metric:<18s}  no pair answered")
+            if not isinstance(got, dict):  # None, or "n/a" for a metric the op does not have
+                print(f"{name:<24s}{metric:<18s}  {got or 'no pair answered'}")
                 continue
             print(
                 f"{name:<24s}{metric:<18s}{got['parent']:>10.4g}{got['change']:>10.4g}"
@@ -337,8 +343,8 @@ def warm(trees: dict, args) -> int:
     return 0
 
 
-def hasse_run(tree: str, argv: list) -> dict:
-    """Wall seconds, peak MiB (None if unreported) and exit code of one ``hasse`` child."""
+def op_run(tree: str, argv: list) -> dict:
+    """Wall seconds, peak MiB (None if unreported) and exit code of one command's child."""
     read, write = os.pipe()
     start = time.perf_counter()
     try:
@@ -361,12 +367,15 @@ def held_per_class(tree: str, argv: list) -> float | None:
 def footprint(trees: dict, args) -> int:
     stats, runs, failed = {}, {}, []
     for selector in args.selectors:
-        argv = ["hasse", *selector.split()]
+        argv = selector.split()
+        argv = argv if argv and argv[0] in COMMANDS else ["hasse", *argv]
         name = " ".join(argv)
-        done = alternate(trees, args.runs, lambda tree: hasse_run(tree, argv))
-        held = {side: held_per_class(trees[side], argv) for side in SIDES}
+        done = alternate(trees, args.runs, lambda tree: op_run(tree, argv))
         stats[name] = {metric: by_pair(done, metric) for metric in ("wall_s", "peak_mib")}
-        stats[name]["held_b_per_class"] = pair_stats([held["parent"]], [held["change"]])
+        hasse = argv[0] == "hasse"  # only a hasse poset has classes to divide by
+        held = {side: held_per_class(trees[side], argv) if hasse else None for side in SIDES}
+        held_stats = pair_stats(*([held[side]] for side in SIDES)) if hasse else "n/a"
+        stats[name]["held_b_per_class"] = held_stats
         runs[name] = {side: {"runs": done[side], "held_b_per_class": held[side]} for side in SIDES}
         for side in SIDES:
             exits = sorted({run["exit"] for run in done[side]})
@@ -375,9 +384,10 @@ def footprint(trees: dict, args) -> int:
     method = (
         f"scripts/compare_trees.py footprint: {args.runs} pairs per selector, the parent first on "
         "odd pairs; each run a fresh child through bench/cli_op.py, its peak its own VmHWM; held "
-        "bytes per class from tracemalloc after the same command run through cli.main, Cartan "
-        "datum and modules loaded first, one child per tree; per metric, both medians, the median "
-        "change/parent ratio over pairs, the parent's IQR and the pairs the change won"
+        "bytes per class (hasse only) from tracemalloc after the same command run through "
+        "cli.main, Cartan datum and modules loaded first, one child per tree; per metric, both "
+        "medians, the median change/parent ratio over pairs, the parent's IQR and the pairs the "
+        "change won"
     )
     report(stats, method, runs, args.json)
     for line in failed:
@@ -392,18 +402,24 @@ def main(argv=None) -> int:
     for mode, text in (
         ("outputs", "exit code, stdout and stderr of every command over ~16,000 argv"),
         ("warm", "warm in-process times of class commands and verify_all()"),
-        ("footprint", "wall time, peak memory and held bytes per class of hasse selectors"),
+        ("footprint", "wall time and peak memory of commands, and held bytes per class of hasse"),
     ):
         sub[mode] = modes.add_parser(mode, help=text, description=text)
         sub[mode].add_argument("parent", help="the tree to compare against")
         sub[mode].add_argument("change", help="the tree under test")
-    sub["footprint"].add_argument("selectors", nargs="*", default=[*SELECTORS], help="like og:16")
+    sub["footprint"].add_argument("selectors", nargs="*", help='like og:16 or "degree og:6:1"')
     sub["warm"].add_argument("--runs", type=int, default=6, help="pairs of children (6)")
     sub["warm"].add_argument("--calls", type=int, default=200, help="timed calls per op (200)")
     sub["footprint"].add_argument("--runs", type=int, default=5, help="pairs per selector (5)")
     for mode in ("warm", "footprint"):
         sub[mode].add_argument("--json", metavar="OUT", help="also write the figures and runs here")
-    args = parser.parse_args(argv)
+    # A footprint SELECTOR after the options is left over here, as argparse
+    # takes the positionals in one match.
+    args, extra = parser.parse_known_args(argv)
+    if extra and (args.mode != "footprint" or any(word.startswith("-") for word in extra)):
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.mode == "footprint":
+        args.selectors = [*args.selectors, *extra] or [*SELECTORS]
     trees = {side: os.path.abspath(getattr(args, side)) for side in SIDES}
     return {"outputs": outputs, "warm": warm, "footprint": footprint}[args.mode](trees, args)
 

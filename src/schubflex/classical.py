@@ -7,8 +7,8 @@ Families and their index conventions (all 1-based, strictly increasing):
 * ``LG(n,2n)``: subsequences lambda of {1..n} (s = len(lambda) conditions on a
   Lagrangian subspace); dim sigma_lambda = n(n+1)/2 - sum(n+1-lambda_i).
 * ``OG(n,2n)``: one spinor component of the orthogonal Grassmannian;
-  subsequences lambda of {1..n-1} of length <= n-1;
-  dim sigma_lambda = n(n-1)/2 - sum(n-lambda_i).
+  subsequences lambda of {1..n-1}; dim sigma_lambda = n(n-1)/2 - sum(n-lambda_i),
+  and its degree counts the shifted tableaux of the n-j for j in 1..n-1 not in lambda.
 * quadric ``Q^n``: the closed class list -- Linear(j) (a j-1 dimensional
   linear space on Q), CoLinear(j) (tangent-type section, dimension n-j), and
   for even n the two families of maximal linear spaces.
@@ -20,10 +20,11 @@ shifted values into (value, multiplicity) runs, written mu_1^{i_1}...mu_t^{i_t}.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
-from math import factorial, fsum, lgamma, log
+from itertools import combinations, groupby
+from math import factorial, fsum, lgamma, log, prod
 
 from .frozen import Frozen
+from .weyl import InternalError
 
 
 # ---------------------------------------------------------------------------
@@ -170,36 +171,28 @@ def isotropic_dimension(idx: IsotropicIndex) -> int:
     return idx.n * (idx.n - 1) // 2 - sum(idx.n - x for x in idx.lam)
 
 
-def _og_sign_vector(idx: IsotropicIndex) -> tuple[int, ...]:
-    """The half-spin weight of the class as a +-1 vector with even minus count.
+def og_degree(idx: IsotropicIndex) -> int:
+    """Projective degree of an og class in the spinor embedding, exact in integers.
 
-    Minus signs sit at the complement of lambda in 1..n-1, padded with
-    position n when the count would be odd (the same parity completion that
-    picks the spinor component).
+    It counts the standard shifted tableaux of the strict partition mu of the
+    n - j for j in 1..n-1 not in lambda, of size isotropic_dimension(idx):
+    |mu|! prod_{i<j} (mu_i - mu_j) / (prod_i mu_i! prod_{i<j} (mu_i + mu_j))
+    (Schur 1911; Thrall 1952).
     """
     if idx.family != "og":
-        raise ValueError("sign vectors only make sense for the og family")
-    minus = set(range(1, idx.n)) - set(idx.lam)
-    if len(minus) % 2:
-        minus.add(idx.n)
-    return tuple(-1 if i in minus else 1 for i in range(1, idx.n + 1))
-
-
-def og_to_fingerprint(idx: IsotropicIndex) -> tuple[int, ...]:
-    """Fingerprint of the corresponding coset in the D_n quotient marked {n}.
-
-    Coordinate j < n pairs the weight against epsilon_j - epsilon_{j+1};
-    coordinate n pairs it against epsilon_{n-1} + epsilon_n.
-    """
-    e = _og_sign_vector(idx)
-    n = idx.n
-    fp = [(e[j] - e[j + 1]) // 2 for j in range(n - 1)]
-    fp.append((e[n - 2] + e[n - 1]) // 2)
-    return tuple(fp)
+        raise ValueError("og_degree needs an og class")
+    mu = [idx.n - j for j in range(1, idx.n) if j not in idx.lam]
+    top, bottom = factorial(sum(mu)), prod(map(factorial, mu))
+    for a, b in combinations(mu, 2):
+        top, bottom = top * (a - b), bottom * (a + b)
+    degree, rest = divmod(top, bottom)
+    if rest:
+        raise InternalError(f"the shifted hook formula leaves a remainder for {idx}")
+    return degree
 
 
 def fingerprint_to_og(n: int, fingerprint) -> IsotropicIndex:
-    """Inverse of :func:`og_to_fingerprint`."""
+    """The og class of the coset with this fingerprint in the D_n quotient marked {n}."""
     fp = tuple(fingerprint)
     if len(fp) != n:
         raise ValueError(f"fingerprint must have length {n}")

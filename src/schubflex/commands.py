@@ -14,9 +14,9 @@ Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
 quad:7  e6  e7.  One function, :func:`read_selector`, reads both a ``hasse``
 selector and the selector part of a class spec, so both are refused in the
 same words.  :data:`FAMILIES` has one row per family: how its class is read
-and how ``classify``, ``degree`` and ``dual`` answer.  Every command that
-needs a family's poset gets it from :func:`schubflex.poset.quotient`.  A
-malformed spec raises :class:`SpecError`.
+and how ``classify``, ``degree`` and ``dual`` answer, none of which builds a
+classical quotient.  Every command that needs a family's poset gets it from
+:func:`schubflex.poset.quotient`.  A malformed spec raises :class:`SpecError`.
 
 This module imports only :mod:`~schubflex.weyl` and :mod:`~schubflex.poset`
 (with what they import), which every command needs, and loads the rest
@@ -48,6 +48,7 @@ from .poset import (
     QUOTIENTS,
     GoldenDataError,
     QuotientPoset,
+    check_quotient,
     quotient,
 )
 
@@ -165,8 +166,8 @@ def _lg_degree(idx) -> int:
 
 
 def _og_degree(idx) -> int:
-    poset = quotient("og", idx.n)  # refuses an over-cap n before the fingerprint
-    return poset.node_by_fingerprint(_module(".classical").og_to_fingerprint(idx)).degree
+    check_quotient("og", idx.n)  # refuses an over-cap n as hasse og:n does, building nothing
+    return _module(".classical").og_degree(idx)
 
 
 def _token_dual(cls) -> str:

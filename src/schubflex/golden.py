@@ -12,10 +12,10 @@ The data files live under ``data/golden/`` inside the package:
 Lines starting with ``#`` are comments.  The directory is resolved from an
 explicit argument, then the SCHUBFLEX_GOLDEN_DIR environment variable, then
 the packaged copy.  Loading cross-checks every row against the live poset and
-raises GoldenDataError on any mismatch (the CLI reports these as
-data-integrity failures, exit code 3).  A decoration table is loaded and
-checked once per process for each shared poset and resolved directory, and
-the loaded table is shared and read-only.
+raises GoldenDataError on any mismatch, and on a file it cannot read or decode
+(the CLI reports these as data-integrity failures, exit code 3).  A decoration
+table is loaded and checked once per process for each shared poset and
+resolved directory, and the loaded table is shared and read-only.
 
 Class tokens are ``dim:degree`` strings.  Where two classes share dimension
 and degree (only the degree-1 pairs in dimension 4 of the 27-node poset and
@@ -77,10 +77,14 @@ def golden_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 
 def _read_rows(path: Path, n_fields: int) -> list[list[str]]:
-    if not path.is_file():
-        raise GoldenDataError(f"missing golden file: {path}")
+    try:
+        if not path.is_file():
+            raise GoldenDataError(f"missing golden file: {path}")
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # is_file too: it raises on EACCES, ENAMETOOLONG
+        raise GoldenDataError(f"cannot read golden file {path}: {exc}") from None
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

@@ -152,8 +152,8 @@ def quadric_poset_family(n: int) -> tuple[str, int]:
 # Family head -> (the selector's written form, layout).  The layout gives the
 # (Cartan family, rank, marked node, closed-form class count) of the quotient
 # from the selector's integer parameters and a limit: a count above it is None,
-# so a huge parameter never costs a huge integer.  quotient() checks the count,
-# and the count times the rank, before any datum.
+# so a huge parameter never costs a huge integer.  check_quotient() checks the
+# count, and the count times the rank, before any datum.
 QUOTIENTS = {
     "gr": ("gr:k,n", lambda k, n, limit: ("A", n - 1, k, _comb(n, k, limit))),
     "lg": ("lg:n", lambda n, limit: ("C", n, n, 2**n if n < limit.bit_length() else None)),
@@ -170,14 +170,19 @@ GOLDEN_POSETS = {"e6": "e6_p6", "e7": "e7_p7"}
 
 
 class GoldenDataError(Exception):
-    """A golden file is malformed or disagrees with the live poset."""
+    """A golden file cannot be read, is malformed or disagrees with the live poset."""
+
+
+def check_quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
+    """The (Cartan family, rank, marked node) of a quotient, refused as quotient() refuses it."""
+    family, rank, marked, count = QUOTIENTS[head][1](*params, max(size_cap, 2**64))
+    _check_size(count, rank, size_cap)  # spells out counts up to max(size_cap, 2^64)
+    return family, rank, marked
 
 
 def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
     """The shared quotient poset of a family head and its parameters."""
-    # Refusals spell out class counts up to max(size_cap, 2^64) (_check_size).
-    family, rank, marked, count = QUOTIENTS[head][1](*params, max(size_cap, 2**64))
-    _check_size(count, rank, size_cap)
+    family, rank, marked = check_quotient(head, *params, size_cap=size_cap)
     return build_quotient_poset(weyl.build_cartan(family, rank), {marked}, size_cap)
 
 

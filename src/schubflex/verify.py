@@ -16,7 +16,8 @@ single class:
 The 56-class run leans on the 27-class decorations twice (the cone gate and
 the interval gate), so it verifies those first and reports loudly when they
 cannot be trusted.  The transform-table check replays every frozen row
-through the live sweep.
+through the live sweep; a row whose token names no unique class is a data
+error (GoldenDataError), not the user's usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from types import MappingProxyType
 from .classical import fingerprint_to_og
 from .frozen import Frozen
 from .golden import (
+    GoldenDataError,
+    TokenError,
     golden_dir as resolve_golden_dir,
     load_golden_poset,
     load_transform_table,
@@ -335,6 +338,14 @@ def verify_e7(golden_dir=None) -> VerifyReport:
     return report
 
 
+def _table_token(poset: QuotientPoset, token: str) -> SchubertNode:
+    """The class of a transform-table token; a bad token is a data error, not a usage error."""
+    try:
+        return resolve_token(poset, token)
+    except TokenError as exc:
+        raise GoldenDataError(f"table1.tsv: token {token!r}: {exc}") from None
+
+
 def verify_table1(golden_dir=None) -> VerifyReport:
     """Replay the frozen transform table through the live sweep."""
     report = VerifyReport("table1")
@@ -350,10 +361,9 @@ def verify_table1(golden_dir=None) -> VerifyReport:
     rows = load_transform_table(golden_dir)
     targets = set()
     for r in rows:
-        y = resolve_token(e6p6, r.y_token)
+        y, t = _table_token(e6p6, r.y_token), _table_token(e7p7, r.t_token)
         src = ctx71.q_poset.node(psi[y.id])
         dst = transform(ctx71, src)
-        t = resolve_token(e7p7, r.t_token)
         injective = injectivity_check(ctx71, src)
         y_star_live = golden6.decoration(y.id) == "rigid"
         t_star_live = golden7.decoration(t.id) == "rigid"

@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import fsum, lgamma, log
 
-from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
+from schubflex.classical import GrIndex, IsotropicIndex, dual_index, gr_dimension, shifted
+from schubflex.poset import quotient
 from schubflex.weyl import CartanDatum, act, reflect, rho
 from schubflex.witnesses import Witness, basic_witness_homes
 
@@ -301,6 +302,44 @@ def fingerprint_to_gr(k: int, n: int, fingerprint) -> GrIndex:
         if all(c in (0, 1) for c in chi[1:]) and sum(chi[1:]) == k:
             return GrIndex(k, n, tuple(i for i in range(1, n + 1) if chi[i]))
     raise ValueError(f"fingerprint {fp} does not encode a {k}-subset of 1..{n}")
+
+
+def _og_sign_vector(idx: IsotropicIndex) -> tuple[int, ...]:
+    """The half-spin weight of the class as a +-1 vector with even minus count.
+
+    Minus signs sit at the complement of lambda in 1..n-1, padded with
+    position n when the count would be odd (the same parity completion that
+    picks the spinor component).
+    """
+    if idx.family != "og":
+        raise ValueError("sign vectors only make sense for the og family")
+    minus = set(range(1, idx.n)) - set(idx.lam)
+    if len(minus) % 2:
+        minus.add(idx.n)
+    return tuple(-1 if i in minus else 1 for i in range(1, idx.n + 1))
+
+
+def og_to_fingerprint(idx: IsotropicIndex) -> tuple[int, ...]:
+    """Fingerprint of the corresponding coset in the D_n quotient marked {n}.
+
+    Coordinate j < n pairs the weight against epsilon_j - epsilon_{j+1};
+    coordinate n pairs it against epsilon_{n-1} + epsilon_n.  Inverse of
+    :func:`schubflex.classical.fingerprint_to_og`.
+    """
+    e = _og_sign_vector(idx)
+    n = idx.n
+    fp = [(e[j] - e[j + 1]) // 2 for j in range(n - 1)]
+    fp.append((e[n - 2] + e[n - 1]) // 2)
+    return tuple(fp)
+
+
+def og_degree_by_chains(idx: IsotropicIndex) -> int:
+    """The degree of an og class read off the D_n quotient marked {n}: its saturated-chain count.
+
+    What :func:`schubflex.classical.og_degree` works out by Schur's formula,
+    here found by building the whole 2^(n-1)-class poset.
+    """
+    return quotient("og", idx.n).node_by_fingerprint(og_to_fingerprint(idx)).degree
 
 
 def gr_pairing(a: GrIndex, b: GrIndex) -> int:

@@ -1,5 +1,6 @@
 """Unit tests for classical index arithmetic."""
 
+import math
 import random
 from itertools import combinations
 from math import comb, isclose, log10
@@ -13,6 +14,8 @@ from oracles import (
     fingerprint_to_gr,
     gr_pairing,
     gr_to_fingerprint,
+    og_degree_by_chains,
+    og_to_fingerprint,
     pairwise_gr_degree_log10,
     ungroup,
 )
@@ -301,7 +304,7 @@ def test_og_fingerprint_round_trip_and_dims():
         for size in range(n):
             for lam in combinations(range(1, n), size):
                 idx = IsotropicIndex("og", n, lam)
-                fp = classical.og_to_fingerprint(idx)
+                fp = og_to_fingerprint(idx)
                 node = poset.node_by_fingerprint(fp)
                 assert node.dim == classical.isotropic_dimension(idx), f"{idx} vs {node}"
                 assert classical.fingerprint_to_og(n, fp) == idx
@@ -312,15 +315,38 @@ def test_og_fingerprint_round_trip_and_dims():
 def test_og_fingerprint_known_values():
     # the point class is the dominant weight, the fundamental class its
     # longest-element image
-    assert classical.og_to_fingerprint(IsotropicIndex("og", 5, (1, 2, 3, 4))) == (0, 0, 0, 0, 1)
-    assert classical.og_to_fingerprint(IsotropicIndex("og", 5, ())) == (0, 0, 0, -1, 0)
-    assert classical.og_to_fingerprint(IsotropicIndex("og", 4, ())) == (0, 0, 0, -1)
+    assert og_to_fingerprint(IsotropicIndex("og", 5, (1, 2, 3, 4))) == (0, 0, 0, 0, 1)
+    assert og_to_fingerprint(IsotropicIndex("og", 5, ())) == (0, 0, 0, -1, 0)
+    assert og_to_fingerprint(IsotropicIndex("og", 4, ())) == (0, 0, 0, -1)
     with pytest.raises(ValueError):
         classical.fingerprint_to_og(5, (0, 0, 0, 0, 2))
     with pytest.raises(ValueError):
         classical.fingerprint_to_og(4, (0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
-        classical.og_to_fingerprint(IsotropicIndex("lg", 3, (1,)))
+        og_to_fingerprint(IsotropicIndex("lg", 3, (1,)))
+
+
+def test_og_degree_equals_the_chain_count_on_every_class_up_to_og11():
+    checked = 0
+    for n in range(2, 12):
+        for size in range(n):
+            for lam in combinations(range(1, n), size):
+                idx = IsotropicIndex("og", n, lam)
+                assert classical.og_degree(idx) == og_degree_by_chains(idx), idx
+                checked += 1
+    assert checked == 2046
+
+
+def test_og_degree_known_values_and_refusals(monkeypatch):
+    # og:n:() is the fundamental class of OG(n,2n): P^1, P^3, the quadric Q^6
+    # and the spinor varieties of degree 12 and 286 (shifted staircase tableaux).
+    assert [classical.og_degree(IsotropicIndex("og", n, ())) for n in range(2, 7)] == [1, 1, 2, 12, 286]
+    assert classical.og_degree(IsotropicIndex("og", 12, (1, 5, 7))) == 266412594390371520
+    with pytest.raises(ValueError):
+        classical.og_degree(IsotropicIndex("lg", 3, (1,)))
+    monkeypatch.setattr(classical, "factorial", lambda k: math.factorial(k) + 1)
+    with pytest.raises(weyl.InternalError, match="remainder"):
+        classical.og_degree(IsotropicIndex("og", 3, ()))
 
 
 def test_quadric_class_count_matches_quotient_poset():

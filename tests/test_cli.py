@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -455,6 +457,17 @@ def test_degree_values(capsys):
         assert rc == 0 and out.strip() == want, f"BUG: degree {spec} printed {out!r}"
 
 
+@pytest.mark.parametrize(
+    "spec, count",
+    [("og:21:1", "1048576"), ("og:22:1", "2097152"), ("og:70:1", "more than 18446744073709551616")],
+)
+def test_degree_of_an_over_cap_og_keeps_the_quotient_refusal(spec, count, capsys):
+    # The degree comes from Schur's formula, but an og:n that hasse refuses is refused alike.
+    rc, out, err = run(["degree", spec], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: quotient would have {count} cosets, above the cap of 1000000\n"
+
+
 def test_degree_lg_refused(capsys):
     rc, out, err = run(["degree", "lg:3:1,2"], capsys)
     assert rc == 2
@@ -785,6 +798,63 @@ def test_classify_e7_checks_the_e6_table(tmp_path, capsys):
     rc, out, err = run(["classify", "e7:22:5586", "--golden-dir", str(dst)], capsys)
     assert rc == 3 and out == ""
     assert err.startswith("data error: e6_p6: n011")
+
+
+@pytest.mark.parametrize("argv", [["verify", "e6"], ["classify", "e6:9:9"]])
+def test_undecodable_golden_table_exits_3(argv, tmp_path, capsys):
+    dst = tmp_path / "golden"
+    shutil.copytree(golden_dir(), dst)
+    with open(dst / "e6_p6.tsv", "ab") as fh:
+        fh.write(b"\xff")
+    rc, out, err = run([*argv, "--golden-dir", str(dst)], capsys)
+    assert (rc, out) == (3, "") and err.count("\n") == 1, err
+    assert err.startswith(f"data error: cannot read golden file {dst / 'e6_p6.tsv'}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("argv", [["verify", "e6"], ["classify", "e6:9:9"]])
+def test_unreadable_golden_table_exits_3(argv, tmp_path, monkeypatch, capsys):
+    dst = tmp_path / "golden"
+    shutil.copytree(golden_dir(), dst)
+    real = Path.read_text
+
+    def read_text(path, *args, **kwargs):
+        if path.name == "e6_p6.tsv":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    rc, out, err = run([*argv, "--golden-dir", str(dst)], capsys)
+    assert (rc, out) == (3, "") and err.count("\n") == 1, err
+    assert err.startswith(f"data error: cannot read golden file {dst / 'e6_p6.tsv'}: [Errno 13]")
+
+
+def test_golden_dir_whose_path_cannot_be_looked_up_exits_3(capsys):
+    rc, out, err = run(["verify", "e6", "--golden-dir", "a" * 300], capsys)
+    assert (rc, out) == (3, "") and err.count("\n") == 1, err
+    assert err.startswith(f"data error: cannot read golden file {'a' * 300}/e6_p6.tsv: [Errno {errno.ENAMETOOLONG}]")
+
+
+@pytest.mark.parametrize(
+    "token, why",
+    [
+        ("x", "malformed class token 'x'"),
+        ("99:1", "no class with dimension 99 and degree 1"),
+        ("4:1", "token '4:1' is ambiguous"),
+    ],
+)
+def test_bad_transform_table_token_exits_3(token, why, tmp_path, capsys):
+    # A bad token in the shipped table is a data error, not the user's usage error.
+    dst = tmp_path / "golden"
+    shutil.copytree(golden_dir(), dst)
+    path = dst / "table1.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = "\t".join([token, *lines[first].split("\t")[1:]])
+    path.write_text("".join(lines))
+    for target in ("table1", "all"):
+        rc, out, err = run(["verify", target, "--golden-dir", str(dst)], capsys)
+        assert (rc, out) == (3, "") and err.count("\n") == 1, (target, err)
+        assert err.startswith(f"data error: table1.tsv: token {token!r}: {why}"), (target, err)
 
 
 def test_golden_dir_env_variable(tmp_path, capsys, monkeypatch):

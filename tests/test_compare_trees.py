@@ -1,4 +1,4 @@
-"""scripts/compare_trees.py: the outputs check end to end, its argv, and the pair statistics."""
+"""scripts/compare_trees.py: the outputs check end to end, its argv, the pair statistics and footprint argv."""
 
 from __future__ import annotations
 
@@ -81,3 +81,25 @@ def test_pairs_alternate_which_tree_runs_first():
     runs = compare_trees.alternate({"parent": "P", "change": "C"}, 3, lambda tree: order.append(tree) or tree)
     assert "".join(order) == "PCCPPC"
     assert runs == {"parent": ["P"] * 3, "change": ["C"] * 3}
+
+
+def test_footprint_takes_selectors_after_the_options(capsys):
+    assert compare_trees.main(["footprint", str(ROOT), str(ROOT), "--runs", "1", "og:3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:3] for row in rows] == [
+        ["hasse", "og:3", metric] for metric in ("wall_s", "peak_mib", "held_b_per_class")
+    ]
+
+
+def test_footprint_runs_a_selector_that_names_a_command_as_its_argv(capsys):
+    argv = ["footprint", str(ROOT), str(ROOT), "degree og:5:1", "--runs", "1"]
+    assert compare_trees.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:3] for row in rows] == [
+        ["degree", "og:5:1", metric] for metric in ("wall_s", "peak_mib", "held_b_per_class")
+    ]
+    assert rows[-1].split()[3:] == ["n/a"]  # held bytes per class are hasse's alone
+
+
+def test_command_names_are_the_cli_commands():
+    assert set(compare_trees.COMMANDS) == set(COMMANDS)

@@ -228,6 +228,22 @@ def test_import_help_usage_errors_and_degree_load_no_argument_parser():
     )
 
 
+def test_degree_og_builds_no_quotient():
+    # Schur's formula answers; the og poset stays the tests' oracle.
+    proc = _python(
+        """
+import contextlib, io
+from schubflex import cli, poset
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["degree", "og:12:1,5,7"])
+print(code, out.getvalue().strip(), poset._quotient.cache_info().misses)
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "266412594390371520", "0"]
+
+
 def test_repeated_commands_run_no_import_statement(monkeypatch):
     commands = [
         ["classify", "gr:2,5:1,3"],
