@@ -122,6 +122,8 @@ SELECTORS = (
     "lg:15",
     "lg:17",
     "gr:1,2000",
+    "gr:1,2000 --json",
+    "tits a2000 1 2000",
 )
 
 # Run in each outputs child, with the argv as JSON on stdin.

@@ -15,45 +15,54 @@ What a poset holds, and when:
 
 * Built with it: the nodes, in BFS order (so dimension order, which makes
   each dimension one slice of them), where each slice starts, and each
-  class's lower covers as a tuple of nodes, keyed by id.  That serves
+  class's lower covers as a tuple of nodes, by node index.  That serves
   ``lower_covers``, ``lower_interval``, ``nodes_by_dim``, ``top`` and the
-  exports.
-* Built on first use, then kept: the lookups by id (``node``), by
-  fingerprint (``node_by_fingerprint``, ``poincare_dual``) and by
-  (dimension, degree) (``find_nodes``), and the upper covers
-  (``upper_covers``).  ``hasse --json``/``--dot`` build none of them.
+  exports.  A node holds its index, its BFS parent's and its letter, no
+  fingerprint.
+* Built on first use, then kept: the fingerprints, replayed once in BFS
+  order (each the parent's reflected by the letter), with the lookup by
+  fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``);
+  the lookups by id (``node``) and by (dimension, degree) (``find_nodes``);
+  and the upper covers (``upper_covers``).  ``hasse --json``/``--dot`` build
+  none of them, and text ``hasse`` only ``find_nodes``.
 * Never held whole: ``covers`` and the exports gather the cover pairs one
-  dimension at a time, and the exports write them to a stream a
-  batch at a time, with the minimal words rebuilt in BFS order as they go.
+  dimension at a time, and the exports write them to a stream a batch of a
+  few KiB at a time, with the minimal words rebuilt in BFS order as they go.
 
-Inside the package a class is passed as its node.  Ids key ``_down``,
-``_up`` and ``_by_id`` here, ``targets``/``sources`` in ``tits``, the
-certificate map of ``verify`` and the witness engines' matchings, and they
-appear in output, golden tables and certificate payloads.  This module is
-apart from :mod:`~schubflex.poset` so that neither module's compile is large
-(see :mod:`~schubflex.cli`).
+Inside the package a class is passed as its node.  Its index keys the
+covers here (``_down``, ``_up``); ids key ``_by_id``, ``targets``/``sources``
+in ``tits``, the certificate map of ``verify`` and the witness engines'
+matchings, and they appear in output, golden tables and certificate
+payloads.  This module is apart from :mod:`~schubflex.poset` so that neither
+module's compile is large (see :mod:`~schubflex.cli`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 
 from . import weyl
 from .frozen import Frozen
 from .weyl import CartanDatum, InternalError
 
+# Where a batch of exported items ends (see _write_batches).
+BATCH_ITEMS = 256
+BATCH_BYTES = 4096
+
 
 class SchubertNode(Frozen):
     """One Schubert class: a coset of W_P in W.
 
-    ``parent`` is the index of the class the BFS first reached it from (None
-    at the bottom) and ``letter`` the simple reflection it took, so the
-    minimal word is the parent's plus ``letter``.  The parent is an index, not
-    a node: records hash and compare every field.
+    ``index`` is its place in its poset's ``nodes``, ``parent`` the index of
+    the class the BFS first reached it from (None at the bottom) and
+    ``letter`` the simple reflection it took, so the minimal word is the
+    parent's plus ``letter`` and the fingerprint is the parent's reflected by
+    it.  The parent is an index, not a node: records hash and compare every
+    field.  So classes of two posets can be equal, and no set or dict mixes
+    them.
     """
 
-    __slots__ = ("id", "dim", "fingerprint", "parent", "letter", "degree")
+    __slots__ = ("id", "dim", "index", "parent", "letter", "degree")
 
     def __repr__(self) -> str:
         deg = "?" if self.degree is None else self.degree
@@ -74,16 +83,17 @@ class QuotientPoset:
         self.datum = datum
         self.marked = marked
         self.nodes = nodes
-        self._down = {}  # id -> lower covers, in id order
+        lower = []  # by node index: the lower covers, in id order
         starts = []  # nodes[starts[d]:starts[d + 1]] are the classes of dimension d
         for k, n in enumerate(nodes):
             # Ids are zero-padded node indices, so index order is id order.
-            self._down[n.id] = tuple(map(nodes.__getitem__, sorted(down[k])))
+            lower.append(tuple(map(nodes.__getitem__, sorted(down[k]))))
             down[k] = None
             if n.dim == len(starts):
                 starts.append(k)
             elif n.dim != len(starts) - 1:
                 raise InternalError(f"class {n.id} of dim {n.dim} is out of BFS order")
+        self._down = tuple(lower)
         self._starts = (*starts, len(nodes))
         self.dimension = len(starts) - 1
 
@@ -92,8 +102,17 @@ class QuotientPoset:
         return {n.id: n for n in self.nodes}
 
     @cached_property
+    def _fingerprints(self) -> list:
+        """Each class's fingerprint, by index, replayed once in BFS order."""
+        datum, nodes = self.datum, self.nodes
+        fps = [weyl.marked_weight(datum, self.marked)]
+        for k in range(1, len(nodes)):
+            fps.append(weyl.reflect(datum, nodes[k].letter, fps[nodes[k].parent]))
+        return fps
+
+    @cached_property
     def _by_fp(self) -> dict:
-        return {n.fingerprint: n for n in self.nodes}
+        return dict(zip(self._fingerprints, self.nodes))
 
     @cached_property
     def _by_dim_degree(self) -> dict:
@@ -103,13 +122,13 @@ class QuotientPoset:
         return found
 
     @cached_property
-    def _up(self) -> dict:
-        """Id -> upper covers, in id order."""
-        up: dict[str, list[SchubertNode]] = {n.id: [] for n in self.nodes}
-        for hi in self.nodes:
-            for lo in self._down[hi.id]:
-                up[lo.id].append(hi)
-        return {lo: tuple(his) for lo, his in up.items()}
+    def _up(self) -> tuple:
+        """By node index: the upper covers, in id order."""
+        up: list[list[SchubertNode]] = [[] for _ in self.nodes]
+        for hi, los in zip(self.nodes, self._down):
+            for lo in los:
+                up[lo.index].append(hi)
+        return tuple(map(tuple, up))
 
     def _layer(self, dim: int) -> tuple:
         """The classes of dimension ``dim``, in id order."""
@@ -126,7 +145,7 @@ class QuotientPoset:
         for dim in range(self.dimension):
             up: dict[str, list[str]] = {n.id: [] for n in self._layer(dim)}
             for hi in self._layer(dim + 1):
-                for lo in self._down[hi.id]:
+                for lo in self._down[hi.index]:
                     up[lo.id].append(hi.id)
             for lo, his in up.items():
                 for hi in his:
@@ -144,6 +163,10 @@ class QuotientPoset:
 
     def node_by_fingerprint(self, fp) -> SchubertNode:
         return self._by_fp[tuple(fp)]
+
+    def fingerprint(self, node: SchubertNode) -> tuple[int, ...]:
+        """u^{-1}(lambda_P) for the class's minimal representative u."""
+        return self._fingerprints[node.index]
 
     def bottom(self) -> SchubertNode:
         return self.nodes[0]
@@ -179,27 +202,27 @@ class QuotientPoset:
         return va == r
 
     def upper_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
-        return self._up[node.id]
+        return self._up[node.index]
 
     def lower_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
-        return self._down[node.id]
+        return self._down[node.index]
 
     def lower_interval(self, node: SchubertNode) -> list[SchubertNode]:
         """All classes <= node, in id order (includes node itself): its down-closure."""
-        below = {node.id}
+        below = {node.index}
         stack = [node]
         while stack:
-            for lo in self._down[stack.pop().id]:
-                if lo.id not in below:
-                    below.add(lo.id)
+            for lo in self._down[stack.pop().index]:
+                if lo.index not in below:
+                    below.add(lo.index)
                     stack.append(lo)
-        return [n for n in self.nodes if n.id in below]
+        return [self.nodes[k] for k in sorted(below)]
 
     # -- duality ----------------------------------------------------------
 
     def poincare_dual(self, node: SchubertNode) -> SchubertNode:
         """The complementary-dimension partner under right multiplication by w_0."""
-        fp = node.fingerprint
+        fp = self.fingerprint(node)
         image = tuple(-fp[j] for j in weyl.opposition(self.datum))
         dual = self._by_fp.get(image)
         if dual is None:
@@ -275,10 +298,17 @@ def _write_list(out, items, depth: int) -> None:
 def _write_batches(out, items, sep: str = "", lead: str = "") -> None:
     """Write ``lead + sep.join(items)`` to ``out``, one batch of items at a time.
 
-    One write per batch costs less than one per item, and a batch of 256
-    stays small even where each item spells out a long minimal word.
+    One write per batch costs less than one per item.  A batch ends at
+    :data:`BATCH_ITEMS` items, or at the item that brings it to
+    :data:`BATCH_BYTES`, so it stays small even where each item spells out a
+    long minimal word.
     """
-    items = iter(items)
-    while batch := list(islice(items, 256)):
+    batch, size = [], 0
+    for item in items:
+        batch.append(item)
+        size += len(item)
+        if size >= BATCH_BYTES or len(batch) == BATCH_ITEMS:
+            out.write(lead + sep.join(batch))
+            lead, batch, size = sep, [], 0
+    if batch:
         out.write(lead + sep.join(batch))
-        lead = sep

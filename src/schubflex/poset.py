@@ -12,8 +12,9 @@ Facts the construction leans on:
   minimal length exactly when fingerprint coordinate i is positive, so a BFS
   from lambda discovers every coset once, at depth equal to the minimal
   representative's length (= the Schubert variety's dimension).  A class
-  keeps only its BFS parent's index and the letter from it, O(rank) in all
-  with its fingerprint: its minimal word is the parent's plus that letter.
+  keeps only its BFS parent's index and the letter from it: its minimal
+  word is the parent's plus that letter, and its fingerprint the parent's
+  reflected by it, which the poset replays when a lookup needs it.
 * Covers need no comparisons (lifting property, Bjorner-Brenti GTM 231,
   Prop. 2.2.7).  If the BFS first reaches u from its parent p by s = s_i,
   then lower_covers(u) = [p] + [ys for y in lower_covers(p) if coordinate i
@@ -22,7 +23,8 @@ Facts the construction leans on:
   and zs covered by p; conversely y covered by p with ys > y gives ys <= u
   by lifting.  The BFS computes u's covers, and its degree, as it finds u:
   each ys has dimension dim(u) - 1 and was found while a class of dimension
-  dim(u) - 2 was expanded, before p was.  That costs O(#covers * rank).
+  dim(u) - 2 was expanded, before p was.  That costs O(#covers * rank), and
+  the BFS holds fingerprints for three consecutive dimensions only.
 * For quotients by a minuscule maximal parabolic, the projective degree of a
   Schubert variety in the minimal homogeneous embedding equals the number of
   saturated chains from the bottom of its lower order ideal.  Degrees are
@@ -189,47 +191,55 @@ def quotient(head: str, *params: int, size_cap: int = DEFAULT_SIZE_CAP) -> Quoti
 @lru_cache(maxsize=None)
 def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     """Enumerate the cosets by BFS, with covers and degrees, and assemble the poset."""
-    lam = tuple(1 if (i + 1) in marked else 0 for i in range(datum.rank))
+    lam = weyl.marked_weight(datum, marked)
     graded = minuscule(datum, marked)
-    index = {lam: 0}
-    # fingerprint, dim, BFS parent's index, letter from the parent, degree
-    records = [(lam, 0, None, None, 1 if graded else None)]
+    # Against the formula itself, not _class_count's copy: each enumeration
+    # meets a count worked out beside it.  The count also fixes the id width.
+    expected = _order_formula(datum, marked)
+    width = max(3, len(str(expected - 1)))
+    nodes = [SchubertNode(f"n{0:0{width}d}", 0, 0, None, None, 1 if graded else None)]
     down: list[list[int]] = [[]]
+    # The fingerprints of dims d - 1, d and d + 1 by index from their layer's
+    # start, and the coset index of dims d and d + 1, while dim d is expanded.
+    below, here, above = [], [lam], []
+    base_below, base_here, base_above = 0, 0, 1
+    index_here, index_above = {lam: 0}, {}
     try:
-        # records is its own BFS queue, so classes are expanded in order of
-        # dimension.  A child of dim d found from idx by letter i lifts the
-        # covers y of idx with y[i] > 0 to covers ys of dim d - 1.  Those were
-        # found while classes of dim d - 2 were expanded, all before idx, so
-        # each is already indexed and has its degree.
-        for idx, (fp, dim, _, _, _) in enumerate(records):
+        # nodes is its own BFS queue, so classes are expanded in order of
+        # dimension.  A child of dim d + 1 found from node idx (dim d) by
+        # letter i lifts the covers y of idx with y[i] > 0 to covers ys of
+        # dim d.  Those were found while classes of dim d - 1 were expanded,
+        # all before idx, so each is already indexed and has its degree.
+        # Nothing reaches further than one dimension down or up, so a layer's
+        # fingerprints are dropped once the BFS is two dimensions past it.
+        for node in nodes:
+            idx = node.index  # each child's parent shares the int
+            if idx == base_above:  # the first class of dim d + 1: shift the layers
+                below, here, above = here, above, []
+                base_below, base_here, base_above = base_here, base_above, len(nodes)
+                index_here, index_above = index_above, {}
+            fp = here[idx - base_here]
             for i in range(1, datum.rank + 1):
                 if fp[i - 1] > 0:
                     child = weyl.reflect(datum, i, fp)
-                    if child not in index:
-                        los = [idx] + [
-                            index[weyl.reflect(datum, i, records[y][0])]
-                            for y in down[idx]
-                            if records[y][0][i - 1] > 0
-                        ]
-                        degree = sum(records[lo][4] for lo in los) if graded else None
-                        index[child] = len(records)
-                        records.append((child, dim + 1, idx, i, degree))
+                    if child not in index_above:
+                        los = [idx]
+                        for y in down[idx]:
+                            yfp = below[y - base_below]
+                            if yfp[i - 1] > 0:
+                                los.append(index_here[weyl.reflect(datum, i, yfp)])
+                        degree = sum(nodes[lo].degree for lo in los) if graded else None
+                        k = index_above[child] = len(nodes)
+                        nodes.append(SchubertNode(f"n{k:0{width}d}", node.dim + 1, k, idx, i, degree))
+                        above.append(child)
                         down.append(los)
     except KeyError as exc:
         raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
 
-    # Against the formula itself, not _class_count's copy: each enumeration
-    # meets a count worked out beside it.
-    expected = _order_formula(datum, marked)
-    if len(records) != expected:
-        raise InternalError(f"enumerated {len(records)} cosets, order formula says {expected}")
-    width = max(3, len(str(len(records) - 1)))
-    nodes = tuple(
-        SchubertNode(f"n{idx:0{width}d}", dim, fp, parent, letter, degree)
-        for idx, (fp, dim, parent, letter, degree) in enumerate(records)
-    )
-    del records, index  # not held while the poset builds its maps
-    return QuotientPoset(datum, marked, nodes, down)
+    if len(nodes) != expected:
+        raise InternalError(f"enumerated {len(nodes)} cosets, order formula says {expected}")
+    del below, here, above, index_here, index_above  # not held while the poset builds its maps
+    return QuotientPoset(datum, marked, tuple(nodes), down)
 
 
 def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict[str, int]:

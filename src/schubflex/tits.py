@@ -11,8 +11,10 @@ the nodes outside Q.  On fingerprint vectors that is
 
 which is looked up in the target poset.  lambda_P is dominant, so
 w0_Q(lambda_P) is the one weight of its W_Q-orbit with no positive coordinate
-outside Q; and u = u' s_i for u's BFS parent u', so u's target is s_i of
-u''s, found by the parent's node index and u's letter.  The dimension shift
+outside Q; and u = u' s_i for u's BFS parent u', so u's target fingerprint is
+s_i of u''s.  The sweep carries those fingerprints itself, one dimension of
+G/Q at a time, and looks each up in G/P, which replays its own fingerprints
+once for the lookup; G/Q replays none.  The dimension shift
 
     d_tau = dim G/P_{P union Q} - dim G/Q
 
@@ -78,16 +80,19 @@ def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
     """Sweep every G/Q class once; keyed by the two shared posets."""
     datum = p_poset.datum
     unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
-    low = tuple(1 if (i + 1) in p_poset.marked else 0 for i in range(datum.rank))
+    low = weyl.marked_weight(datum, p_poset.marked)
     while (i := next((g for g in unmarked if low[g - 1] > 0), None)) is not None:
         low = weyl.reflect(datum, i, low)
-    sweep = []  # sweep[k]: the G/P class that G/Q class k sweeps onto
+    # The swept fingerprints of the G/Q classes of the last dimension and the
+    # one before, by index: a class's parent is one dimension down.
+    swept, before, dim = {}, {}, 0
     targets, sources = {}, {}
     for node in q_poset.nodes:  # BFS order: each parent before its children
-        parent = node.parent
-        fp = low if parent is None else weyl.reflect(datum, node.letter, sweep[parent].fingerprint)
+        if node.dim != dim:
+            swept, before, dim = {}, swept, node.dim
+        fp = low if node.parent is None else weyl.reflect(datum, node.letter, before[node.parent])
+        swept[node.index] = fp
         target = p_poset.node_by_fingerprint(fp)
-        sweep.append(target)
         targets[node.id] = target
         sources.setdefault(target.id, []).append(node)
     return TitsContext(
@@ -152,7 +157,8 @@ def tits_flexibility_witness(ctx: TitsContext, p_node: SchubertNode, q_oracle) -
     for src in ctx.sources.get(p_node.id, ()):
         covers = ctx.q_poset.upper_covers(src)
         for home in q_oracle(src):
-            if home in covers and injectivity_check(ctx, home):
+            # by identity: a class of another poset can equal a cover field by field
+            if any(home is c for c in covers) and injectivity_check(ctx, home):
                 return Witness(
                     "Tits",
                     {

@@ -25,7 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .classical import fingerprint_to_og
 from .frozen import Frozen
 from .golden import (
     GoldenDataError,
@@ -256,13 +255,16 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
     golden = golden6 if target == "e6" else load_golden_poset("e7", directory)
     certs = _basic_certificates(poset)
     if target == "e6":
+        from .classical import fingerprint_to_og  # e7 and table1 run no classical code
+
+        og5 = quotient("og", 5)
         _cone_certificates(
             certs,
             problems,
             poset,
-            quotient("og", 5),
+            og5,
             resolve_token(poset, "11:12"),
-            lambda s: moduli_witness_isotropic(fingerprint_to_og(5, s.fingerprint)) is not None,
+            lambda s: moduli_witness_isotropic(fingerprint_to_og(5, og5.fingerprint(s))) is not None,
             "the 10-dimensional spinor quotient",
         )
         ctx61 = make_context(poset.datum, {6}, {1})

@@ -36,8 +36,8 @@ from .frozen import Frozen
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 2, "E": 6}
 
-# Bound on classes x rank, the fingerprint coordinates a quotient stores; the
-# poset builders check it beside their size cap.
+# Bound on classes x rank, the fingerprint coordinates a quotient replays for
+# its lookups; the poset builders check it beside their size cap.
 MAX_COORDINATES = 2 * 10**7
 
 
@@ -148,6 +148,11 @@ def act(datum: CartanDatum, word, v: tuple[int, ...]) -> tuple[int, ...]:
 def rho(datum: CartanDatum) -> tuple[int, ...]:
     """Sum of fundamental weights: the all-ones vector."""
     return (1,) * datum.rank
+
+
+def marked_weight(datum: CartanDatum, marked) -> tuple[int, ...]:
+    """lambda_P, the sum of the fundamental weights of the marked nodes."""
+    return tuple(1 if i + 1 in marked else 0 for i in range(datum.rank))
 
 
 @lru_cache(maxsize=None)

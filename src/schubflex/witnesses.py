@@ -28,9 +28,20 @@ under a cone apex, used to transport witnesses into the exceptional posets.
 
 from __future__ import annotations
 
-from .classical import GrIndex, IsotropicIndex, QuadricIndex, ann_index, grouped
+import importlib
+from functools import lru_cache
+
 from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, interval_chain_counts
+
+
+@lru_cache(maxsize=None)
+def _classical():
+    """:mod:`~schubflex.classical`, loaded by the first moduli engine that runs.
+
+    The poset engines and the certificate runs of e7 and table1 need none of it.
+    """
+    return importlib.import_module(".classical", __package__)
 
 
 class Witness(Frozen):
@@ -145,7 +156,7 @@ def moduli_witness_gr(idx: GrIndex) -> Witness | None:
                 ),
             },
         )
-    other = ann_index(idx)
+    other = _classical().ann_index(idx)
     u = _case1_position(other)
     if u is None:
         return None
@@ -173,7 +184,7 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
 
     if 1 <= s < n:
         # a maximal isotropic subspace F has dimension n in both families
-        embedded = GrIndex(s, n, lam)
+        embedded = _classical().GrIndex(s, n, lam)
         inner = moduli_witness_gr(embedded)
         if inner is not None:
             payload = {
@@ -187,7 +198,7 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
             return Witness("ModuliIsotropic", payload)
 
     if not lg and s >= 1 and lam[-1] == n - 2:
-        extended = GrIndex(s + 1, n, lam + (n,))
+        extended = _classical().GrIndex(s + 1, n, lam + (n,))
         inner = moduli_witness_gr(extended)
         if inner is not None:
             return Witness(
@@ -203,7 +214,7 @@ def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
 
     if lg and s >= 1:
         # on lg:1 the index (1) is the point, a single top flag space
-        if n >= 2 and lam[-1] == n and grouped(lam)[-1][1] == 1:
+        if n >= 2 and lam[-1] == n and _classical().grouped(lam)[-1][1] == 1:
             return Witness(
                 "ModuliIsotropic",
                 {

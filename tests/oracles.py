@@ -91,6 +91,12 @@ def min_word(poset, node) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
+def fingerprint(poset, node) -> tuple[int, ...]:
+    """u^{-1}(lambda_P) of ``node``'s minimal representative u, applied from its minimal word."""
+    lam = tuple(1 if i + 1 in poset.marked else 0 for i in range(poset.datum.rank))
+    return act(poset.datum, tuple(reversed(min_word(poset, node))), lam)
+
+
 def word_bfs(datum: CartanDatum, marked) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Fingerprint -> minimal word of every coset of W_P \\ W, by a BFS that carries each word.
 
@@ -113,7 +119,7 @@ def word_bfs(datum: CartanDatum, marked) -> dict[tuple[int, ...], tuple[int, ...
 
 def word_dual(poset, node):
     """Poincare dual of ``node``: its fingerprint moved by w_0, spelled as a word and applied."""
-    return poset.node_by_fingerprint(act(poset.datum, _w0_word(poset.datum), node.fingerprint))
+    return poset.node_by_fingerprint(act(poset.datum, _w0_word(poset.datum), fingerprint(poset, node)))
 
 
 def heap_quotient(datum: CartanDatum, marked):

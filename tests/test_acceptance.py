@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import fingerprint_to_gr, gr_pairing
+from oracles import fingerprint, fingerprint_to_gr, gr_pairing
 from schubflex.classical import (
     GrIndex,
     IsotropicIndex,
@@ -318,7 +318,7 @@ def test_criterion_9():
         for k in range(1, n):
             poset = build_quotient_poset(build_cartan("A", n - 1), {k})
             for node in poset.nodes:
-                idx = fingerprint_to_gr(k, n, node.fingerprint)
+                idx = fingerprint_to_gr(k, n, fingerprint(poset, node))
                 shape = tuple(
                     sorted((x - (i + 1) for i, x in enumerate(idx.lam)), reverse=True)
                 )
@@ -336,10 +336,10 @@ def test_criterion_10(e6p6, e7p7):
         for k in range(1, n):
             poset = build_quotient_poset(build_cartan("A", n - 1), {k})
             for node in poset.nodes:
-                lam = fingerprint_to_gr(k, n, node.fingerprint).lam
+                lam = fingerprint_to_gr(k, n, fingerprint(poset, node)).lam
                 formula = tuple(sorted(n + 1 - x for x in lam))
                 dual = poset.poincare_dual(node)
-                got = fingerprint_to_gr(k, n, dual.fingerprint).lam
+                got = fingerprint_to_gr(k, n, fingerprint(poset, dual)).lam
                 assert got == formula, f"BUG: dual of {lam} in G({k},{n}) is {got}"
 
     for poset in (e6p6, e7p7):
@@ -350,7 +350,7 @@ def test_criterion_10(e6p6, e7p7):
 
     for k, n in ((2, 5), (3, 6)):
         poset = build_quotient_poset(build_cartan("A", n - 1), {k})
-        nodes = [(x, fingerprint_to_gr(k, n, x.fingerprint)) for x in poset.nodes]
+        nodes = [(x, fingerprint_to_gr(k, n, fingerprint(poset, x))) for x in poset.nodes]
         pairs = 0
         for a_node, a_idx in nodes:
             for b_node, b_idx in nodes:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     corner_peeling_count,
+    fingerprint,
     fingerprint_to_gr,
     gr_pairing,
     gr_to_fingerprint,
@@ -122,10 +123,10 @@ def test_fingerprint_matches_poset_nodes():
         p = build_quotient_poset(weyl.build_cartan("A", n - 1), {k})
         seen = set()
         for node in p.nodes:
-            idx = fingerprint_to_gr(k, n, node.fingerprint)
+            idx = fingerprint_to_gr(k, n, fingerprint(p, node))
             assert classical.gr_dimension(idx) == node.dim
             assert classical.gr_degree(idx) == node.degree
-            assert gr_to_fingerprint(idx) == node.fingerprint
+            assert gr_to_fingerprint(idx) == fingerprint(p, node)
             seen.add(idx.lam)
         assert len(seen) == len(p.nodes)
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import word_dual
+from oracles import poset_json_dict, word_dual
 from schubflex import classical, cli, poset, weyl, witnesses
 from schubflex.classical import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
@@ -738,6 +738,50 @@ def test_verify_json_is_written_in_batches():
         assert main(["verify", "all", "--json"]) == 0
     assert out.getvalue() == json.dumps(blob, sort_keys=True, indent=2) + "\n"
     assert chunks > 1000 and out.writes == -(-chunks // 256) + 1  # and the final newline
+
+
+def test_hasse_json_is_written_in_bounded_batches(monkeypatch):
+    # A write holds at most 256 items, and passes the byte bound only by its
+    # last item; a batch ends at whichever bound comes first.
+    from schubflex import diagram
+
+    calls = []  # (items, sep, lead, writes) of each batched list
+    original = diagram._write_batches
+
+    def recording(out, items, sep="", lead=""):
+        items, writes = list(items), []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return out.write(text)
+
+        original(Recorder(), items, sep, lead)
+        calls.append((items, sep, lead, writes))
+
+    monkeypatch.setattr(diagram, "_write_batches", recording)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["hasse", "og:9", "--json"]) == 0
+    p = quotient("og", 9)
+    assert out.getvalue() == json.dumps(poset_json_dict(p), sort_keys=True, indent=2) + "\n"
+    assert [len(items) for items, *_ in calls] == [len(p.covers), len(p.nodes)]
+    for items, sep, lead, writes in calls:
+        k = 0
+        for w, prefix in zip(writes, [lead] + [sep] * len(writes)):
+            assert w.startswith(prefix)
+            m, size = 0, len(prefix) - len(sep)
+            while size + len(sep) < len(w):  # the items this write holds
+                size += len(sep) + len(items[k + m])
+                m += 1
+            batch = items[k : k + m]
+            assert w == prefix + sep.join(batch)
+            assert 1 <= m <= diagram.BATCH_ITEMS
+            assert sum(map(len, batch[:-1])) < diagram.BATCH_BYTES
+            k += m
+            if k < len(items):  # only the last batch may end short of both bounds
+                assert m == diagram.BATCH_ITEMS or sum(map(len, batch)) >= diagram.BATCH_BYTES
+        assert k == len(items) and len(writes) > 1
 
 
 def test_tits_bad_marking_is_usage_error(capsys):

@@ -28,7 +28,7 @@ import functools
 
 import pytest
 
-from oracles import fingerprint_to_gr
+from oracles import fingerprint, fingerprint_to_gr
 from schubflex import classical, rigidity, witnesses
 from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
 from schubflex.commands import read_selector
@@ -84,10 +84,10 @@ def side(selector: str):
     params = read_selector(head, text)
     poset = quotient(head, *params)
     if head == "gr":
-        return poset, {n.id: [fingerprint_to_gr(*params, n.fingerprint)] for n in poset.nodes}
+        return poset, {n.id: [fingerprint_to_gr(*params, fingerprint(poset, n))] for n in poset.nodes}
     if head == "og":
         (n,) = params
-        return poset, {c.id: [classical.fingerprint_to_og(n, c.fingerprint)] for c in poset.nodes}
+        return poset, {c.id: [classical.fingerprint_to_og(n, fingerprint(poset, c))] for c in poset.nodes}
     if head == "quad":
         by_dim: dict[int, list] = {}
         for idx in classical.quadric_classes(*params):

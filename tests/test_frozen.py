@@ -36,7 +36,7 @@ def _certificates_fields():
 # constructor arguments of one record per class
 FIELDS = {
     weyl.CartanDatum: lambda: ("A", 2, (((1, -1),), ((0, -1),))),
-    SchubertNode: lambda: ("n001", 1, (1, -1), 0, 1, 1),
+    SchubertNode: lambda: ("n001", 1, 1, 0, 1, 1),
     GrIndex: lambda: (2, 4, (1, 3)),
     IsotropicIndex: lambda: ("og", 5, (2, 3)),
     QuadricIndex: lambda: (6, "linear", 2),

@@ -212,6 +212,13 @@ def test_class_specs_refused_for_their_family_or_selector_load_no_classical():
     assert _loaded_after(*commands) == "[2, 2, 2, 2, 2, 2] []"
 
 
+def test_table1_and_e7_classify_load_no_classical():
+    # Only the og:5 cone gate of the e6 certificates and the moduli engines
+    # run classical code, and neither command reaches them.
+    commands = (("verify", "table1"), ("classify", "e7:22:5586"))
+    assert _loaded_after(*commands) == "[0, 0] ['schubflex.golden', 'schubflex.witnesses']"
+
+
 def test_hasse_text_loads_golden_for_its_tokens_only():
     assert _loaded_after(("hasse", "lg:8"),) == "[0] ['schubflex.golden']"
 

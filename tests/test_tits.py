@@ -84,6 +84,14 @@ def ctx61(e6p6):
     return make_context(e6p6.datum, {6}, {1})
 
 
+@pytest.fixture(scope="module")
+def e6p1(ctx61):
+    # The sweep's own G/Q poset: a test that clears the quotient cache leaves
+    # the session-scoped E6/P1 fixture a poset apart, whose classes are no
+    # covers here.
+    return ctx61.q_poset
+
+
 def test_e6_linear_chain_transforms(ctx61, e6p1, e6p6):
     chain = {
         "0:1": "8:2",

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import fingerprint_to_gr
+from oracles import fingerprint, fingerprint_to_gr
 from schubflex import weyl
 from schubflex.classical import (
     GrIndex,
@@ -103,7 +103,7 @@ def _engine_coverage(poset, index_of):
     """
     flexible = certified = 0
     for node in poset.nodes:
-        idx = index_of(node)
+        idx = index_of(poset, node)
         rigid = classify(idx).rigid
         witnesses = [
             w for engine in (linear_space_witness, bertini_witness, divisor_witness)
@@ -127,18 +127,18 @@ def test_poset_engines_never_certify_a_multi_rigid_classical_class():
     for n in range(2, 11):
         for k in range(1, n):
             counts = _engine_coverage(
-                quotient("gr", k, n), lambda node: fingerprint_to_gr(k, n, node.fingerprint)
+                quotient("gr", k, n), lambda p, node: fingerprint_to_gr(k, n, fingerprint(p, node))
             )
             gr = _add(gr, counts)
         counts = _engine_coverage(
-            quotient("og", n), lambda node: fingerprint_to_og(n, node.fingerprint)
+            quotient("og", n), lambda p, node: fingerprint_to_og(n, fingerprint(p, node))
         )
         og = _add(og, counts)
     for n in (1, *range(3, 31)):
         by_dim = {}
         for idx in quadric_classes(n):
             by_dim.setdefault(quadric_dimension(idx), idx)
-        quad = _add(quad, _engine_coverage(quotient("quad", n), lambda node: by_dim[node.dim]))
+        quad = _add(quad, _engine_coverage(quotient("quad", n), lambda p, node: by_dim[node.dim]))
     for name, (classes, flexible, certified) in (("gr", gr), ("og", og), ("quad", quad)):
         print(f"{name}: {classes} classes, {flexible} flexible, {certified} certified")
 
