@@ -37,8 +37,7 @@ def main():
     golden6 = load_golden_poset("e6")
     golden7 = load_golden_poset("e7")
     print(f"{'class':>8s}    {'sweep':>9s}   faithful")
-    for y in e6p6.nodes:
-        src = e7p1.node(psi[y.id])
+    for y, src in zip(e6p6.nodes, psi):
         dst = transform(ctx, src)
         y_tok = node_token(e6p6, y) + ("*" if golden6.decoration(y.id) == "rigid" else " ")
         t_tok = node_token(e7p7, dst) + ("*" if golden7.decoration(dst.id) == "rigid" else " ")

@@ -18,28 +18,28 @@ What a poset holds, and when:
   class's lower covers as a tuple of nodes, by node index.  That serves
   ``lower_covers``, ``lower_interval``, ``nodes_by_dim``, ``top`` and the
   exports.  A node holds its index, its BFS parent's and its letter, no
-  fingerprint.
+  fingerprint and no id string.
 * Built on first use, then kept: the fingerprints, replayed once in BFS
   order (each the parent's reflected by the letter), with the lookup by
   fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``);
-  the lookups by id (``node``) and by (dimension, degree) (``find_nodes``);
-  and the upper covers (``upper_covers``).  ``hasse --json``/``--dot`` build
-  none of them, and text ``hasse`` only ``find_nodes``.
+  the lookup by (dimension, degree) (``find_nodes``); and the upper covers
+  (``upper_covers``).  ``hasse --json``/``--dot`` build none of them, and
+  text ``hasse`` only ``find_nodes``.
 * Never held whole: ``covers`` and the exports gather the cover pairs one
   dimension at a time, and the exports write them to a stream a batch of a
-  few KiB at a time, with the minimal words rebuilt in BFS order as they go.
+  few KiB at a time, with the minimal words replayed in BFS order as they go.
 
-Inside the package a class is passed as its node.  Its index keys the
-covers here (``_down``, ``_up``); ids key ``_by_id``, ``targets``/``sources``
-in ``tits``, the certificate map of ``verify`` and the witness engines'
-matchings, and they appear in output, golden tables and certificate
-payloads.  This module is apart from :mod:`~schubflex.poset` so that neither
-module's compile is large (see :mod:`~schubflex.cli`).
+Inside the package a class is its node, equal only to itself: maps over
+every class are tuples by node index, and other maps are keyed by node.  Its
+id is formatted when output, golden tables or payloads read it.  This module
+is apart from :mod:`~schubflex.poset` so that neither module's compile is
+large (see :mod:`~schubflex.cli`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 
 from . import weyl
 from .frozen import Frozen
@@ -57,12 +57,18 @@ class SchubertNode(Frozen):
     the class the BFS first reached it from (None at the bottom) and
     ``letter`` the simple reflection it took, so the minimal word is the
     parent's plus ``letter`` and the fingerprint is the parent's reflected by
-    it.  The parent is an index, not a node: records hash and compare every
-    field.  So classes of two posets can be equal, and no set or dict mixes
-    them.
+    it.  ``width`` is its poset's id width.  A node equals only itself, so
+    classes of two posets, or of two builds of one quotient, never mix.
     """
 
-    __slots__ = ("id", "dim", "index", "parent", "letter", "degree")
+    __slots__ = ("dim", "index", "parent", "letter", "degree", "width")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    @property
+    def id(self) -> str:
+        """``n`` and the index, zero-padded to the poset's id width."""
+        return "n" + str(self.index).zfill(self.width)
 
     def __repr__(self) -> str:
         deg = "?" if self.degree is None else self.degree
@@ -83,10 +89,9 @@ class QuotientPoset:
         self.datum = datum
         self.marked = marked
         self.nodes = nodes
-        lower = []  # by node index: the lower covers, in id order
+        lower = []  # by node index: the lower covers, in index order
         starts = []  # nodes[starts[d]:starts[d + 1]] are the classes of dimension d
         for k, n in enumerate(nodes):
-            # Ids are zero-padded node indices, so index order is id order.
             lower.append(tuple(map(nodes.__getitem__, sorted(down[k]))))
             down[k] = None
             if n.dim == len(starts):
@@ -97,18 +102,25 @@ class QuotientPoset:
         self._starts = (*starts, len(nodes))
         self.dimension = len(starts) - 1
 
-    @cached_property
-    def _by_id(self) -> dict:
-        return {n.id: n for n in self.nodes}
+    def replay(self, start, step):
+        """Yield (node, value) of every class in BFS order: ``start`` at the bottom, else
+        ``step(parent's value, letter)``, holding two dimensions' values at a time.
+
+        Minimal words, fingerprints and swept fingerprints all recur so
+        (the lifting property, Bjorner-Brenti, Prop. 2.2.7).
+        """
+        values, below, dim = {}, {}, 0  # index -> value, at dim and at dim - 1
+        for n in self.nodes:
+            if n.dim != dim:
+                values, below, dim = {}, values, n.dim
+            value = values[n.index] = start if n.parent is None else step(below[n.parent], n.letter)
+            yield n, value
 
     @cached_property
     def _fingerprints(self) -> list:
-        """Each class's fingerprint, by index, replayed once in BFS order."""
-        datum, nodes = self.datum, self.nodes
-        fps = [weyl.marked_weight(datum, self.marked)]
-        for k in range(1, len(nodes)):
-            fps.append(weyl.reflect(datum, nodes[k].letter, fps[nodes[k].parent]))
-        return fps
+        """Each class's fingerprint, by index."""
+        step = lambda fp, i: weyl.reflect(self.datum, i, fp)
+        return [fp for _, fp in self.replay(weyl.marked_weight(self.datum, self.marked), step)]
 
     @cached_property
     def _by_fp(self) -> dict:
@@ -123,7 +135,7 @@ class QuotientPoset:
 
     @cached_property
     def _up(self) -> tuple:
-        """By node index: the upper covers, in id order."""
+        """By node index: the upper covers, in index order."""
         up: list[list[SchubertNode]] = [[] for _ in self.nodes]
         for hi, los in zip(self.nodes, self._down):
             for lo in los:
@@ -131,35 +143,35 @@ class QuotientPoset:
         return tuple(map(tuple, up))
 
     def _layer(self, dim: int) -> tuple:
-        """The classes of dimension ``dim``, in id order."""
+        """The classes of dimension ``dim``, in index order."""
         if not 0 <= dim <= self.dimension:
             return ()
         return self.nodes[self._starts[dim] : self._starts[dim + 1]]
 
-    def _cover_pairs(self):
-        """(lo id, hi id) of every cover: lo in id order, then hi.
+    def _cover_pairs(self, name=lambda n: n):
+        """(name(lo), name(hi)) of every cover: lo in index order, then hi.
 
         Every cover raises the dimension by one, so the upper covers are
         gathered one dimension at a time and never held for the whole poset.
+        ``name`` is called once a class, not twice a cover.
         """
+        names = list(map(name, self._layer(0)))
         for dim in range(self.dimension):
-            up: dict[str, list[str]] = {n.id: [] for n in self._layer(dim)}
-            for hi in self._layer(dim + 1):
+            lo_names, names = names, list(map(name, self._layer(dim + 1)))
+            up: dict[SchubertNode, list] = {n: [] for n in self._layer(dim)}
+            for hi, named in zip(self._layer(dim + 1), names):
                 for lo in self._down[hi.index]:
-                    up[lo.id].append(hi.id)
-            for lo, his in up.items():
+                    up[lo].append(named)
+            for named, his in zip(lo_names, up.values()):
                 for hi in his:
-                    yield lo, hi
+                    yield named, hi
 
     @property
-    def covers(self) -> tuple[tuple[str, str], ...]:
-        """(lo id, hi id) of every cover, sorted: lo in id order, then hi."""
+    def covers(self) -> tuple[tuple[SchubertNode, SchubertNode], ...]:
+        """(lo, hi) of every cover, sorted: lo in index order, then hi."""
         return tuple(self._cover_pairs())
 
     # -- lookup -----------------------------------------------------------
-
-    def node(self, node_id: str) -> SchubertNode:
-        return self._by_id[node_id]
 
     def node_by_fingerprint(self, fp) -> SchubertNode:
         return self._by_fp[tuple(fp)]
@@ -208,7 +220,7 @@ class QuotientPoset:
         return self._down[node.index]
 
     def lower_interval(self, node: SchubertNode) -> list[SchubertNode]:
-        """All classes <= node, in id order (includes node itself): its down-closure."""
+        """All classes <= node, in index order (includes node itself): its down-closure."""
         below = {node.index}
         stack = [node]
         while stack:
@@ -241,31 +253,28 @@ class QuotientPoset:
 
         The document is spelled out and written a batch of items at a time.
         Every key and string is fixed or an ASCII id, so nothing needs
-        escaping.  Minimal words are rebuilt in BFS order, each from its
-        parent's, and each is kept only until the next dimension is written.
+        escaping.  Minimal words are replayed in BFS order as the JSON items
+        they spell, each its parent's and one letter more, and each is kept
+        only until the next dimension is written.
         """
 
         def nodes():
-            words, below, dim = {}, {}, 0  # index -> word, at dim and at dim - 1
-            for k, n in enumerate(self.nodes):
-                if n.dim != dim:
-                    words, below, dim = {}, words, n.dim
-                word = words[k] = () if n.parent is None else below[n.parent] + (n.letter,)
+            spell = lambda items, i: f"{items},\n        {i}" if items else f"\n        {i}"
+            for n, items in self.replay("", spell):
+                word = f"[{items}\n      ]" if items else "[]"
                 yield (
                     f'{{\n      "degree": {"null" if n.degree is None else n.degree},'
                     f'\n      "dim": {n.dim},\n      "id": "{n.id}",'
-                    f'\n      "min_word": {_json_list(map(str, word), 3)}\n    }}'
+                    f'\n      "min_word": {word}\n    }}'
                 )
 
         out.write('{\n  "covers": ')
-        pairs = (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in self._cover_pairs())
-        _write_list(out, pairs, 1)
+        pairs = self._cover_pairs(attrgetter("id"))
+        _write_list(out, (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in pairs))
         out.write(',\n  "nodes": ')
-        _write_list(out, nodes(), 1)
-        out.write(
-            f',\n  "parabolic": {_json_list(map(str, sorted(self.marked)), 1)},'
-            f'\n  "type": "{self.type_label()}"\n}}\n'
-        )
+        _write_list(out, nodes())
+        marked = ",\n    ".join(map(str, sorted(self.marked)))
+        out.write(f',\n  "parabolic": [\n    {marked}\n  ],\n  "type": "{self.type_label()}"\n}}\n')
 
     def to_dot(self, out) -> None:
         """Write the Hasse diagram to ``out`` as Graphviz input, a batch of lines at a time."""
@@ -273,26 +282,19 @@ class QuotientPoset:
         out.write('  node [shape=plaintext, fontname="Helvetica"];\n')
         labels = (n.dim if n.degree is None else f"{n.dim}:{n.degree}" for n in self.nodes)
         _write_batches(out, (f'  {n.id} [label="{to}"];\n' for n, to in zip(self.nodes, labels)))
-        _write_batches(out, (f"  {lo} -> {hi};\n" for lo, hi in self._cover_pairs()))
+        pairs = self._cover_pairs(attrgetter("id"))
+        _write_batches(out, (f"  {lo} -> {hi};\n" for lo, hi in pairs))
         out.write("}\n")
 
 
-def _json_list(items, depth: int) -> str:
-    """A JSON array of already-written items, opened at indent level ``depth``."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+def _write_list(out, items) -> None:
+    """Write a JSON array of already-written items, as a value of the document, to ``out``.
 
-
-def _write_list(out, items, depth: int) -> None:
-    """Write :func:`_json_list` of ``items``, which must not be empty, to ``out``.
-
-    The exports' lists never are: a quotient has at least two classes, so it
-    has a cover too.
+    ``items`` must not be empty, and the exports' lists never are: a quotient
+    has at least two classes, so it has a cover too.
     """
-    inner = "\n" + "  " * (depth + 1)
-    _write_batches(out, items, "," + inner, "[" + inner)
-    out.write("\n" + "  " * depth + "]")
+    _write_batches(out, items, ",\n    ", "[\n    ")
+    out.write("\n  ]")
 
 
 def _write_batches(out, items, sep: str = "", lead: str = "") -> None:

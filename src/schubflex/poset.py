@@ -197,7 +197,7 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     # meets a count worked out beside it.  The count also fixes the id width.
     expected = _order_formula(datum, marked)
     width = max(3, len(str(expected - 1)))
-    nodes = [SchubertNode(f"n{0:0{width}d}", 0, 0, None, None, 1 if graded else None)]
+    nodes = [SchubertNode(0, 0, None, None, 1 if graded else None, width)]
     down: list[list[int]] = [[]]
     # The fingerprints of dims d - 1, d and d + 1 by index from their layer's
     # start, and the coset index of dims d and d + 1, while dim d is expanded.
@@ -230,7 +230,7 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
                                 los.append(index_here[weyl.reflect(datum, i, yfp)])
                         degree = sum(nodes[lo].degree for lo in los) if graded else None
                         k = index_above[child] = len(nodes)
-                        nodes.append(SchubertNode(f"n{k:0{width}d}", node.dim + 1, k, idx, i, degree))
+                        nodes.append(SchubertNode(node.dim + 1, k, idx, i, degree, width))
                         above.append(child)
                         down.append(los)
     except KeyError as exc:
@@ -242,14 +242,14 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     return QuotientPoset(datum, marked, tuple(nodes), down)
 
 
-def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict[str, int]:
+def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict:
     """Saturated-chain counts from the bottom, within a lower interval of ``poset``.
 
     ``interval`` is a class's :meth:`~QuotientPoset.lower_interval`, already
     walked by the caller.  Defined for any quotient; used to grade intervals
     of quotients whose global chain counts are not projective degrees.
     """
-    counts: dict[str, int] = {}
+    counts: dict[SchubertNode, int] = {}
     for n in interval:  # down-closed, in BFS (dim) order
-        counts[n.id] = sum(counts[lo.id] for lo in poset.lower_covers(n)) if n.dim else 1
+        counts[n] = sum(counts[lo] for lo in poset.lower_covers(n)) if n.dim else 1
     return counts

@@ -12,9 +12,9 @@ the nodes outside Q.  On fingerprint vectors that is
 which is looked up in the target poset.  lambda_P is dominant, so
 w0_Q(lambda_P) is the one weight of its W_Q-orbit with no positive coordinate
 outside Q; and u = u' s_i for u's BFS parent u', so u's target fingerprint is
-s_i of u''s.  The sweep carries those fingerprints itself, one dimension of
-G/Q at a time, and looks each up in G/P, which replays its own fingerprints
-once for the lookup; G/Q replays none.  The dimension shift
+s_i of u''s.  The sweep replays those fingerprints along G/Q's parent links,
+two dimensions at a time, and looks each up in G/P, which replays its own
+fingerprints once for the lookup; G/Q keeps none.  The dimension shift
 
     d_tau = dim G/P_{P union Q} - dim G/Q
 
@@ -25,17 +25,16 @@ d_tau, which is what injectivity_check tests.
 A context's two posets come from build_quotient_poset, so they are the same
 shared objects every other caller gets for those quotients; make_context
 checks both class counts before it builds either.  It sweeps every G/Q class
-once into ``targets`` (G/Q id -> G/P node) and its inverse ``sources`` (G/P
-id -> tuple of G/Q nodes); the context is immutable after that and
-``transform`` is a lookup.  Like the posets, each context is built once per
-(datum, P, Q), keyed by its two shared posets, and kept for the life of the
-process.
+once into ``targets`` (by G/Q index, the G/P node) and its inverse
+``sources`` (by G/P index, the tuple of G/Q nodes); the context is immutable
+after that and ``transform`` is a lookup.  Like the posets, each context is
+built once per (datum, P, Q), keyed by its two shared posets, and kept for
+the life of the process.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
 
 from . import weyl
 from .frozen import Frozen
@@ -52,15 +51,12 @@ def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
 class TitsContext(Frozen):
     """One sweep G/Q -> G/P; make_context builds each context once per process.
 
-    ``targets`` maps each G/Q class id to its sweep, a G/P class, and
-    ``sources`` maps each G/P class id to the tuple of G/Q classes sweeping
-    onto it; both are read-only mappings.
+    ``targets[k]`` is the sweep of the G/Q class of index k, a G/P class,
+    and ``sources[k]`` the tuple of G/Q classes sweeping onto the G/P class
+    of index k.
     """
 
     __slots__ = ("datum", "p_poset", "q_poset", "d_tau", "targets", "sources")
-    # the sweep maps are unhashable, and each context is built once anyway
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def label(self) -> str:
         p = ",".join(map(str, sorted(self.p_poset.marked)))
@@ -83,31 +79,24 @@ def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
     low = weyl.marked_weight(datum, p_poset.marked)
     while (i := next((g for g in unmarked if low[g - 1] > 0), None)) is not None:
         low = weyl.reflect(datum, i, low)
-    # The swept fingerprints of the G/Q classes of the last dimension and the
-    # one before, by index: a class's parent is one dimension down.
-    swept, before, dim = {}, {}, 0
-    targets, sources = {}, {}
-    for node in q_poset.nodes:  # BFS order: each parent before its children
-        if node.dim != dim:
-            swept, before, dim = {}, swept, node.dim
-        fp = low if node.parent is None else weyl.reflect(datum, node.letter, before[node.parent])
-        swept[node.index] = fp
-        target = p_poset.node_by_fingerprint(fp)
-        targets[node.id] = target
-        sources.setdefault(target.id, []).append(node)
+    swept = q_poset.replay(low, lambda fp, i: weyl.reflect(datum, i, fp))
+    targets = tuple(p_poset.node_by_fingerprint(fp) for _, fp in swept)
+    sources = [[] for _ in p_poset.nodes]
+    for node, target in zip(q_poset.nodes, targets):
+        sources[target.index].append(node)
     return TitsContext(
         datum,
         p_poset,
         q_poset,
         transform_shift(datum, p_poset.marked, q_poset.marked),
-        MappingProxyType(targets),
-        MappingProxyType({k: tuple(v) for k, v in sources.items()}),
+        targets,
+        tuple(map(tuple, sources)),
     )
 
 
 def transform(ctx: TitsContext, node: SchubertNode) -> SchubertNode:
     """The G/P class swept out by a G/Q Schubert class."""
-    return ctx.targets[node.id]
+    return ctx.targets[node.index]
 
 
 def injectivity_check(ctx: TitsContext, node: SchubertNode) -> bool:
@@ -154,11 +143,10 @@ def tits_flexibility_witness(ctx: TitsContext, p_node: SchubertNode, q_oracle) -
     collapsing cover certifies nothing, even when a sibling cover transforms
     faithfully.
     """
-    for src in ctx.sources.get(p_node.id, ()):
+    for src in ctx.sources[p_node.index]:
         covers = ctx.q_poset.upper_covers(src)
         for home in q_oracle(src):
-            # by identity: a class of another poset can equal a cover field by field
-            if any(home is c for c in covers) and injectivity_check(ctx, home):
+            if home in covers and injectivity_check(ctx, home):
                 return Witness(
                     "Tits",
                     {

@@ -23,7 +23,6 @@ error (GoldenDataError), not the user's usage error.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
 
 from .frozen import Frozen
 from .golden import (
@@ -101,18 +100,18 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _basic_certificates(poset: QuotientPoset) -> dict[str, list[Witness]]:
-    certs: dict[str, list[Witness]] = {n.id: [] for n in poset.nodes}
-    for node in poset.nodes:
+def _basic_certificates(poset: QuotientPoset) -> list[list[Witness]]:
+    certs: list[list[Witness]] = [[] for _ in poset.nodes]
+    for node, found in zip(poset.nodes, certs):
         for engine in (linear_space_witness, bertini_witness, divisor_witness):
             w = engine(poset, node)
             if w is not None:
-                certs[node.id].append(w)
+                found.append(w)
     return certs
 
 
 def _cone_certificates(
-    certs: dict[str, list[Witness]],
+    certs: list[list[Witness]],
     problems: list[str],
     ambient: QuotientPoset,
     sub: QuotientPoset,
@@ -124,14 +123,14 @@ def _cone_certificates(
     if phi is None:
         problems.append(f"no cone embedding of {base_name} under the apex {apex.id}")
         return
-    for s in sub.nodes:
+    for s, image in zip(sub.nodes, phi):
         if not base_is_flexible(s):
             continue
-        certs[phi[s.id]].append(
+        certs[image.index].append(
             Witness(
                 "Cone",
                 {
-                    "node": phi[s.id],
+                    "node": image.id,
                     "apex": apex.id,
                     "base": s.id,
                     "base_poset": base_name,
@@ -144,11 +143,11 @@ def _cone_certificates(
         )
 
 
-def _tits_certificates(certs: dict[str, list[Witness]], ctx: TitsContext, oracle) -> None:
-    for node in ctx.p_poset.nodes:
+def _tits_certificates(certs: list[list[Witness]], ctx: TitsContext, oracle) -> None:
+    for node, found in zip(ctx.p_poset.nodes, certs):
         w = tits_flexibility_witness(ctx, node, oracle)
         if w is not None:
-            certs[node.id].append(w)
+            found.append(w)
 
 
 def depth2_oracle(rev: TitsContext):
@@ -164,7 +163,7 @@ def depth2_oracle(rev: TitsContext):
 
     def oracle(src):
         homes = []
-        for x in rev.sources.get(src.id, ()):
+        for x in rev.sources[src.index]:
             for xp in basic_witness_homes(base, x):
                 if injectivity_check(rev, xp):
                     homes.append(transform(rev, xp))
@@ -173,23 +172,22 @@ def depth2_oracle(rev: TitsContext):
     return oracle
 
 
-def interval_oracle(ctx: TitsContext, psi: dict[str, str], flexible_sub_ids):
+def interval_oracle(ctx: TitsContext, psi: tuple, flexible_sub):
     """Vouch interval covers for sources whose counterpart class is movable.
 
-    ``psi`` maps sub-poset ids onto the interval inside ctx.q_poset; a source
-    in the image is vouched when its counterpart is not rigid, and its homes
-    are its covers inside the interval (the moved representative lives in the
-    interval subvariety, so only those covers contain it).
+    ``psi[k]`` is the class of the interval inside ctx.q_poset that the
+    sub-poset class of index k maps onto; a source in the image is vouched
+    when its counterpart is in ``flexible_sub``, and its homes are its covers
+    inside the interval (the moved representative lives in the interval
+    subvariety, so only those covers contain it).
     """
-    interval_ids = set(psi.values())
-    counterpart = {v: k for k, v in psi.items()}
+    interval = set(psi)
+    vouched = {psi[s.index] for s in flexible_sub}
 
     def oracle(src):
-        if src.id not in interval_ids:
+        if src not in vouched:
             return []
-        if counterpart[src.id] not in flexible_sub_ids:
-            return []
-        return [c for c in ctx.q_poset.upper_covers(src) if c.id in interval_ids]
+        return [c for c in ctx.q_poset.upper_covers(src) if c in interval]
 
     return oracle
 
@@ -197,8 +195,8 @@ def interval_oracle(ctx: TitsContext, psi: dict[str, str], flexible_sub_ids):
 class Certificates(Frozen):
     """Every engine's witnesses on one decorated poset; built by certificates().
 
-    ``golden`` is the poset's :class:`GoldenPoset`, ``witnesses`` maps each
-    class id to the tuple of its witnesses, read-only, and ``problems`` is a
+    ``golden`` is the poset's :class:`GoldenPoset`, ``witnesses[k]`` is the
+    tuple of the witnesses of the class of index k, and ``problems`` is a
     tuple of what went wrong: every caller in the process shares the record.
     """
 
@@ -206,7 +204,7 @@ class Certificates(Frozen):
 
     def row(self, node: SchubertNode) -> dict:
         """The verify row of one class: its decoration and what certifies it."""
-        witnesses = self.witnesses[node.id]
+        witnesses = self.witnesses[node.index]
         return {
             "node": node.id,
             "token": node_token(self.poset, node),
@@ -222,8 +220,8 @@ class Certificates(Frozen):
 def _e7_interval(e6p6: QuotientPoset):
     """The sweep E7/P1 -> E7/P7, the 27-class copy psi inside E7/P1, and its problems.
 
-    psi maps the 27-class poset onto the interval below the sweep of the
-    E7/P7 bottom class into E7/P1, read-only; it is None, with one problem,
+    psi maps the 27-class poset, by index, onto the interval below the sweep
+    of the E7/P7 bottom class into E7/P1; it is None, with one problem,
     when the interval carries no graded copy.  Both the e7 certificates and
     the transform table read it, so the search runs once per 27-class poset.
     """
@@ -233,7 +231,7 @@ def _e7_interval(e6p6: QuotientPoset):
     apex = transform(ctx17, ctx17.q_poset.bottom())
     psi = interval_isomorphism(e6p6, ctx71.q_poset, apex)
     gap = f"no graded copy of the 27-class poset under the interval apex {apex.id}"
-    return (ctx71, None, (gap,)) if psi is None else (ctx71, MappingProxyType(psi), ())
+    return ctx71, psi, (gap,) if psi is None else ()
 
 
 def certificates(target: str, golden_dir=None) -> Certificates:
@@ -272,14 +270,14 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
         ctx65 = make_context(poset.datum, {6}, {5})
         _tits_certificates(certs, ctx65, depth2_oracle(make_context(poset.datum, {5}, {6})))
     else:
-        flexible6 = {n.id for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"}
+        flexible6 = {n for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"}
         _cone_certificates(
             certs,
             problems,
             poset,
             e6p6,
             resolve_token(poset, "17:78"),
-            lambda s: s.id in flexible6,
+            lambda s: s in flexible6,
             "the 16-dimensional 27-class quotient",
         )
         ctx71, psi, gap = _e7_interval(e6p6)
@@ -288,8 +286,7 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
             _tits_certificates(certs, ctx71, interval_oracle(ctx71, psi, flexible6))
         ctx76 = make_context(poset.datum, {7}, {6})
         _tits_certificates(certs, ctx76, depth2_oracle(make_context(poset.datum, {6}, {7})))
-    witnesses = MappingProxyType({key: tuple(found) for key, found in certs.items()})
-    return Certificates(poset, golden, witnesses, tuple(problems))
+    return Certificates(poset, golden, tuple(map(tuple, certs)), tuple(problems))
 
 
 # The certificate kind that each flexible decoration needs.
@@ -364,13 +361,13 @@ def verify_table1(golden_dir=None) -> VerifyReport:
     targets = set()
     for r in rows:
         y, t = _table_token(e6p6, r.y_token), _table_token(e7p7, r.t_token)
-        src = ctx71.q_poset.node(psi[y.id])
+        src = psi[y.index]
         dst = transform(ctx71, src)
         injective = injectivity_check(ctx71, src)
         y_star_live = golden6.decoration(y.id) == "rigid"
         t_star_live = golden7.decoration(t.id) == "rigid"
         ok = True
-        if dst.id != t.id:
+        if dst is not t:
             report.problems.append(
                 f"row {r.y_token}: live sweep lands on {node_token(e7p7, dst)}, "
                 f"table says {r.t_token}"
@@ -385,7 +382,7 @@ def verify_table1(golden_dir=None) -> VerifyReport:
                 f"decorations {y_star_live}/{t_star_live}"
             )
             ok = False
-        targets.add(dst.id)
+        targets.add(dst)
         report.rows.append(
             {
                 "y": r.y_token,

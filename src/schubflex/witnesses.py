@@ -284,19 +284,20 @@ def quadric_witness(idx: QuadricIndex) -> Witness | None:
     )
 
 
-def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> dict | None:
+def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> tuple | None:
     """Bijection sub->ambient respecting (dim, degree) labels and covers.
 
-    Items are (key, dim, degree) triples; dims must already be aligned.
-    Returns the key mapping, or None.  Backtracking over same-label orbits,
-    pruning with the already-assigned lower covers.
+    Items are (node, dim, degree) triples and covers (lo, hi) node pairs;
+    dims must already be aligned.  Returns the images of the sub items'
+    nodes, in the items' order, or None.  Backtracking over same-label
+    orbits, pruning with the already-assigned lower covers.
     """
     if len(sub_items) != len(amb_items):
         return None
     by_label: dict[tuple[int, int], list] = {}
     for key, dim, deg in amb_items:
         by_label.setdefault((dim, deg), []).append(key)
-    sub_sorted = sorted(sub_items, key=lambda it: (it[1], str(it[0])))
+    sub_sorted = sorted(sub_items, key=lambda it: (it[1], it[0].index))
     down: dict = {}
     for lo, hi in sub_covers:
         down.setdefault(hi, []).append(lo)
@@ -336,40 +337,42 @@ def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> dict | None:
     mapped = {(assignment[lo], assignment[hi]) for lo, hi in sub_covers}
     if mapped != set(amb_covers):
         return None
-    return dict(assignment)
+    return tuple(assignment[key] for key, _, _ in sub_items)
 
 
 def _interval(ambient: QuotientPoset, apex: SchubertNode):
-    """The lower interval of ``apex`` and its covers, as (lo id, hi id) pairs.
+    """The lower interval of ``apex`` and its covers, as (lo, hi) pairs.
 
     The interval is down-closed, so its classes' lower covers are its covers.
     """
     interval = ambient.lower_interval(apex)
-    return interval, {(lo.id, n.id) for n in interval for lo in ambient.lower_covers(n)}
+    return interval, {(lo, n) for n in interval for lo in ambient.lower_covers(n)}
 
 
-def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> dict | None:
+def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> tuple | None:
     """Graded isomorphism of ``sub`` onto the lower interval of ``apex``.
 
     Dimensions must agree on the nose and the interval's relative chain-count
     grading must reproduce the degrees of ``sub`` (the ambient poset need not
-    carry absolute degrees of its own).  Returns {sub id: ambient id} or None.
+    carry absolute degrees of its own).  Returns the image of each class of
+    ``sub``, by index, or None.
     """
     interval, amb_covers = _interval(ambient, apex)
     if len(interval) != len(sub.nodes):
         return None
     rel = interval_chain_counts(ambient, interval)
-    amb_items = [(n.id, n.dim, rel[n.id]) for n in interval]
-    sub_items = [(n.id, n.dim, n.degree) for n in sub.nodes]
+    amb_items = [(n, n.dim, rel[n]) for n in interval]
+    sub_items = [(n, n.dim, n.degree) for n in sub.nodes]
     return _match_graded(sub_items, amb_items, set(sub.covers), amb_covers)
 
 
-def cone_embedding(sub: QuotientPoset, ambient: QuotientPoset, apex) -> dict | None:
+def cone_embedding(sub: QuotientPoset, ambient: QuotientPoset, apex) -> tuple | None:
     """Graded embedding phi of ``sub`` into the lower interval of ``apex``.
 
     The interval must be exactly {ambient bottom} followed by a copy of
     ``sub`` shifted up one dimension, with degrees preserved (a cone has the
-    degree of its base).  Returns {sub node id: ambient node id} or None.
+    degree of its base).  Returns the image of each class of ``sub``, by
+    index, or None.
     """
     interval, amb_covers = _interval(ambient, apex)
     if len(interval) != len(sub.nodes) + 1:
@@ -377,12 +380,12 @@ def cone_embedding(sub: QuotientPoset, ambient: QuotientPoset, apex) -> dict | N
     bottom = ambient.bottom()
     if bottom not in interval:
         return None
-    amb_items = [(n.id, n.dim, n.degree) for n in interval if n is not bottom]
-    sub_items = [(n.id, n.dim + 1, n.degree) for n in sub.nodes]
-    base_edges = {(lo, hi) for lo, hi in amb_covers if lo == bottom.id}
+    amb_items = [(n, n.dim, n.degree) for n in interval if n is not bottom]
+    sub_items = [(n, n.dim + 1, n.degree) for n in sub.nodes]
+    base_edges = {(lo, hi) for lo, hi in amb_covers if lo is bottom}
     phi = _match_graded(sub_items, amb_items, set(sub.covers), amb_covers - base_edges)
     if phi is None:
         return None
-    if base_edges != {(bottom.id, phi[sub.bottom().id])}:
+    if base_edges != {(bottom, phi[sub.bottom().index])}:
         return None
     return phi

@@ -1,4 +1,9 @@
-"""Session-scoped fixtures for the expensive posets, plus the acceptance summary."""
+"""Fixtures for the shared posets and golden tables, plus the acceptance summary.
+
+Each fixture looks its poset up again for every test, a cache hit: a test
+that clears the quotient cache makes the package build new posets, whose
+classes are not the old ones'.
+"""
 
 from __future__ import annotations
 
@@ -15,47 +20,47 @@ def _quotient(family: str, rank: int, marked):
     return build_quotient_poset(build_cartan(family, rank), marked)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def e6p6():
     return quotient("e6")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def e6p1():
     return _quotient("E", 6, {1})
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def e6p5():
     return _quotient("E", 6, {5})
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def e7p7():
     return quotient("e7")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def e7p1():
     return _quotient("E", 7, {1})
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def e7p6():
     return _quotient("E", 7, {6})
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def og510():
     return quotient("og", 5)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def golden_e6():
     return load_golden_poset("e6")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def golden_e7():
     return load_golden_poset("e7")
 

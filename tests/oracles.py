@@ -91,6 +91,16 @@ def min_word(poset, node) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
+@lru_cache(maxsize=None)
+def _by_id(poset) -> dict:
+    return {n.id: n for n in poset.nodes}
+
+
+def node_by_id(poset, node_id: str):
+    """The class of ``poset`` whose id is ``node_id``; KeyError if there is none."""
+    return _by_id(poset)[node_id]
+
+
 def fingerprint(poset, node) -> tuple[int, ...]:
     """u^{-1}(lambda_P) of ``node``'s minimal representative u, applied from its minimal word."""
     lam = tuple(1 if i + 1 in poset.marked else 0 for i in range(poset.datum.rank))
@@ -229,7 +239,7 @@ def sweep_targets(ctx) -> dict[str, str]:
 
 
 def _faithful(ctx, targets, node) -> bool:
-    return ctx.p_poset.node(targets[node.id]).dim == node.dim + ctx.d_tau
+    return node_by_id(ctx.p_poset, targets[node.id]).dim == node.dim + ctx.d_tau
 
 
 def scan_witness(ctx, targets, p_node, q_oracle):
@@ -269,7 +279,7 @@ def scan_depth2_oracle(rev, targets):
                 continue
             for xp in basic_witness_homes(base, x):
                 if _faithful(rev, targets, xp):
-                    homes.append(rev.p_poset.node(targets[xp.id]))
+                    homes.append(node_by_id(rev.p_poset, targets[xp.id]))
         return homes
 
     return oracle
@@ -405,5 +415,5 @@ def poset_json_dict(poset) -> dict:
             {"id": n.id, "dim": n.dim, "degree": n.degree, "min_word": list(min_word(poset, n))}
             for n in poset.nodes
         ],
-        "covers": [[lo, hi] for lo, hi in poset.covers],
+        "covers": [[lo.id, hi.id] for lo, hi in poset.covers],
     }

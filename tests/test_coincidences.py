@@ -97,8 +97,8 @@ def side(selector: str):
     og, og_indices = side(f"og:{n + 1}")
     match = witnesses.interval_isomorphism(og, poset, poset.top())
     return poset, {
-        match[c.id]: [IsotropicIndex("lg", n, idx.lam) for idx in og_indices[c.id]]
-        for c in og.nodes
+        image.id: [IsotropicIndex("lg", n, idx.lam) for idx in og_indices[c.id]]
+        for c, image in zip(og.nodes, match)
     }
 
 
@@ -124,11 +124,14 @@ def _engine_kinds(poset, node):
 
 
 def check_agreement(p_selector: str, q_selector: str, match: dict) -> None:
-    """Both sides agree on every matched class, and the match commutes with duality."""
+    """Both sides agree on every matched class, and the match commutes with duality.
+
+    ``match`` maps each class of the first side to its class on the second.
+    """
     (P, p_indices), (Q, q_indices) = side(p_selector), side(q_selector)
-    assert sorted(match.values()) == sorted(n.id for n in Q.nodes)
+    assert sorted(q.id for q in match.values()) == sorted(n.id for n in Q.nodes)
     for p in P.nodes:
-        q = Q.node(match[p.id])
+        q = match[p]
         ips, iqs = p_indices[p.id], q_indices[q.id]
         where = (p_selector, p.id, [str(i) for i in ips], q_selector, [str(i) for i in iqs])
         assert {_facts(idx) for idx in ips + iqs} == {_facts(ips[0])}, where
@@ -137,7 +140,7 @@ def check_agreement(p_selector: str, q_selector: str, match: dict) -> None:
         if None not in degrees:
             assert len(degrees) == 1, (where, degrees)
         p_dual, q_dual = P.poincare_dual(p), Q.poincare_dual(q)
-        assert match[p_dual.id] == q_dual.id, where
+        assert match[p_dual] is q_dual, where
         for node, dual, indices, dual_indices in (
             (p, p_dual, ips, p_indices[p_dual.id]),
             (q, q_dual, iqs, q_indices[q_dual.id]),
@@ -158,7 +161,7 @@ def test_coinciding_families_agree_class_by_class(p_selector, q_selector):
     assert all(n.degree is not None for n in P.nodes)
     match = witnesses.interval_isomorphism(P, Q, Q.top())
     assert match is not None, f"{p_selector} does not match {q_selector}"
-    check_agreement(p_selector, q_selector, match)
+    check_agreement(p_selector, q_selector, dict(zip(P.nodes, match)))
 
 
 def test_lg2_and_q3_agree_along_their_chain():
@@ -167,5 +170,5 @@ def test_lg2_and_q3_agree_along_their_chain():
     P, Q = side("lg:2")[0], side("quad:3")[0]
     for poset in (P, Q):
         assert [len(poset.nodes_by_dim(d)) for d in range(poset.dimension + 1)] == [1] * 4
-    match = {p.id: Q.nodes_by_dim(p.dim)[0].id for p in P.nodes}
+    match = {p: Q.nodes_by_dim(p.dim)[0] for p in P.nodes}
     check_agreement("lg:2", "quad:3", match)

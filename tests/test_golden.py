@@ -73,9 +73,9 @@ def test_token_roundtrip(e6, e7):
 
 
 def test_max_linear_flags(e6):
-    flagged = sorted(n.id for n in e6.nodes if is_max_linear(e6, n))
+    flagged = [n for n in e6.nodes if is_max_linear(e6, n)]
     # the two maximal linear spaces: the lone dim-4 one and the P5 class
-    dims = sorted(e6.node(i).dim for i in flagged)
+    dims = sorted(n.dim for n in flagged)
     assert dims == [4, 5]
 
 

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     max_rep_word,
     min_word,
+    node_by_id,
     scan_depth2_oracle,
     scan_witness,
     sweep_targets,
@@ -79,17 +80,9 @@ def test_transform_shift_table():
         assert got == want, f"shift for {datum.family}{datum.rank} P={p} Q={q}: {got} != {want}"
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def ctx61(e6p6):
     return make_context(e6p6.datum, {6}, {1})
-
-
-@pytest.fixture(scope="module")
-def e6p1(ctx61):
-    # The sweep's own G/Q poset: a test that clears the quotient cache leaves
-    # the session-scoped E6/P1 fixture a poset apart, whose classes are no
-    # covers here.
-    return ctx61.q_poset
 
 
 def test_e6_linear_chain_transforms(ctx61, e6p1, e6p6):
@@ -139,9 +132,8 @@ def test_e6_injectivity_profile(ctx61, e6p1):
 
 def test_e6_transform_monotone_on_covers(ctx61, e6p1, e6p6):
     for lo, hi in e6p1.covers:
-        a = transform(ctx61, e6p1.node(lo))
-        b = transform(ctx61, e6p1.node(hi))
-        assert e6p6.leq(a, b), f"sweep broke the order on cover {lo} < {hi}"
+        a, b = transform(ctx61, lo), transform(ctx61, hi)
+        assert e6p6.leq(a, b), f"sweep broke the order on cover {lo.id} < {hi.id}"
 
 
 def test_e6_max_rep_words_all_reduced(ctx61, e6p1):
@@ -252,7 +244,7 @@ def test_certificate_discards_homes_that_are_not_covers_of_the_source(ctx61, e6p
     oracles = [
         lambda src: [e6p6.top()],
         lambda src: [e6p1.bottom()],
-        lambda src: [e6p6.node(c.id) for c in e6p1.upper_covers(src)],
+        lambda src: [node_by_id(e6p6, c.id) for c in e6p1.upper_covers(src)],
     ]
     for oracle in oracles:
         for node in e6p6.nodes:
@@ -271,11 +263,13 @@ def test_context_map_is_the_per_class_sweep():
     for family, rank, p, q in VERIFY_CONTEXTS + small + wide:
         ctx = make_context(weyl.build_cartan(family, rank), {p}, {q})
         targets = sweep_targets(ctx)
-        assert {k: v.id for k, v in ctx.targets.items()} == targets, ctx.label()
+        assert {n.id: t.id for n, t in zip(ctx.q_poset.nodes, ctx.targets)} == targets, ctx.label()
         inverse = {}
         for node in ctx.q_poset.nodes:
             inverse.setdefault(targets[node.id], []).append(node.id)
-        sources = {k: tuple(n.id for n in v) for k, v in ctx.sources.items()}
+        sources = {
+            t.id: tuple(n.id for n in v) for t, v in zip(ctx.p_poset.nodes, ctx.sources) if v
+        }
         assert sources == {k: tuple(v) for k, v in inverse.items()}, ctx.label()
 
 
@@ -313,15 +307,39 @@ def test_contexts_are_immutable(ctx61, e6p1):
         return (ctx.datum, ctx.p_poset, ctx.q_poset, ctx.d_tau, ctx.targets, ctx.sources)
 
     before = fields(ctx61)
-    targets = dict(ctx61.targets)
+    targets = list(ctx61.targets)
     with pytest.raises(AttributeError):
         setattr(ctx61, "d_tau", 0)
     with pytest.raises(TypeError):
-        ctx61.targets[e6p1.bottom().id] = "n000"
+        ctx61.targets[e6p1.bottom().index] = ctx61.targets[0]
     for node in e6p1.nodes:
         transform(ctx61, node)
     assert all(now is then for now, then in zip(fields(ctx61), before))
-    assert dict(ctx61.targets) == targets
+    assert list(ctx61.targets) == targets
+
+
+def test_classes_of_two_builds_of_one_quotient_never_mix():
+    # A class is its node: after the quotient cache is cleared, the rebuilt
+    # E6/P1 numbers its classes as the first build did, field for field, and
+    # still none of them equals its twin, covers one, or vouches for a sweep.
+    datum = weyl.build_cartan("E", 6)
+    ctx = make_context(datum, {6}, {1})
+    first = ctx.q_poset
+    poset._quotient.cache_clear()
+    try:
+        second = build_quotient_poset(datum, {1})
+    finally:
+        poset._quotient.cache_clear()
+    assert second is not first and len(second.nodes) == len(first.nodes)
+    for a, b in zip(first.nodes, second.nodes):
+        assert a.id == b.id and (a.dim, a.degree) == (b.dim, b.degree)
+        assert a != b and b not in {a}
+    for lo, hi in first.covers:
+        assert second.nodes[hi.index] not in first.upper_covers(lo)
+        assert second.nodes[lo.index] not in first.lower_covers(hi)
+    assert any(tits_flexibility_witness(ctx, n, first.upper_covers) for n in ctx.p_poset.nodes)
+    twins = lambda src: second.upper_covers(second.nodes[src.index])
+    assert not any(tits_flexibility_witness(ctx, n, twins) for n in ctx.p_poset.nodes)
 
 
 def test_oversized_context_is_refused_before_either_quotient_is_built():

@@ -204,11 +204,11 @@ def test_certificates_run_once_per_golden_directory(tmp_path, monkeypatch):
 
 def test_shared_certificates_cannot_be_changed():
     found = certificates("e7")
-    node_id = found.poset.top().id
+    top = found.poset.top().index
     with pytest.raises(TypeError):
-        found.witnesses[node_id] = ()
+        found.witnesses[top] = ()
     with pytest.raises(AttributeError):
-        found.witnesses[node_id].append(None)
+        found.witnesses[top].append(None)
     with pytest.raises(AttributeError):
         found.problems.append("late")
     with pytest.raises(AttributeError):

@@ -307,10 +307,7 @@ def test_cone_embedding_spinor_into_cayley(e6p6, og510):
         "7:5": "8:5", "7:7": "8:7",
         "8:12": "9:12", "9:12": "10:12", "10:12": "11:12",
     }
-    got = {
-        node_token(og510, og510.node(s)): node_token(e6p6, e6p6.node(t))
-        for s, t in phi.items()
-    }
+    got = {node_token(og510, s): node_token(e6p6, t) for s, t in zip(og510.nodes, phi)}
     assert got == want
 
 
@@ -318,13 +315,12 @@ def test_cone_embedding_cayley_into_freudenthal(e6p6, e7p7):
     apex = resolve_token(e7p7, "17:78")
     phi = cone_embedding(e6p6, e7p7, apex)
     assert phi is not None and len(phi) == 27
-    for s, t in phi.items():
-        sn, tn = e6p6.node(s), e7p7.node(t)
+    for sn, tn in zip(e6p6.nodes, phi):
         assert tn.dim == sn.dim + 1 and tn.degree == sn.degree
     # the one-dimension-up copy keeps the two P^4 families apart
-    assert phi[resolve_token(e6p6, "4:1a").id] == resolve_token(e7p7, "5:1a").id
-    assert phi[resolve_token(e6p6, "4:1b").id] == resolve_token(e7p7, "5:1b").id
-    assert phi[resolve_token(e6p6, "16:78").id] == resolve_token(e7p7, "17:78").id
+    assert phi[resolve_token(e6p6, "4:1a").index] is resolve_token(e7p7, "5:1a")
+    assert phi[resolve_token(e6p6, "4:1b").index] is resolve_token(e7p7, "5:1b")
+    assert phi[resolve_token(e6p6, "16:78").index] is resolve_token(e7p7, "17:78")
 
 
 def test_cone_embedding_rejects_wrong_shapes(e6p6, og510):
@@ -345,9 +341,9 @@ def test_interval_isomorphism_of_posets_past_the_recursion_limit(sub, ambient):
     sub, ambient = quotient(*sub), quotient(*ambient)
     phi = interval_isomorphism(sub, ambient, ambient.top())
     assert phi is not None and len(phi) == len(sub.nodes) >= 2048
-    assert sorted(phi.values()) == sorted(n.id for n in ambient.nodes)
-    assert all(ambient.node(phi[n.id]).dim == n.dim for n in sub.nodes)
-    assert {(phi[lo], phi[hi]) for lo, hi in sub.covers} == set(ambient.covers)
+    assert sorted(t.id for t in phi) == sorted(n.id for n in ambient.nodes)
+    assert all(t.dim == n.dim for n, t in zip(sub.nodes, phi))
+    assert {(phi[lo.index], phi[hi.index]) for lo, hi in sub.covers} == set(ambient.covers)
 
 
 if __name__ == "__main__":
