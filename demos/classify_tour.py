@@ -5,7 +5,8 @@ Run with:  python3 demos/classify_tour.py
 
 from __future__ import annotations
 
-from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex, quadric_classes
+from schubflex.classical import GrIndex, QuadricIndex, quadric_classes
+from schubflex.isotropic import IsotropicIndex
 from schubflex.rigidity import classify
 
 

@@ -15,7 +15,8 @@ Run with:  python3 demos/witness_gallery.py
 
 from __future__ import annotations
 
-from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
+from schubflex.classical import GrIndex, QuadricIndex
+from schubflex.isotropic import IsotropicIndex
 from schubflex.verify import verify_e6
 from schubflex.witnesses import (
     moduli_witness_gr,

@@ -175,10 +175,11 @@ print(json.dumps(row))
 _HELD = """
 import contextlib, os, sys, tracemalloc
 from schubflex import cli, golden, poset, weyl  # golden: the text output's tokens load it
+from schubflex.commands import read_selector
 
 argv = sys.argv[1:]
 head, _, text = argv[1].partition(":")
-params = cli.read_selector(head, text)
+params = read_selector(head, text)
 family, rank = poset.QUOTIENTS[head][1](*params, 2**64)[:2]
 weyl.build_cartan(family, rank)
 tracemalloc.start()

@@ -14,20 +14,25 @@ Options are matched by their exact names, as ``--opt value`` or
 command or option, a missing or extra argument, a bad number or choice, and
 ``--json`` with ``--dot`` each raise :class:`SpecError`, so :func:`main`
 reports every usage error in the same one ``error:`` line and exit 2 as a
-malformed spec.  The class-spec grammar, the spec readers and the handlers
-live in :mod:`~schubflex.commands`; ``parse_class_spec``, ``read_selector``
-and ``SpecError`` are re-exported here.
+malformed spec.  The selector reader and the ``hasse``, ``tits`` and
+``verify`` handlers live in :mod:`~schubflex.commands`, and the class-spec
+grammar, its reader and the ``classify``, ``degree`` and ``dual`` handlers in
+:mod:`~schubflex.specs`.  ``parse_class_spec`` is also bound here, where the
+benchmark's tracer wraps it by name.
 
 Each command is one process, so start-up is most of its time, and most of
 start-up is compiling the modules it imports.  Compiling a module holds all
 of its tokens and its syntax tree at once, so the largest module a command
-compiles sets the floor of its peak memory.  That is why this front end,
-the handlers (:mod:`~schubflex.commands`), the poset's construction
+compiles sets the floor of its peak memory.  That is why this front end, the
+two handler modules (:mod:`~schubflex.commands`, :mod:`~schubflex.specs`),
+the Weyl arithmetic (:mod:`~schubflex.weyl`) and its closed forms
+(:mod:`~schubflex.closed_forms`), and the poset's construction
 (:mod:`~schubflex.poset`) and its diagram (:mod:`~schubflex.diagram`) are
-four modules: every command compiles all four, but no one compile holds
-more than 1 MiB.  Beyond those four, :mod:`~schubflex.weyl` and
-:mod:`~schubflex.frozen`, a command loads only what it runs (see
-:mod:`~schubflex.commands`), and argv is read without :mod:`argparse`.
+seven modules: every command compiles all seven, with
+:mod:`~schubflex.frozen`, but no one compile holds more than 768 KiB.
+Beyond those, a command loads only what it runs (see
+:mod:`~schubflex.commands` and :mod:`~schubflex.specs`), and argv is read
+without :mod:`argparse`.
 """
 
 from __future__ import annotations
@@ -36,19 +41,11 @@ import functools
 import os
 import sys
 
-from .commands import (  # parse_class_spec and read_selector are re-exported
-    SpecError,
-    cmd_classify,
-    cmd_degree,
-    cmd_dual,
-    cmd_hasse,
-    cmd_tits,
-    cmd_verify,
-    parse_class_spec,
-    read_selector,
-)
+from .commands import SpecError, cmd_hasse, cmd_tits, cmd_verify
 from .frozen import Frozen
 from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, GoldenDataError
+# parse_class_spec is bound here for the benchmark's tracer (bench/tracer.py), which wraps it.
+from .specs import cmd_classify, cmd_degree, cmd_dual, parse_class_spec  # noqa: F401
 
 
 class Command(Frozen):

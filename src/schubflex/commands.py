@@ -1,32 +1,19 @@
-"""Spec readers and command handlers, dispatched by :mod:`schubflex.cli`.
+"""The selector reader and the ``hasse``, ``tits`` and ``verify`` handlers of :mod:`schubflex.cli`.
 
-Class specs name a family and a class in one colon-joined argument:
-
-    gr:2,5:1,3          jump sequence (1,3) on G(2,5)
-    lg:3:1,2            Lagrangian family, n = 3
-    og:5:2,3            even orthogonal family, n = 5
-    quad:7:linear-2     projective line on the 7-dimensional quadric
-    quad:6:max-plus     a maximal-family plane on Q^6
-    e6:9:9              dimension:degree token on the 27-class poset
-    e7:22:5586          same on the 56-class poset
-
-Poset selectors for ``hasse`` drop the class part: gr:2,5  lg:3  og:5
-quad:7  e6  e7.  One function, :func:`read_selector`, reads both a ``hasse``
-selector and the selector part of a class spec, so both are refused in the
-same words.  :data:`FAMILIES` has one row per family: how its class is read
-and how ``classify``, ``degree`` and ``dual`` answer, none of which builds a
-classical quotient.  Every command that needs a family's poset gets it from
-:func:`schubflex.poset.quotient`.  A malformed spec raises :class:`SpecError`.
+Poset selectors for ``hasse`` name a family and its parameters: gr:2,5
+lg:3  og:5  quad:7  e6  e7.  One function, :func:`read_selector`, reads both
+a ``hasse`` selector and the selector part of a class spec
+(:mod:`~schubflex.specs`), so both are refused in the same words.  Every
+command that needs a family's poset gets it from
+:func:`schubflex.poset.quotient`.  A malformed selector, type or class spec
+raises :class:`SpecError`.
 
 This module imports only :mod:`~schubflex.weyl` and :mod:`~schubflex.poset`
 (with what they import), which every command needs, and loads the rest
-through :func:`_module` on first need.  ``hasse`` loads
-:mod:`~schubflex.golden` only for its text output's class tokens.  A class
-spec loads :mod:`~schubflex.classical`, or :mod:`~schubflex.golden` for an
-e6/e7 token; ``classify`` adds :mod:`~schubflex.rigidity`, and
-:mod:`~schubflex.witnesses` for a flexible class, or for an e6/e7 class the
-certificate pipeline (:mod:`~schubflex.verify`, which loads the rest) once its
-token has resolved, so a refused token loads nothing more.  :func:`_module`
+through :func:`_module` on first need, for its own handlers and for those of
+:mod:`~schubflex.specs`.  ``hasse`` loads :mod:`~schubflex.golden` only for
+its text output's class tokens, ``tits`` loads :mod:`~schubflex.tits` and
+``verify`` :mod:`~schubflex.verify`, which loads the rest.  :func:`_module`
 caches each module, so a process that runs many commands through
 ``cli.main`` runs no import statement after the first command of each kind.
 No package module imports :mod:`schubflex.cli`: ``python -m schubflex.cli``
@@ -36,9 +23,8 @@ runs it as ``__main__``, so an import would compile it a second time.
 from __future__ import annotations
 
 import importlib
-import math
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import weyl
 from .diagram import _write_batches
@@ -48,7 +34,6 @@ from .poset import (
     QUOTIENTS,
     GoldenDataError,
     QuotientPoset,
-    check_quotient,
     quotient,
 )
 
@@ -61,14 +46,6 @@ def _module(name: str):
 
 class SpecError(ValueError):
     pass
-
-
-def _parse_lam(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    try:
-        return tuple(map(int, text.split(","))) if text else ()
-    except ValueError:
-        raise SpecError(f"malformed index list {text!r} (want comma-joined integers)") from None
 
 
 def read_selector(head: str, params: str) -> tuple[int, ...]:
@@ -95,129 +72,6 @@ def read_selector(head: str, params: str) -> tuple[int, ...]:
     if not 1 <= k <= n - 1:
         raise SpecError(f"need 1 <= k <= n-1 in {'gr:' + params!r}")
     return k, n
-
-
-def _quadric_index(classical, n: int, body: str):
-    if body in ("max-plus", "max-minus"):
-        return classical.QuadricIndex(n, body)
-    kind, _, j = body.rpartition("-")
-    try:
-        j = int(j)
-    except ValueError:
-        kind = ""
-    if not kind:
-        want = "linear-j, colinear-j, max-plus or max-minus"
-        raise SpecError(f"malformed quadric kind {body!r} (want {want})")
-    return classical.QuadricIndex(n, kind, j)
-
-
-def _verdict(dimension: str, classifier: str, witness: str, idx, golden_dir) -> int:
-    """Print a classical class's verdict, and a witness if it is flexible."""
-    verdict = getattr(_module(".rigidity"), classifier)(idx)
-    dim = getattr(_module(".classical"), dimension)(idx)
-    print(f"class: {idx}\ndimension: {dim}\nverdict: {verdict}")
-    if not verdict.rigid:
-        w = getattr(_module(".witnesses"), witness)(idx)
-        if w is None:
-            print("witness: none found", file=sys.stderr)
-            return 1
-        print(f"witness: {w.kind}")
-        for key in sorted(w.payload):
-            print(f"  {key}: {w.payload[key]}")
-    return 0
-
-
-def _certificate_row(cls, golden_dir) -> int:
-    """Print an e6/e7 class's row of its poset's certificates."""
-    target, _, node = cls
-    row = _module(".verify").certificates(target, golden_dir).row(node)
-    print(f"class: {target}:{row['token']}\ndimension: {row['dim']}\ndegree: {row['degree']}")
-    print(f"decoration: {row['decoration']}")
-    print(f"certificates: {', '.join(row['certificates']) or 'none'}")
-    for detail in row["details"]:
-        print(f"  [{detail['kind']}]")
-        for key in sorted(detail):
-            if key != "kind":
-                print(f"    {key}: {detail[key]}")
-    return 0
-
-
-def _gr_degree(idx) -> str:
-    """A gr degree, refused past sys.get_int_max_str_digits() (0 sets no limit).
-
-    The degree is at most (k(n-k))!; past that, a float estimate refuses before the product.
-    """
-    classical, limit = _module(".classical"), sys.get_int_max_str_digits()
-    big = limit and math.lgamma(idx.k * (idx.n - idx.k) + 1) >= (limit + 1) * math.log(10)
-    if not big or classical.gr_degree_log10(idx) < limit + 1:  # + 1: past the float error
-        try:
-            return str(classical.gr_degree(idx))
-        except ValueError:  # past the limit, whose advice is not ours to give
-            pass
-    raise ValueError(f"the degree has more than {limit} digits, too many to print")
-
-
-def _lg_degree(idx) -> int:
-    if idx.n != 1:
-        raise SpecError(
-            "degree is not implemented for lg classes (the minimal embedding is not minuscule)"
-        )
-    return 1  # LG(1,2) = P^1, the one minuscule lg: a point and the line, both of degree 1
-
-
-def _og_degree(idx) -> int:
-    check_quotient("og", idx.n)  # refuses an over-cap n as hasse og:n does, building nothing
-    return _module(".classical").og_degree(idx)
-
-
-def _token_dual(cls) -> str:
-    target, poset, node = cls
-    return f"{target}:{_module('.golden').node_token(poset, poset.poincare_dual(node))}"
-
-
-#: One row per class family: (reader, classify, degree, dual).  A classical
-#: reader takes classical, the selector's parameters and the class part; an
-#: e6/e7 class is read as (head, poset, node).  The rest look up what they call
-#: when called, so each module loads on first need and bench/tracer.py sees it.
-FAMILIES = {
-    "gr": (lambda classical, k, n, body: classical.GrIndex(k, n, _parse_lam(body)),
-           partial(_verdict, "gr_dimension", "classify_gr", "moduli_witness_gr"),
-           _gr_degree, lambda idx: _module(".classical").dual_index(idx)),
-    "lg": (lambda classical, n, body: classical.IsotropicIndex("lg", n, _parse_lam(body)),
-           partial(_verdict, "isotropic_dimension", "classify_lg", "moduli_witness_isotropic"),
-           _lg_degree, lambda idx: _module(".classical").isotropic_dual(idx)),
-    "og": (lambda classical, n, body: classical.IsotropicIndex("og", n, _parse_lam(body)),
-           partial(_verdict, "isotropic_dimension", "classify_og", "moduli_witness_isotropic"),
-           _og_degree, lambda idx: _module(".classical").isotropic_dual(idx)),
-    "quad": (_quadric_index,
-             partial(_verdict, "quadric_dimension", "classify_quadric", "quadric_witness"),
-             lambda idx: _module(".classical").quadric_degree(idx),
-             lambda idx: _module(".classical").quadric_dual(idx)),
-    "e6": (None, _certificate_row, lambda cls: cls[2].degree, _token_dual),
-    "e7": (None, _certificate_row, lambda cls: cls[2].degree, _token_dual),
-}
-
-
-def parse_class_spec(spec: str) -> tuple:
-    """The :data:`FAMILIES` row of a class spec, and its class.
-
-    A classical selector's rank is bounded (:func:`weyl.check_rank`) before its index is built.
-    """
-    head, sep, body = spec.partition(":")
-    if not sep:
-        raise SpecError(f"malformed class spec {spec!r} (want family:...:class)")
-    if head in GOLDEN_POSETS:  # the selector part is the head: the token holds a colon
-        poset = quotient(head)
-        return FAMILIES[head], (head, poset, _module(".golden").resolve_token(poset, body))
-    text, _, body = body.partition(":")
-    params = read_selector(head, text)
-    if (head, params) != ("quad", (2,)):  # Q^2 has no quotient of its own
-        try:
-            weyl.check_rank(QUOTIENTS[head][1](*params, 0)[1])
-        except ValueError as exc:
-            raise SpecError(f"bad selector {head + ':' + text!r}: {exc}") from None
-    row = FAMILIES[head]
-    return row, row[0](_module(".classical"), *params, body)
 
 
 def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
@@ -256,23 +110,6 @@ def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_
         nodes = poset.nodes_by_dim(dim)
         toks = " ".join(_safe_token(poset, n) for n in nodes)
         print(f"  dim {dim:>2d}: {toks}")
-    return 0
-
-
-def cmd_classify(spec: str, golden_dir: str | None = None) -> int:
-    row, cls = parse_class_spec(spec)  # a refused token never loads the pipeline
-    return row[1](cls, golden_dir)
-
-
-def cmd_degree(spec: str) -> int:
-    row, cls = parse_class_spec(spec)
-    print(row[2](cls))
-    return 0
-
-
-def cmd_dual(spec: str) -> int:
-    row, cls = parse_class_spec(spec)
-    print(row[3](cls))
     return 0
 
 

@@ -39,11 +39,11 @@ large (see :mod:`~schubflex.cli`).
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 
-from . import weyl
+from . import closed_forms, weyl
+from .closed_forms import InternalError
 from .frozen import Frozen
-from .weyl import CartanDatum, InternalError
+from .weyl import CartanDatum
 
 # Where a batch of exported items ends (see _write_batches).
 BATCH_ITEMS = 256
@@ -128,7 +128,7 @@ class QuotientPoset:
 
     @cached_property
     def _by_dim_degree(self) -> dict:
-        found: dict[tuple, list[SchubertNode]] = {}
+        found = {}  # (dim, degree) -> the classes, in index order
         for n in self.nodes:
             found.setdefault((n.dim, n.degree), []).append(n)
         return found
@@ -136,7 +136,7 @@ class QuotientPoset:
     @cached_property
     def _up(self) -> tuple:
         """By node index: the upper covers, in index order."""
-        up: list[list[SchubertNode]] = [[] for _ in self.nodes]
+        up = [[] for _ in self.nodes]
         for hi, los in zip(self.nodes, self._down):
             for lo in los:
                 up[lo.index].append(hi)
@@ -148,28 +148,34 @@ class QuotientPoset:
             return ()
         return self.nodes[self._starts[dim] : self._starts[dim + 1]]
 
-    def _cover_pairs(self, name=lambda n: n):
-        """(name(lo), name(hi)) of every cover: lo in index order, then hi.
+    def _ids(self, dim: int) -> list[str]:
+        """The ids of the classes of dimension ``dim``, in index order.
 
-        Every cover raises the dimension by one, so the upper covers are
-        gathered one dimension at a time and never held for the whole poset.
-        ``name`` is called once a class, not twice a cover.
+        Spelled as ``SchubertNode.id`` spells them, without a property call a class.
         """
-        names = list(map(name, self._layer(0)))
+        return ["n" + str(n.index).zfill(n.width) for n in self._layer(dim)]
+
+    def _covers_by_lower(self, names):
+        """(name of lo, names of its upper covers) of each class lo under the top, by index.
+
+        ``names(dim)`` names the classes of dimension ``dim``, in index order,
+        so each class is named once.  Every cover raises the dimension by one,
+        so the upper covers are gathered one dimension at a time and never
+        held for the whole poset.
+        """
+        his = names(0)
         for dim in range(self.dimension):
-            lo_names, names = names, list(map(name, self._layer(dim + 1)))
-            up: dict[SchubertNode, list] = {n: [] for n in self._layer(dim)}
-            for hi, named in zip(self._layer(dim + 1), names):
+            los, his = his, names(dim + 1)
+            base, up = self._starts[dim], [[] for _ in los]
+            for hi, named in zip(self._layer(dim + 1), his):
                 for lo in self._down[hi.index]:
-                    up[lo].append(named)
-            for named, his in zip(lo_names, up.values()):
-                for hi in his:
-                    yield named, hi
+                    up[lo.index - base].append(named)
+            yield from zip(los, up)
 
     @property
     def covers(self) -> tuple[tuple[SchubertNode, SchubertNode], ...]:
         """(lo, hi) of every cover, sorted: lo in index order, then hi."""
-        return tuple(self._cover_pairs())
+        return tuple((lo, hi) for lo, his in self._covers_by_lower(self._layer) for hi in his)
 
     # -- lookup -----------------------------------------------------------
 
@@ -235,7 +241,7 @@ class QuotientPoset:
     def poincare_dual(self, node: SchubertNode) -> SchubertNode:
         """The complementary-dimension partner under right multiplication by w_0."""
         fp = self.fingerprint(node)
-        image = tuple(-fp[j] for j in weyl.opposition(self.datum))
+        image = tuple(-fp[j] for j in closed_forms.opposition(self.datum))
         dual = self._by_fp.get(image)
         if dual is None:
             raise InternalError(f"dual {image} of {node.id} is not a coset of the quotient")
@@ -269,21 +275,25 @@ class QuotientPoset:
                 )
 
         out.write('{\n  "covers": ')
-        pairs = self._cover_pairs(attrgetter("id"))
-        _write_list(out, (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, hi in pairs))
+        groups = self._covers_by_lower(self._ids)
+        _write_list(out, (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, his in groups for hi in his))
         out.write(',\n  "nodes": ')
         _write_list(out, nodes())
         marked = ",\n    ".join(map(str, sorted(self.marked)))
         out.write(f',\n  "parabolic": [\n    {marked}\n  ],\n  "type": "{self.type_label()}"\n}}\n')
 
     def to_dot(self, out) -> None:
-        """Write the Hasse diagram to ``out`` as Graphviz input, a batch of lines at a time."""
+        """Write the Hasse diagram to ``out`` as Graphviz input, a batch of lines at a time.
+
+        The edges out of one class are one item: they share its name.
+        """
         out.write('digraph hasse {\n  rankdir=BT;\n')
         out.write('  node [shape=plaintext, fontname="Helvetica"];\n')
         labels = (n.dim if n.degree is None else f"{n.dim}:{n.degree}" for n in self.nodes)
         _write_batches(out, (f'  {n.id} [label="{to}"];\n' for n, to in zip(self.nodes, labels)))
-        pairs = self._cover_pairs(attrgetter("id"))
-        _write_batches(out, (f"  {lo} -> {hi};\n" for lo, hi in pairs))
+        edges = self._covers_by_lower(self._ids)
+        lines = (f"  {lo} -> " + f";\n  {lo} -> ".join(his) + ";\n" for lo, his in edges if his)
+        _write_batches(out, lines)
         out.write("}\n")
 
 

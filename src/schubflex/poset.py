@@ -49,9 +49,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import weyl
+from . import closed_forms, weyl
+from .closed_forms import InternalError
 from .diagram import QuotientPoset, SchubertNode
-from .weyl import CartanDatum, InternalError
+from .weyl import CartanDatum
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -101,10 +102,10 @@ def quotient_size(datum: CartanDatum, marked, size_cap: int = DEFAULT_SIZE_CAP) 
 
 def _order_formula(datum: CartanDatum, marked: frozenset[int]) -> int:
     """|W| / |W_P|; raises ValueError if the marked set is invalid."""
-    marked = weyl._check_marked(datum, marked)
+    marked = closed_forms._check_marked(datum, marked)
     generators = [i for i in range(1, datum.rank + 1) if i not in marked]
-    count = weyl.weyl_order(datum)
-    return count // weyl.levi_order(datum, generators) if generators else count
+    count = closed_forms.weyl_order(datum)
+    return count // closed_forms.levi_order(datum, generators) if generators else count
 
 
 # The count quotient_size checks, once per quotient, so a warm lookup does not

@@ -23,8 +23,9 @@ Verdicts carry human-readable reasons naming the failed clauses.
 
 from __future__ import annotations
 
-from .classical import GrIndex, IsotropicIndex, QuadricIndex, grouped
+from .classical import GrIndex, QuadricIndex, grouped
 from .frozen import Frozen
+from .isotropic import IsotropicIndex
 
 MULTI_RIGID = "MultiRigid"
 FLEXIBLE = "Flexible"

@@ -37,6 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import weyl
+from .closed_forms import quotient_dimension
 from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, build_quotient_poset, quotient_size
 from .weyl import CartanDatum
@@ -45,7 +46,7 @@ from .witnesses import Witness
 
 def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
     both = frozenset(p_marked) | frozenset(q_marked)
-    return weyl.quotient_dimension(datum, both) - weyl.quotient_dimension(datum, q_marked)
+    return quotient_dimension(datum, both) - quotient_dimension(datum, q_marked)
 
 
 class TitsContext(Frozen):

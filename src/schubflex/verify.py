@@ -253,7 +253,7 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
     golden = golden6 if target == "e6" else load_golden_poset("e7", directory)
     certs = _basic_certificates(poset)
     if target == "e6":
-        from .classical import fingerprint_to_og  # e7 and table1 run no classical code
+        from .isotropic import fingerprint_to_og  # e7 and table1 run no classical code
 
         og5 = quotient("og", 5)
         _cone_certificates(

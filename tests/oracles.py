@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import fsum, lgamma, log
 
-from schubflex.classical import GrIndex, IsotropicIndex, dual_index, gr_dimension, shifted
+from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
+from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import quotient
 from schubflex.weyl import CartanDatum, act, reflect, rho
 from schubflex.witnesses import Witness, basic_witness_homes
@@ -187,7 +188,7 @@ def heap_quotient(datum: CartanDatum, marked):
 def levi_orbit_order(datum: CartanDatum, generators) -> int:
     """Order of a parabolic subgroup, counted as a weight orbit.
 
-    Independent of :func:`schubflex.weyl.levi_order`: the orbit of the
+    Independent of :func:`schubflex.closed_forms.levi_order`: the orbit of the
     strictly dominant weight sum(omega_i for i in generators) under the
     subgroup is free, so its size equals the group order.  Exponential in the
     component sizes; meant as a cross-check on small generator sets.
@@ -340,7 +341,7 @@ def og_to_fingerprint(idx: IsotropicIndex) -> tuple[int, ...]:
 
     Coordinate j < n pairs the weight against epsilon_j - epsilon_{j+1};
     coordinate n pairs it against epsilon_{n-1} + epsilon_n.  Inverse of
-    :func:`schubflex.classical.fingerprint_to_og`.
+    :func:`schubflex.isotropic.fingerprint_to_og`.
     """
     e = _og_sign_vector(idx)
     n = idx.n
@@ -352,7 +353,7 @@ def og_to_fingerprint(idx: IsotropicIndex) -> tuple[int, ...]:
 def og_degree_by_chains(idx: IsotropicIndex) -> int:
     """The degree of an og class read off the D_n quotient marked {n}: its saturated-chain count.
 
-    What :func:`schubflex.classical.og_degree` works out by Schur's formula,
+    What :func:`schubflex.isotropic.og_degree` works out by Schur's formula,
     here found by building the whole 2^(n-1)-class poset.
     """
     return quotient("og", idx.n).node_by_fingerprint(og_to_fingerprint(idx)).degree

@@ -15,13 +15,9 @@ from itertools import combinations
 import pytest
 
 from oracles import fingerprint, fingerprint_to_gr, gr_pairing
-from schubflex.classical import (
-    GrIndex,
-    IsotropicIndex,
-    gr_degree,
-    quadric_classes,
-)
+from schubflex.classical import GrIndex, gr_degree, quadric_classes
 from schubflex.golden import node_token, resolve_token
+from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import build_quotient_poset
 from schubflex.rigidity import classify_gr, classify_lg, classify_og, classify_quadric
 from schubflex.tits import make_context, transform

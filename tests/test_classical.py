@@ -20,8 +20,10 @@ from oracles import (
     pairwise_gr_degree_log10,
     ungroup,
 )
-from schubflex import classical, weyl
-from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
+from schubflex import classical, isotropic, weyl
+from schubflex.classical import GrIndex, QuadricIndex
+from schubflex.closed_forms import InternalError
+from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import build_quotient_poset, quadric_poset_family
 
 
@@ -233,23 +235,23 @@ def test_isotropic_validation():
 
 
 def test_isotropic_dimensions_known():
-    assert classical.isotropic_dimension(IsotropicIndex("og", 5, (1, 2, 3, 4))) == 0
-    assert classical.isotropic_dimension(IsotropicIndex("og", 5, (2, 3))) == 5
-    assert classical.isotropic_dimension(IsotropicIndex("og", 5, (4,))) == 9
-    assert classical.isotropic_dimension(IsotropicIndex("og", 5, ())) == 10
-    assert classical.isotropic_dimension(IsotropicIndex("lg", 2, (1, 2))) == 0
-    assert classical.isotropic_dimension(IsotropicIndex("lg", 2, (1,))) == 1
-    assert classical.isotropic_dimension(IsotropicIndex("lg", 2, (2,))) == 2
-    assert classical.isotropic_dimension(IsotropicIndex("lg", 2, ())) == 3
+    assert isotropic.isotropic_dimension(IsotropicIndex("og", 5, (1, 2, 3, 4))) == 0
+    assert isotropic.isotropic_dimension(IsotropicIndex("og", 5, (2, 3))) == 5
+    assert isotropic.isotropic_dimension(IsotropicIndex("og", 5, (4,))) == 9
+    assert isotropic.isotropic_dimension(IsotropicIndex("og", 5, ())) == 10
+    assert isotropic.isotropic_dimension(IsotropicIndex("lg", 2, (1, 2))) == 0
+    assert isotropic.isotropic_dimension(IsotropicIndex("lg", 2, (1,))) == 1
+    assert isotropic.isotropic_dimension(IsotropicIndex("lg", 2, (2,))) == 2
+    assert isotropic.isotropic_dimension(IsotropicIndex("lg", 2, ())) == 3
 
 
 @given(isotropic_indices())
 @settings(max_examples=200, deadline=None)
 def test_isotropic_dual_involution_and_complement(idx):
-    d = classical.isotropic_dual(idx)
-    total = classical.isotropic_dimension(IsotropicIndex(idx.family, idx.n, ()))
-    assert classical.isotropic_dimension(idx) + classical.isotropic_dimension(d) == total
-    assert classical.isotropic_dual(d).lam == idx.lam
+    d = isotropic.isotropic_dual(idx)
+    total = isotropic.isotropic_dimension(IsotropicIndex(idx.family, idx.n, ()))
+    assert isotropic.isotropic_dimension(idx) + isotropic.isotropic_dimension(d) == total
+    assert isotropic.isotropic_dual(d).lam == idx.lam
 
 
 def test_quadric_class_lists():
@@ -307,8 +309,8 @@ def test_og_fingerprint_round_trip_and_dims():
                 idx = IsotropicIndex("og", n, lam)
                 fp = og_to_fingerprint(idx)
                 node = poset.node_by_fingerprint(fp)
-                assert node.dim == classical.isotropic_dimension(idx), f"{idx} vs {node}"
-                assert classical.fingerprint_to_og(n, fp) == idx
+                assert node.dim == isotropic.isotropic_dimension(idx), f"{idx} vs {node}"
+                assert isotropic.fingerprint_to_og(n, fp) == idx
                 seen.add(node.id)
         assert len(seen) == len(poset.nodes) == 2 ** (n - 1)
 
@@ -320,9 +322,9 @@ def test_og_fingerprint_known_values():
     assert og_to_fingerprint(IsotropicIndex("og", 5, ())) == (0, 0, 0, -1, 0)
     assert og_to_fingerprint(IsotropicIndex("og", 4, ())) == (0, 0, 0, -1)
     with pytest.raises(ValueError):
-        classical.fingerprint_to_og(5, (0, 0, 0, 0, 2))
+        isotropic.fingerprint_to_og(5, (0, 0, 0, 0, 2))
     with pytest.raises(ValueError):
-        classical.fingerprint_to_og(4, (0, 0, 0, 0, 1))
+        isotropic.fingerprint_to_og(4, (0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         og_to_fingerprint(IsotropicIndex("lg", 3, (1,)))
 
@@ -333,7 +335,7 @@ def test_og_degree_equals_the_chain_count_on_every_class_up_to_og11():
         for size in range(n):
             for lam in combinations(range(1, n), size):
                 idx = IsotropicIndex("og", n, lam)
-                assert classical.og_degree(idx) == og_degree_by_chains(idx), idx
+                assert isotropic.og_degree(idx) == og_degree_by_chains(idx), idx
                 checked += 1
     assert checked == 2046
 
@@ -341,13 +343,13 @@ def test_og_degree_equals_the_chain_count_on_every_class_up_to_og11():
 def test_og_degree_known_values_and_refusals(monkeypatch):
     # og:n:() is the fundamental class of OG(n,2n): P^1, P^3, the quadric Q^6
     # and the spinor varieties of degree 12 and 286 (shifted staircase tableaux).
-    assert [classical.og_degree(IsotropicIndex("og", n, ())) for n in range(2, 7)] == [1, 1, 2, 12, 286]
-    assert classical.og_degree(IsotropicIndex("og", 12, (1, 5, 7))) == 266412594390371520
+    assert [isotropic.og_degree(IsotropicIndex("og", n, ())) for n in range(2, 7)] == [1, 1, 2, 12, 286]
+    assert isotropic.og_degree(IsotropicIndex("og", 12, (1, 5, 7))) == 266412594390371520
     with pytest.raises(ValueError):
-        classical.og_degree(IsotropicIndex("lg", 3, (1,)))
-    monkeypatch.setattr(classical, "factorial", lambda k: math.factorial(k) + 1)
-    with pytest.raises(weyl.InternalError, match="remainder"):
-        classical.og_degree(IsotropicIndex("og", 3, ()))
+        isotropic.og_degree(IsotropicIndex("lg", 3, (1,)))
+    monkeypatch.setattr(isotropic, "factorial", lambda k: math.factorial(k) + 1)
+    with pytest.raises(InternalError, match="remainder"):
+        isotropic.og_degree(IsotropicIndex("og", 3, ()))
 
 
 def test_quadric_class_count_matches_quotient_poset():

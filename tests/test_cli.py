@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import poset_json_dict, word_dual
 from schubflex import classical, cli, poset, weyl, witnesses
-from schubflex.classical import IsotropicIndex, isotropic_dimension, isotropic_dual
+from schubflex.isotropic import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
 from schubflex.golden import golden_dir, node_token
 from schubflex.poset import QUOTIENTS, quotient

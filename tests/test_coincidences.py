@@ -29,19 +29,20 @@ import functools
 import pytest
 
 from oracles import fingerprint, fingerprint_to_gr
-from schubflex import classical, rigidity, witnesses
-from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
+from schubflex import classical, isotropic, rigidity, witnesses
+from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.commands import read_selector
+from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import quotient
 
 DIMENSION = {
     GrIndex: classical.gr_dimension,
-    IsotropicIndex: classical.isotropic_dimension,
+    IsotropicIndex: isotropic.isotropic_dimension,
     QuadricIndex: classical.quadric_dimension,
 }
 DUAL = {
     GrIndex: classical.dual_index,
-    IsotropicIndex: classical.isotropic_dual,
+    IsotropicIndex: isotropic.isotropic_dual,
     QuadricIndex: classical.quadric_dual,
 }
 WITNESS = {
@@ -87,7 +88,7 @@ def side(selector: str):
         return poset, {n.id: [fingerprint_to_gr(*params, fingerprint(poset, n))] for n in poset.nodes}
     if head == "og":
         (n,) = params
-        return poset, {c.id: [classical.fingerprint_to_og(n, fingerprint(poset, c))] for c in poset.nodes}
+        return poset, {c.id: [isotropic.fingerprint_to_og(n, fingerprint(poset, c))] for c in poset.nodes}
     if head == "quad":
         by_dim: dict[int, list] = {}
         for idx in classical.quadric_classes(*params):

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from schubflex import weyl
-from schubflex.classical import GrIndex, IsotropicIndex, QuadricIndex
+from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.cli import Command
-from schubflex.commands import cmd_degree
 from schubflex.frozen import Frozen
 from schubflex.golden import GoldenRow, TransformRow, load_golden_poset
+from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import SchubertNode, quotient
 from schubflex.rigidity import Verdict
+from schubflex.specs import cmd_degree
 from schubflex.tits import TitsContext, make_context
 from schubflex.verify import Certificates
 from schubflex.witnesses import Witness

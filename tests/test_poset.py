@@ -23,7 +23,7 @@ from oracles import (
     word_bfs,
     word_dual,
 )
-from schubflex import poset, weyl
+from schubflex import closed_forms, poset, weyl
 from schubflex.poset import (
     InternalError,
     build_quotient_poset,
@@ -110,7 +110,7 @@ def test_node_count_times_levi_order():
         datum = weyl.build_cartan(family, rank)
         p = build_quotient_poset(datum, marked)
         gens = [i for i in range(1, rank + 1) if i not in marked]
-        assert len(p.nodes) * weyl.levi_order(datum, gens) == weyl.weyl_order(datum)
+        assert len(p.nodes) * closed_forms.levi_order(datum, gens) == closed_forms.weyl_order(datum)
 
 
 def test_known_quotient_sizes():
@@ -378,7 +378,7 @@ def small_quotients(draw):
     marked = draw(st.sets(st.integers(1, rank), min_size=1))
     datum = weyl.build_cartan(family, rank)
     gens = [i for i in range(1, rank + 1) if i not in marked]
-    size = weyl.weyl_order(datum) // (weyl.levi_order(datum, gens) if gens else 1)
+    size = closed_forms.weyl_order(datum) // (closed_forms.levi_order(datum, gens) if gens else 1)
     return datum, marked, size
 
 
@@ -402,7 +402,7 @@ def test_order_formula_mismatch_raises_internal_error(monkeypatch):
     # enumeration whatever other tests have built (the g24 fixture caches
     # A3/P2), and nothing built under the patched formula outlives it.
     poset._quotient.cache_clear()
-    monkeypatch.setattr(weyl, "levi_order", lambda datum, generators: 8)
+    monkeypatch.setattr(closed_forms, "levi_order", lambda datum, generators: 8)
     try:
         with pytest.raises(InternalError, match="enumerated 6 cosets, order formula says 3"):
             build_quotient_poset(weyl.build_cartan("A", 3), {2})
@@ -490,7 +490,7 @@ def test_poincare_dual_matches_the_word_of_w0():
 def test_missing_dual_is_an_internal_error(monkeypatch):
     # With iota wrongly the identity on A4, -(1, 0, 0, 0) is no class of P^4.
     p = quotient("gr", 1, 5)
-    monkeypatch.setattr(weyl, "opposition", lambda datum: tuple(range(datum.rank)))
+    monkeypatch.setattr(closed_forms, "opposition", lambda datum: tuple(range(datum.rank)))
     with pytest.raises(InternalError, match=f"of {p.bottom().id} is not a coset"):
         p.poincare_dual(p.bottom())
 

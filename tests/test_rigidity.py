@@ -7,12 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from schubflex.classical import (
-    GrIndex,
-    IsotropicIndex,
-    ann_index,
-    quadric_classes,
-)
+from schubflex.classical import GrIndex, ann_index, quadric_classes
+from schubflex.isotropic import IsotropicIndex
 from schubflex.rigidity import (
     FLEXIBLE,
     MULTI_RIGID,

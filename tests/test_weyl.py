@@ -15,7 +15,8 @@ from oracles import (
     levi_orbit_order,
     longest_element,
 )
-from schubflex import weyl
+from schubflex import closed_forms, weyl
+from schubflex.closed_forms import InternalError
 
 SMALL_DATA = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -149,7 +150,7 @@ def test_wrong_diagram_raises_internal_error(monkeypatch, family, rank, mistake)
     weyl.build_cartan.cache_clear()
     monkeypatch.setattr(weyl, "_edges", lambda f, r: mistake(edges(f, r)))
     try:
-        with pytest.raises(weyl.InternalError):
+        with pytest.raises(InternalError):
             weyl.build_cartan(family, rank)
     finally:
         weyl.build_cartan.cache_clear()
@@ -195,28 +196,28 @@ def test_longest_element_levi_lengths():
 
 
 def test_weyl_orders():
-    assert weyl.weyl_order(weyl.build_cartan("A", 4)) == 120
-    assert weyl.weyl_order(weyl.build_cartan("B", 3)) == 48
-    assert weyl.weyl_order(weyl.build_cartan("C", 5)) == 3840
-    assert weyl.weyl_order(weyl.build_cartan("D", 5)) == 1920
-    assert weyl.weyl_order(weyl.build_cartan("E", 6)) == 51840
-    assert weyl.weyl_order(weyl.build_cartan("E", 7)) == 2903040
+    assert closed_forms.weyl_order(weyl.build_cartan("A", 4)) == 120
+    assert closed_forms.weyl_order(weyl.build_cartan("B", 3)) == 48
+    assert closed_forms.weyl_order(weyl.build_cartan("C", 5)) == 3840
+    assert closed_forms.weyl_order(weyl.build_cartan("D", 5)) == 1920
+    assert closed_forms.weyl_order(weyl.build_cartan("E", 6)) == 51840
+    assert closed_forms.weyl_order(weyl.build_cartan("E", 7)) == 2903040
 
 
 def test_levi_orders_by_shape():
     e6 = weyl.build_cartan("E", 6)
-    assert weyl.levi_order(e6, [1, 2, 3, 4, 5]) == 1920   # D5
-    assert weyl.levi_order(e6, [2, 3, 4, 5, 6]) == 1920   # D5 again (mirror)
-    assert weyl.levi_order(e6, [1, 3, 4, 5, 6]) == 720    # A5
-    assert weyl.levi_order(e6, [1, 2, 3, 4, 6]) == 240    # A4 x A1
-    assert weyl.levi_order(e6, [1, 2, 3, 4]) == 120       # A4 (the path 1-3-4-2)
+    assert closed_forms.levi_order(e6, [1, 2, 3, 4, 5]) == 1920   # D5
+    assert closed_forms.levi_order(e6, [2, 3, 4, 5, 6]) == 1920   # D5 again (mirror)
+    assert closed_forms.levi_order(e6, [1, 3, 4, 5, 6]) == 720    # A5
+    assert closed_forms.levi_order(e6, [1, 2, 3, 4, 6]) == 240    # A4 x A1
+    assert closed_forms.levi_order(e6, [1, 2, 3, 4]) == 120       # A4 (the path 1-3-4-2)
     e7 = weyl.build_cartan("E", 7)
-    assert weyl.levi_order(e7, [1, 2, 3, 4, 5, 6]) == 51840       # E6
-    assert weyl.levi_order(e7, [2, 3, 4, 5, 6, 7]) == 23040       # D6
-    assert weyl.levi_order(e7, [1, 2, 3, 4, 5, 7]) == 3840        # D5 x A1
+    assert closed_forms.levi_order(e7, [1, 2, 3, 4, 5, 6]) == 51840       # E6
+    assert closed_forms.levi_order(e7, [2, 3, 4, 5, 6, 7]) == 23040       # D6
+    assert closed_forms.levi_order(e7, [1, 2, 3, 4, 5, 7]) == 3840        # D5 x A1
     b4 = weyl.build_cartan("B", 4)
-    assert weyl.levi_order(b4, [2, 3, 4]) == 48           # B3 tail keeps the doubled edge
-    assert weyl.levi_order(b4, [1, 2, 3]) == 24           # A3 head
+    assert closed_forms.levi_order(b4, [2, 3, 4]) == 48           # B3 tail keeps the doubled edge
+    assert closed_forms.levi_order(b4, [1, 2, 3]) == 24           # A3 head
 
 
 def test_levi_order_matches_orbit_count():
@@ -227,7 +228,7 @@ def test_levi_order_matches_orbit_count():
         for gens in subsets:
             if not gens:
                 continue
-            assert weyl.levi_order(d, gens) == levi_orbit_order(d, gens), (
+            assert closed_forms.levi_order(d, gens) == levi_orbit_order(d, gens), (
                 f"formula vs orbit disagree for {family}{rank} gens={gens}"
             )
 
@@ -254,7 +255,7 @@ def test_levi_order_matches_orbit_count():
 )
 def test_quotient_dimensions(family, rank, marked, dim):
     d = weyl.build_cartan(family, rank)
-    assert weyl.quotient_dimension(d, marked) == dim
+    assert closed_forms.quotient_dimension(d, marked) == dim
 
 
 def test_closed_form_dimensions_equal_the_root_enumeration():
@@ -268,7 +269,7 @@ def test_closed_form_dimensions_equal_the_root_enumeration():
             for size in range(1, rank + 1):
                 for marked in itertools.combinations(range(1, rank + 1), size):
                     want = sum(1 for c in roots if any(c[i - 1] > 0 for i in marked))
-                    assert weyl.quotient_dimension(d, marked) == want, (family, rank, marked)
+                    assert closed_forms.quotient_dimension(d, marked) == want, (family, rank, marked)
                     checked += 1
     assert checked == 2196
 

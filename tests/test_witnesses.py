@@ -9,15 +9,9 @@ from hypothesis import given, strategies as st
 
 from oracles import fingerprint, fingerprint_to_gr
 from schubflex import weyl
-from schubflex.classical import (
-    GrIndex,
-    IsotropicIndex,
-    fingerprint_to_og,
-    isotropic_dimension,
-    quadric_classes,
-    quadric_dimension,
-)
+from schubflex.classical import GrIndex, quadric_classes, quadric_dimension
 from schubflex.golden import node_token, resolve_token
+from schubflex.isotropic import IsotropicIndex, fingerprint_to_og, isotropic_dimension
 from schubflex.poset import build_quotient_poset, quotient
 from schubflex.rigidity import classify, classify_gr, classify_lg, classify_og, classify_quadric
 from schubflex.witnesses import (
