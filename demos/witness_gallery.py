@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.isotropic import IsotropicIndex
+from schubflex.moduli import moduli_witness_gr, moduli_witness_isotropic, quadric_witness
 from schubflex.verify import verify_e6
-from schubflex.witnesses import (
-    moduli_witness_gr,
-    moduli_witness_isotropic,
-    quadric_witness,
-)
 
 
 def show(title, witness):

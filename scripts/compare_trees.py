@@ -124,6 +124,11 @@ SELECTORS = (
     "gr:1,2000",
     "gr:1,2000 --json",
     "tits a2000 1 2000",
+    "verify all --json",
+    "classify e7:22:5586",
+    "tits e7 6 7",
+    "tits e7 7 6",
+    "tits e6 5 6",
 )
 
 # Run in each outputs child, with the argv as JSON on stdin.

@@ -13,9 +13,15 @@ Subpackages by capability:
   Schubert classes.
 * :mod:`schubflex.isotropic` -- the same for Lagrangian and orthogonal classes.
 * :mod:`schubflex.rigidity` -- multi-rigidity classifiers for all families.
-* :mod:`schubflex.witnesses` -- flexibility constructions (Bertini-type,
-  moduli of curves, cone embeddings) producing checkable certificates.
+* :mod:`schubflex.witness` -- the Witness record every construction returns.
+* :mod:`schubflex.witnesses` -- flexibility constructions on a poset
+  (linear spaces, Bertini sections, divisors) and the graded interval and
+  cone embeddings.
+* :mod:`schubflex.moduli` -- flexibility constructions read off a classical
+  index (moduli of curves in flag conditions).
 * :mod:`schubflex.tits` -- incidence-variety transforms between quotients.
+* :mod:`schubflex.certify` -- the certificate pipeline: every engine's
+  witnesses on the e6 and e7 posets.
 * :mod:`schubflex.verify` -- decoration and transform-table verification.
 * :mod:`schubflex.cli` -- command-line front end (``schubflex``).
 * :mod:`schubflex.commands` -- the selector reader and the ``hasse``,

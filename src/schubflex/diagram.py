@@ -23,8 +23,9 @@ What a poset holds, and when:
   order (each the parent's reflected by the letter), with the lookup by
   fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``);
   the lookup by (dimension, degree) (``find_nodes``); and the upper covers
-  (``upper_covers``).  ``hasse --json``/``--dot`` build none of them, and
-  text ``hasse`` only ``find_nodes``.
+  (``upper_covers``).  ``hasse --json``/``--dot`` build none of them,
+  text ``hasse`` only ``find_nodes``, and a ``tits`` sweep none (it
+  replays the fingerprints it needs, see :mod:`~schubflex.tits`).
 * Never held whole: ``covers`` and the exports gather the cover pairs one
   dimension at a time, and the exports write them to a stream a batch of a
   few KiB at a time, with the minimal words replayed in BFS order as they go.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from .classical import GrIndex, QuadricIndex, grouped
 from .frozen import Frozen
-from .isotropic import IsotropicIndex
 
 MULTI_RIGID = "MultiRigid"
 FLEXIBLE = "Flexible"
@@ -122,11 +121,17 @@ def classify_quadric(idx: QuadricIndex) -> Verdict:
 
 
 def classify(idx) -> Verdict:
-    """Dispatch on index type (Grassmannian, isotropic, quadric)."""
+    """Dispatch on index type (Grassmannian, quadric, isotropic).
+
+    :mod:`~schubflex.isotropic` is imported only past the other two types,
+    so classifying a gr or quad index does not compile it.
+    """
     if isinstance(idx, GrIndex):
         return classify_gr(idx)
-    if isinstance(idx, IsotropicIndex):
-        return classify_lg(idx) if idx.family == "lg" else classify_og(idx)
     if isinstance(idx, QuadricIndex):
         return classify_quadric(idx)
+    from .isotropic import IsotropicIndex
+
+    if isinstance(idx, IsotropicIndex):
+        return classify_lg(idx) if idx.family == "lg" else classify_og(idx)
     raise TypeError(f"cannot classify {type(idx).__name__}")

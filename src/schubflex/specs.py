@@ -20,9 +20,9 @@ classical quotient.  A malformed spec raises
 A class spec loads :mod:`~schubflex.classical` (gr, quad) or
 :mod:`~schubflex.isotropic` (lg, og), or :mod:`~schubflex.golden` for an
 e6/e7 token; ``classify`` adds :mod:`~schubflex.rigidity`, and
-:mod:`~schubflex.witnesses` for a flexible class, or for an e6/e7 class the
-certificate pipeline (:mod:`~schubflex.verify`, which loads the rest) once its
-token has resolved, so a refused token loads nothing more.  Each loads
+:mod:`~schubflex.moduli` for a flexible class, or for an e6/e7 class the
+certificate pipeline (:mod:`~schubflex.certify`, which loads the rest) once
+its token has resolved, so a refused token loads nothing more.  Each loads
 through :func:`schubflex.commands._module` on first need.  This module is
 apart from :mod:`~schubflex.commands` so that neither module's compile is
 large (see :mod:`~schubflex.cli`).
@@ -68,7 +68,7 @@ def _verdict(indices: str, dimension: str, classifier: str, witness: str, idx, g
     dim = getattr(_module(indices), dimension)(idx)
     print(f"class: {idx}\ndimension: {dim}\nverdict: {verdict}")
     if not verdict.rigid:
-        w = getattr(_module(".witnesses"), witness)(idx)
+        w = getattr(_module(".moduli"), witness)(idx)
         if w is None:
             print("witness: none found", file=sys.stderr)
             return 1
@@ -81,7 +81,7 @@ def _verdict(indices: str, dimension: str, classifier: str, witness: str, idx, g
 def _certificate_row(cls, golden_dir) -> int:
     """Print an e6/e7 class's row of its poset's certificates."""
     target, _, node = cls
-    row = _module(".verify").certificates(target, golden_dir).row(node)
+    row = _module(".certify").certificates(target, golden_dir).row(node)
     print(f"class: {target}:{row['token']}\ndimension: {row['dim']}\ndegree: {row['degree']}")
     print(f"decoration: {row['decoration']}")
     print(f"certificates: {', '.join(row['certificates']) or 'none'}")

@@ -13,8 +13,11 @@ which is looked up in the target poset.  lambda_P is dominant, so
 w0_Q(lambda_P) is the one weight of its W_Q-orbit with no positive coordinate
 outside Q; and u = u' s_i for u's BFS parent u', so u's target fingerprint is
 s_i of u''s.  The sweep replays those fingerprints along G/Q's parent links,
-two dimensions at a time, and looks each up in G/P, which replays its own
-fingerprints once for the lookup; G/Q keeps none.  The dimension shift
+two dimensions at a time, and G/P's own fingerprints the same way.  The side
+with fewer classes (G/P on a tie) is held in a dict by fingerprint while the
+other streams past it, so a sweep holds only the smaller side's fingerprints
+and neither poset keeps any; a swept fingerprint that is no G/P coset is an
+InternalError.  The dimension shift
 
     d_tau = dim G/P_{P union Q} - dim G/Q
 
@@ -37,11 +40,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import weyl
-from .closed_forms import quotient_dimension
+from .closed_forms import InternalError, quotient_dimension
 from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, build_quotient_poset, quotient_size
 from .weyl import CartanDatum
-from .witnesses import Witness
+from .witness import Witness
 
 
 def transform_shift(datum: CartanDatum, p_marked, q_marked) -> int:
@@ -77,11 +80,26 @@ def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
     """Sweep every G/Q class once; keyed by the two shared posets."""
     datum = p_poset.datum
     unmarked = [i for i in range(1, datum.rank + 1) if i not in q_poset.marked]
-    low = weyl.marked_weight(datum, p_poset.marked)
+    low = lam = weyl.marked_weight(datum, p_poset.marked)
     while (i := next((g for g in unmarked if low[g - 1] > 0), None)) is not None:
         low = weyl.reflect(datum, i, low)
-    swept = q_poset.replay(low, lambda fp, i: weyl.reflect(datum, i, fp))
-    targets = tuple(p_poset.node_by_fingerprint(fp) for _, fp in swept)
+    step = lambda fp, i: weyl.reflect(datum, i, fp)
+    swept, own = q_poset.replay(low, step), p_poset.replay(lam, step)
+    if len(p_poset.nodes) <= len(q_poset.nodes):  # hold G/P's fingerprints, stream G/Q's
+        by_fp = {fp: n for n, fp in own}
+        targets = [by_fp.get(fp) for _, fp in swept]
+    else:  # hold G/Q's swept fingerprints, stream G/P's
+        pending = {}
+        for node, fp in swept:
+            pending.setdefault(fp, []).append(node.index)
+        targets = [None] * len(q_poset.nodes)
+        for n, fp in own:
+            for k in pending.pop(fp, ()):
+                targets[k] = n
+    if None in targets:
+        node = q_poset.nodes[targets.index(None)]
+        label = f"{p_poset.type_label()}/P{sorted(p_poset.marked)}"
+        raise InternalError(f"{node.id} sweeps to no coset of {label}")
     sources = [[] for _ in p_poset.nodes]
     for node, target in zip(q_poset.nodes, targets):
         sources[target.index].append(node)
@@ -90,7 +108,7 @@ def _context(p_poset: QuotientPoset, q_poset: QuotientPoset) -> TitsContext:
         p_poset,
         q_poset,
         transform_shift(datum, p_poset.marked, q_poset.marked),
-        targets,
+        tuple(targets),
         tuple(map(tuple, sources)),
     )
 

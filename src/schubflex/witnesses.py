@@ -19,41 +19,33 @@ Poset-based engines (on a minuscule quotient poset):
 * divisor_witness: the codimension-1 class generates the Picard lattice;
   m*sigma is a general degree-m divisor.
 
-Index-based engines: moduli_witness_gr / moduli_witness_isotropic /
-quadric_witness implement the explicit flag constructions for the three
-classical families, each applicable on a condition read off the index.
-cone_embedding finds the graded embedding of a smaller cominuscule poset
-under a cone apex, used to transport witnesses into the exceptional posets.
+Embeddings: cone_embedding finds the graded embedding of a smaller
+cominuscule poset under a cone apex, used to transport witnesses into the
+exceptional posets, and interval_isomorphism a graded copy of one onto a
+lower interval.
+
+The index-based engines of the three classical families are in
+:mod:`~schubflex.moduli`, so the certificate runs of e7 and table1 compile
+none of them and a classical ``classify`` compiles none of these; their
+names still resolve here, loading that module when first read.
 """
 
 from __future__ import annotations
 
 import importlib
-from functools import lru_cache
 
-from .frozen import Frozen
 from .poset import QuotientPoset, SchubertNode, interval_chain_counts
+from .witness import Witness
+
+# The engines of schubflex.moduli whose names resolve here too, where bench/tracer.py reads them.
+_MODULI = ("moduli_witness_gr", "moduli_witness_isotropic", "quadric_witness")
 
 
-@lru_cache(maxsize=None)
-def _classical():
-    """:mod:`~schubflex.classical`, loaded by the first moduli engine that runs.
-
-    The poset engines and the certificate runs of e7 and table1 need none of it.
-    """
-    return importlib.import_module(".classical", __package__)
-
-
-class Witness(Frozen):
-    """A named construction; equal witnesses have equal kinds and payloads.
-
-    The payload is a dict, so a witness is unhashable.
-    """
-
-    __slots__ = ("kind", "payload")
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.payload}"
+def __getattr__(name: str):
+    """An index-based engine of :mod:`~schubflex.moduli`, loaded when it is first read here."""
+    if name in _MODULI:
+        return getattr(importlib.import_module(".moduli", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _linear_home(node: SchubertNode, cover: SchubertNode) -> bool:
@@ -124,162 +116,6 @@ def divisor_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
         {
             "node": node.id,
             "representative": "general degree-m member of the rank-1 divisor lattice",
-        },
-    )
-
-
-def _case1_position(idx: GrIndex) -> int | None:
-    """1-based u with lambda_{u-1}+1 < lambda_u < lambda_{u+1}-1, if any."""
-    lam = (0,) + idx.lam + (idx.n + 1,)
-    for u in range(1, idx.k + 1):
-        if lam[u - 1] + 1 < lam[u] < lam[u + 1] - 1:
-            return u
-    return None
-
-
-def moduli_witness_gr(idx: GrIndex) -> Witness | None:
-    """The cone construction at a case-1 position of the index or its annihilator."""
-    u = _case1_position(idx)
-    if u is not None:
-        moved = idx.lam[u - 1]
-        return Witness(
-            "ModuliGr",
-            {
-                "index": str(idx),
-                "case": 1,
-                "position": u,
-                "moved_entry": moved,
-                "representative": (
-                    "replace the rank condition at the moved entry by incidence "
-                    "to a cone, vertex two flag steps down, over a degree-m "
-                    "plane curve"
-                ),
-            },
-        )
-    other = _classical().ann_index(idx)
-    u = _case1_position(other)
-    if u is None:
-        return None
-    return Witness(
-        "ModuliGr",
-        {
-            "index": str(idx),
-            "case": 2,
-            "route": "ann",
-            "annihilator": str(other),
-            "position": u,
-            "moved_entry": other.lam[u - 1],
-            "representative": (
-                "apply the case-1 cone construction to the annihilator index "
-                "and carry it back through the duality of flags"
-            ),
-        },
-    )
-
-
-def moduli_witness_isotropic(idx: IsotropicIndex) -> Witness | None:
-    """Embed in a maximal isotropic space (a), extend by n (b, og) or move the top (c1/c2, lg)."""
-    lg = idx.family == "lg"
-    n, lam, s = idx.n, idx.lam, len(idx.lam)
-
-    if 1 <= s < n:
-        # a maximal isotropic subspace F has dimension n in both families
-        embedded = _classical().GrIndex(s, n, lam)
-        inner = moduli_witness_gr(embedded)
-        if inner is not None:
-            payload = {
-                "index": str(idx),
-                "branch": "a",
-                "embedded": str(embedded),
-                "inner": inner.payload,
-            }
-            if not lg:
-                payload["spinor_component"] = "same" if s % 2 == n % 2 else "opposite"
-            return Witness("ModuliIsotropic", payload)
-
-    if not lg and s >= 1 and lam[-1] == n - 2:
-        extended = _classical().GrIndex(s + 1, n, lam + (n,))
-        inner = moduli_witness_gr(extended)
-        if inner is not None:
-            return Witness(
-                "ModuliIsotropic",
-                {
-                    "index": str(idx),
-                    "branch": "b",
-                    "extended": str(extended),
-                    "inner": inner.payload,
-                    "spinor_component": "same" if (s + 1) % 2 == n % 2 else "opposite",
-                },
-            )
-
-    if lg and s >= 1:
-        # on lg:1 the index (1) is the point, a single top flag space
-        if n >= 2 and lam[-1] == n and _classical().grouped(lam)[-1][1] == 1:
-            return Witness(
-                "ModuliIsotropic",
-                {
-                    "index": str(idx),
-                    "branch": "c1",
-                    "representative": (
-                        "move the top flag space through a family of tangent "
-                        "hyperplane sections of degree m"
-                    ),
-                },
-            )
-        if lam[-1] == n - 1:
-            return Witness(
-                "ModuliIsotropic",
-                {
-                    "index": str(idx),
-                    "branch": "c2",
-                    "representative": (
-                        "cone, vertex two steps below the top flag space, over a "
-                        "degree-m plane curve inside its symplectic complement"
-                    ),
-                },
-            )
-    return None
-
-
-def quadric_witness(idx: QuadricIndex) -> Witness | None:
-    """Linear spaces of dimension >= 1 and proper sections move, maximal families do not."""
-    n, j = idx.n, idx.j
-    if idx.kind == "linear" and j >= 2:
-        if 2 * j <= n:  # a strictly bigger isotropic linear space exists
-            return Witness(
-                "ModuliQuadric",
-                {
-                    "index": str(idx),
-                    "construction": "hypersurface",
-                    "representative": (
-                        "smooth degree-m hypersurface inside an isotropic linear "
-                        "space one step bigger"
-                    ),
-                },
-            )
-        # the top linear space of an odd quadric: 2j = n + 1
-        return Witness(
-            "ModuliQuadric",
-            {
-                "index": str(idx),
-                "construction": "induction",
-                "representative": (
-                    "cone over a bidegree-(1,m-1) curve on a quadric surface "
-                    "section, extended upward by the induction on dimension"
-                ),
-            },
-        )
-    if idx.kind != "colinear" or j < 1:
-        return None
-    return Witness(
-        "ModuliQuadric",
-        {
-            "index": str(idx),
-            "construction": "polar-section",
-            "representative": (
-                "intersection of the quadric with a general degree-m "
-                "hypersurface of the polar space of a smaller linear space"
-            ),
         },
     )
 

@@ -14,7 +14,8 @@ from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
 from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import quotient
 from schubflex.weyl import CartanDatum, act, reflect, rho
-from schubflex.witnesses import Witness, basic_witness_homes
+from schubflex.witness import Witness
+from schubflex.witnesses import basic_witness_homes
 
 # Number of positive roots per family and rank (Humphreys, Reflection Groups
 # and Coxeter Groups, 3.18): the check that an enumeration of the roots read
@@ -270,7 +271,7 @@ def scan_witness(ctx, targets, p_node, q_oracle):
 
 
 def scan_depth2_oracle(rev, targets):
-    """verify.depth2_oracle as a scan of the whole base poset against ``targets``."""
+    """certify.depth2_oracle as a scan of the whole base poset against ``targets``."""
     base = rev.q_poset
 
     def oracle(src):

@@ -22,12 +22,8 @@ from schubflex.poset import build_quotient_poset
 from schubflex.rigidity import classify_gr, classify_lg, classify_og, classify_quadric
 from schubflex.tits import make_context, transform
 from schubflex.verify import verify_e6, verify_e7, verify_table1
+from schubflex.moduli import moduli_witness_gr, moduli_witness_isotropic, quadric_witness
 from schubflex.weyl import build_cartan
-from schubflex.witnesses import (
-    moduli_witness_gr,
-    moduli_witness_isotropic,
-    quadric_witness,
-)
 
 # Degrees of the 27 classes by dimension, as shown on the published diagram.
 DEGREES_27 = {

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poset_json_dict, word_dual
-from schubflex import classical, cli, poset, weyl, witnesses
+from schubflex import classical, cli, moduli, poset, weyl
 from schubflex.isotropic import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
 from schubflex.golden import golden_dir, node_token
@@ -375,7 +375,7 @@ def test_classify_rigid_grassmannian(capsys):
 def test_classify_flexible_class_without_a_witness_exits_1(monkeypatch, capsys):
     # The constructions decide on their own, so a flexible verdict with no
     # construction behind it is caught here, at the one place both meet.
-    monkeypatch.setattr(witnesses, "moduli_witness_gr", lambda idx: None)
+    monkeypatch.setattr(moduli, "moduli_witness_gr", lambda idx: None)
     rc, out, err = run(["classify", "gr:2,5:1,3"], capsys)
     assert (rc, err) == (1, "witness: none found\n")
     assert out.splitlines()[2].startswith("verdict: Flexible")

@@ -29,7 +29,7 @@ import functools
 import pytest
 
 from oracles import fingerprint, fingerprint_to_gr
-from schubflex import classical, isotropic, rigidity, witnesses
+from schubflex import classical, isotropic, moduli, rigidity, witnesses
 from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.commands import read_selector
 from schubflex.isotropic import IsotropicIndex
@@ -46,9 +46,9 @@ DUAL = {
     QuadricIndex: classical.quadric_dual,
 }
 WITNESS = {
-    GrIndex: witnesses.moduli_witness_gr,
-    IsotropicIndex: witnesses.moduli_witness_isotropic,
-    QuadricIndex: witnesses.quadric_witness,
+    GrIndex: moduli.moduli_witness_gr,
+    IsotropicIndex: moduli.moduli_witness_isotropic,
+    QuadricIndex: moduli.quadric_witness,
 }
 POSET_ENGINES = (
     witnesses.linear_space_witness,

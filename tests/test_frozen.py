@@ -17,8 +17,8 @@ from schubflex.poset import SchubertNode, quotient
 from schubflex.rigidity import Verdict
 from schubflex.specs import cmd_degree
 from schubflex.tits import TitsContext, make_context
-from schubflex.verify import Certificates
-from schubflex.witnesses import Witness
+from schubflex.certify import Certificates
+from schubflex.witness import Witness
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schubflex"
 

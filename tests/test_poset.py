@@ -259,6 +259,25 @@ print(codes, built)
     assert out.strip() == "[0, 0, 0] [[], [], []]"
 
 
+
+def test_certificates_build_no_fingerprint_map_of_the_larger_sweep_sides():
+    # A sweep holds the fingerprints of its side with fewer classes only, so
+    # E7/P6 (756 classes, swept from E7/P7) and E6/P5 (216, from E6/P6) keep none.
+    out = _run(
+        """
+from schubflex import tits, weyl
+from schubflex.certify import certificates
+problems = [certificates(target).problems for target in ("e6", "e7")]
+sides = [
+    tits.make_context(weyl.build_cartan(family, rank), {p}, {q}).p_poset
+    for family, rank, p, q in (("E", 7, 6, 7), ("E", 6, 5, 6))
+]
+built = [sorted(set(vars(side)) & {"_fingerprints", "_by_fp"}) for side in sides]
+print(problems, [len(side.nodes) for side in sides], built)
+"""
+    )
+    assert out.strip() == "[(), ()] [756, 216] [[], []]"
+
 def _oracle_posets():
     e7p6 = make_context(weyl.build_cartan("E", 7), {7}, {6}).q_poset
     selectors = [("e6",), ("e7",), ("og", 9), ("lg", 8), ("gr", 5, 11), ("gr", 1, 64), ("quad", 80)]

@@ -1,5 +1,7 @@
 """Unit tests for the incidence-sweep transform between parabolic quotients."""
 
+from itertools import islice
+
 import pytest
 
 from oracles import (
@@ -11,7 +13,9 @@ from oracles import (
     sweep_targets,
     w0q_word,
 )
-from schubflex import poset, weyl
+from schubflex import poset, tits, weyl
+from schubflex.certify import depth2_oracle
+from schubflex.closed_forms import InternalError
 from schubflex.golden import node_token, resolve_token
 from schubflex.poset import build_quotient_poset
 from schubflex.tits import (
@@ -23,7 +27,6 @@ from schubflex.tits import (
     transform_rows,
     transform_shift,
 )
-from schubflex.verify import depth2_oracle
 from schubflex.witnesses import basic_witness_homes
 
 # (family, rank, P node, Q node) of every context verify builds
@@ -341,6 +344,20 @@ def test_classes_of_two_builds_of_one_quotient_never_mix():
     twins = lambda src: second.upper_covers(second.nodes[src.index])
     assert not any(tits_flexibility_witness(ctx, n, twins) for n in ctx.p_poset.nodes)
 
+
+
+def test_a_sweep_onto_no_coset_of_g_mod_p_is_an_internal_error(monkeypatch):
+    # Either side is the one held: A3/P1 (4 classes) against A3/P2 (6), and
+    # A3/P2's swept fingerprints against A3/P1's.  G/P's replay here stops
+    # short of its top class, onto which the top of G/Q sweeps.
+    datum = weyl.build_cartan("A", 3)
+    for p, q in ((1, 2), (2, 1)):
+        p_poset, q_poset = build_quotient_poset(datum, {p}), build_quotient_poset(datum, {q})
+        replay, short = p_poset.replay, len(p_poset.nodes) - 1
+        with monkeypatch.context() as m:
+            m.setattr(p_poset, "replay", lambda start, step: islice(replay(start, step), short))
+            with pytest.raises(InternalError, match=rf"n\d+ sweeps to no coset of A3/P\[{p}\]"):
+                tits._context.__wrapped__(p_poset, q_poset)
 
 def test_oversized_context_is_refused_before_either_quotient_is_built():
     # The P side (node 1 of A4000 or D2000) fits both bounds and the Q side

@@ -12,10 +12,11 @@ import shutil
 
 import pytest
 
-from schubflex import poset, verify
+from schubflex import certify, moduli, poset, verify
+from schubflex.certify import certificates
 from schubflex.golden import GOLDEN_ENV_VAR, GoldenDataError, golden_dir
 from schubflex.poset import quotient
-from schubflex.verify import certificates, verify_all, verify_e6, verify_e7, verify_table1
+from schubflex.verify import verify_all, verify_e6, verify_e7, verify_table1
 
 E6_CERTS = {
     "0:1": [],
@@ -216,13 +217,13 @@ def test_shared_certificates_cannot_be_changed():
 
 
 def test_verify_all_runs_the_e7_interval_search_once(monkeypatch):
-    searches, search = [], verify.interval_isomorphism
+    searches, search = [], certify.interval_isomorphism
 
     def counting(*args):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(verify, "interval_isomorphism", counting)
+    monkeypatch.setattr(certify, "interval_isomorphism", counting)
     poset._quotient.cache_clear()
     assert all(report.ok for report in verify.verify_all())
     assert len(searches) == 1
@@ -239,10 +240,10 @@ def test_verify_table1_builds_three_quotients_and_runs_no_engine(monkeypatch):
         "divisor_witness",
         "cone_embedding",
         "basic_witness_homes",
-        "moduli_witness_isotropic",
         "tits_flexibility_witness",
     ):
-        monkeypatch.setattr(verify, name, engine)
+        monkeypatch.setattr(certify, name, engine)
+    monkeypatch.setattr(moduli, "moduli_witness_isotropic", engine)
     poset._quotient.cache_clear()
     assert verify_table1().ok
     assert poset._quotient.cache_info().misses == 3

@@ -12,6 +12,7 @@ from schubflex import weyl
 from schubflex.classical import GrIndex, quadric_classes, quadric_dimension
 from schubflex.golden import node_token, resolve_token
 from schubflex.isotropic import IsotropicIndex, fingerprint_to_og, isotropic_dimension
+from schubflex.moduli import moduli_witness_gr, moduli_witness_isotropic, quadric_witness
 from schubflex.poset import build_quotient_poset, quotient
 from schubflex.rigidity import classify, classify_gr, classify_lg, classify_og, classify_quadric
 from schubflex.witnesses import (
@@ -21,9 +22,6 @@ from schubflex.witnesses import (
     divisor_witness,
     interval_isomorphism,
     linear_space_witness,
-    moduli_witness_gr,
-    moduli_witness_isotropic,
-    quadric_witness,
 )
 
 
