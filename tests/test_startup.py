@@ -130,6 +130,35 @@ def _compile_peaks(paths) -> dict[str, tuple[int, int]]:
 COMPILE_PEAK_BOUND = 768 * 1024
 
 
+def test_no_module_compile_holds_more_than_a_mib():
+    # The bound before the last splits; the 768 KiB test below is stricter.
+    peaks = _compile_peaks(_package_modules())
+    over = {name: peak // 1024 for name, (peak, _) in peaks.items() if peak > 1024 * 1024}
+    assert over == {}, f"modules whose compile holds more than 1 MiB (KiB): {over}"
+
+
+def test_no_module_hasse_or_degree_loads_compiles_in_more_than_768_kib():
+    # The modules these commands leave loaded, read in a fresh process: the
+    # start-up modules, golden for text hasse's tokens and classical for degree.
+    proc = _python(
+        """
+import contextlib, io, sys
+from schubflex.cli import main
+
+argvs = (["hasse", "gr:5,11", "--json"], ["hasse", "lg:8"], ["degree", "gr:2,5:1,3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    print(*(main(argv) for argv in argvs), file=sys.stderr)
+print(*sorted(name[10:] for name in sys.modules if name.startswith("schubflex.")))
+"""
+    )
+    assert proc.returncode == 0 and proc.stderr.split() == ["0", "0", "0"], proc.stderr
+    names = {f"{name}.py" for name in proc.stdout.split()}
+    assert names >= set(_START_UP), names
+    peaks = _compile_peaks(SRC / "schubflex" / name for name in sorted(names))
+    over = {name: peak // 1024 for name, (peak, _) in peaks.items() if peak > COMPILE_PEAK_BOUND}
+    assert over == {}, f"modules of hasse or degree whose compile holds over 768 KiB (KiB): {over}"
+
+
 def test_no_module_compile_holds_more_than_768_kib():
     # Compiling a module holds all its tokens and its syntax tree at once, so
     # the largest module a command compiles sets the floor of its peak memory.
