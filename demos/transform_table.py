@@ -39,8 +39,8 @@ def main():
     print(f"{'class':>8s}    {'sweep':>9s}   faithful")
     for y, src in zip(e6p6.nodes, psi):
         dst = transform(ctx, src)
-        y_tok = node_token(e6p6, y) + ("*" if golden6.decoration(y.id) == "rigid" else " ")
-        t_tok = node_token(e7p7, dst) + ("*" if golden7.decoration(dst.id) == "rigid" else " ")
+        y_tok = node_token(e6p6, y) + ("*" if golden6[y.index] == "rigid" else " ")
+        t_tok = node_token(e7p7, dst) + ("*" if golden7[dst.index] == "rigid" else " ")
         faithful = "yes" if injectivity_check(ctx, src) else "NO"
         print(f"{y_tok:>9s} -> {t_tok:>10s}   {faithful}")
 

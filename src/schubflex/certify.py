@@ -133,9 +133,9 @@ def interval_oracle(ctx: TitsContext, psi: tuple, flexible_sub):
 class Certificates(Frozen):
     """Every engine's witnesses on one decorated poset; built by certificates().
 
-    ``golden`` is the poset's :class:`GoldenPoset`, ``witnesses[k]`` is the
-    tuple of the witnesses of the class of index k, and ``problems`` is a
-    tuple of what went wrong: every caller in the process shares the record.
+    ``golden[k]`` is the decoration and ``witnesses[k]`` the tuple of the
+    witnesses of the class of index k, and ``problems`` is a tuple of what
+    went wrong: every caller in the process shares the record.
     """
 
     __slots__ = ("poset", "golden", "witnesses", "problems")
@@ -148,7 +148,7 @@ class Certificates(Frozen):
             "token": node_token(self.poset, node),
             "dim": node.dim,
             "degree": node.degree,
-            "decoration": self.golden.decoration(node.id),
+            "decoration": self.golden[node.index],
             "certificates": sorted({w.kind for w in witnesses}),
             "details": [dict(kind=w.kind, **w.payload) for w in witnesses],
         }
@@ -210,7 +210,7 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
         ctx65 = make_context(poset.datum, {6}, {5})
         _tits_certificates(certs, ctx65, depth2_oracle(make_context(poset.datum, {5}, {6})))
     else:
-        flexible6 = {n for n in e6p6.nodes if golden6.decoration(n.id) != "rigid"}
+        flexible6 = {n for n in e6p6.nodes if golden6[n.index] != "rigid"}
         _cone_certificates(
             certs,
             problems,

@@ -12,10 +12,11 @@ This module imports only :mod:`~schubflex.weyl` and :mod:`~schubflex.poset`
 (with what they import), which every command needs, and loads the rest
 through :func:`_module` on first need, for its own handlers and for those of
 :mod:`~schubflex.specs`.  ``hasse`` loads :mod:`~schubflex.golden` only for
-its text output's class tokens, ``tits`` loads :mod:`~schubflex.tits` and
-``verify`` :mod:`~schubflex.verify`, which loads the rest.  :func:`_module`
-caches each module, so a process that runs many commands through
-``cli.main`` runs no import statement after the first command of each kind.
+its text output's class tokens, read a dimension at a time; ``tits`` loads
+:mod:`~schubflex.tits` and ``verify`` :mod:`~schubflex.verify`, which loads
+the rest.  :func:`_module` caches each module, so a process that runs many
+commands through ``cli.main`` runs no import statement after the first
+command of each kind.
 No package module imports :mod:`schubflex.cli`: ``python -m schubflex.cli``
 runs it as ``__main__``, so an import would compile it a second time.
 """
@@ -32,7 +33,6 @@ from .poset import (
     DEFAULT_SIZE_CAP,
     GOLDEN_POSETS,
     QUOTIENTS,
-    GoldenDataError,
     QuotientPoset,
     quotient,
 )
@@ -83,15 +83,6 @@ def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientP
         raise SpecError(f"bad selector {selector!r}: {exc}") from None
 
 
-def _safe_token(poset: QuotientPoset, node) -> str:
-    try:
-        return _module(".golden").node_token(poset, node)
-    except GoldenDataError:
-        if node.degree is None:
-            return str(node.dim)
-        return f"{node.dim}:{node.degree}"
-
-
 def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_CAP) -> int:
     poset = build_selector(selector, size_cap)
     if output == "json":
@@ -106,10 +97,12 @@ def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_
         f"{len(poset.nodes)} classes, {covers} covers, "
         f"dimension {poset.dimension}"
     )
+    layer_tokens = _module(".golden").layer_tokens
     for dim in range(poset.dimension + 1):
         nodes = poset.nodes_by_dim(dim)
-        toks = " ".join(_safe_token(poset, n) for n in nodes)
-        print(f"  dim {dim:>2d}: {toks}")
+        toks = (tok or (str(n.dim) if n.degree is None else f"{n.dim}:{n.degree}")  # no token
+                for n, tok in zip(nodes, layer_tokens(poset, nodes)))
+        print(f"  dim {dim:>2d}: {' '.join(toks)}")
     return 0
 
 

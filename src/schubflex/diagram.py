@@ -22,10 +22,10 @@ What a poset holds, and when:
 * Built on first use, then kept: the fingerprints, replayed once in BFS
   order (each the parent's reflected by the letter), with the lookup by
   fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``);
-  the lookup by (dimension, degree) (``find_nodes``); and the upper covers
-  (``upper_covers``).  ``hasse --json``/``--dot`` build none of them,
-  text ``hasse`` only ``find_nodes``, and a ``tits`` sweep none (it
-  replays the fingerprints it needs, see :mod:`~schubflex.tits`).
+  and the upper covers (``upper_covers``).  ``hasse`` builds neither, in
+  any format (class tokens are read one dimension at a time, see
+  :mod:`~schubflex.golden`), and a ``tits`` sweep neither (it replays the
+  fingerprints it needs, see :mod:`~schubflex.tits`).
 * Never held whole: ``covers`` and the exports gather the cover pairs one
   dimension at a time, and the exports write them to a stream a batch of a
   few KiB at a time, with the minimal words replayed in BFS order as they go.
@@ -128,13 +128,6 @@ class QuotientPoset:
         return dict(zip(self._fingerprints, self.nodes))
 
     @cached_property
-    def _by_dim_degree(self) -> dict:
-        found = {}  # (dim, degree) -> the classes, in index order
-        for n in self.nodes:
-            found.setdefault((n.dim, n.degree), []).append(n)
-        return found
-
-    @cached_property
     def _up(self) -> tuple:
         """By node index: the upper covers, in index order."""
         up = [[] for _ in self.nodes]
@@ -198,9 +191,6 @@ class QuotientPoset:
 
     def nodes_by_dim(self, dim: int) -> list[SchubertNode]:
         return list(self._layer(dim))
-
-    def find_nodes(self, dim: int, degree: int) -> list[SchubertNode]:
-        return list(self._by_dim_degree.get((dim, degree), ()))
 
     # -- order ------------------------------------------------------------
 

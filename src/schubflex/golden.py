@@ -13,15 +13,16 @@ Lines starting with ``#`` are comments.  The directory is resolved from an
 explicit argument, then the SCHUBFLEX_GOLDEN_DIR environment variable, then
 the packaged copy.  Loading cross-checks every row against the live poset and
 raises GoldenDataError on any mismatch, and on a file it cannot read or decode
-(the CLI reports these as data-integrity failures, exit code 3).  A decoration
-table is loaded and checked once per process for each shared poset and
-resolved directory, and the loaded table is shared and read-only.
+(the CLI reports these as data-integrity failures, exit code 3).  A loaded
+table is the tuple of the decorations by node index, loaded and checked once
+per process for each shared poset and resolved directory, and shared.
 
-Class tokens are ``dim:degree`` strings.  Where two classes share dimension
-and degree (only the degree-1 pairs in dimension 4 of the 27-node poset and
-dimension 5 of the 56-node poset) a suffix disambiguates: ``a`` is the
-maximal linear space (no degree-1 class covers it), ``b`` the other one.  A
-bare ambiguous token is a usage error (TokenError, exit code 2).
+Class tokens are ``dim:degree`` strings, with one rule, :func:`layer_tokens`.
+Where two degree-1 classes of one dimension share the pair (only in dimension
+4 of the 27-node poset and dimension 5 of the 56-node poset) a suffix tells
+them apart: ``a`` is the maximal linear space (no degree-1 class covers it),
+``b`` the other one.  A bare ambiguous token is a usage error (TokenError,
+exit code 2).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
 
 from .frozen import Frozen
 from .poset import GOLDEN_POSETS, GoldenDataError, QuotientPoset, SchubertNode, quotient
@@ -45,26 +45,8 @@ class TokenError(ValueError):
     """A class token is malformed or does not name a unique class."""
 
 
-class GoldenRow(Frozen):
-    __slots__ = ("node_id", "dim", "degree", "decoration", "comment")
-
-
 class TransformRow(Frozen):
     __slots__ = ("y_token", "y_star", "t_token", "t_star")
-
-
-class GoldenPoset:
-    def __init__(self, name: str, rows: list[GoldenRow]):
-        self.name = name
-        self.rows = MappingProxyType({r.node_id: r for r in rows})
-        if len(self.rows) != len(rows):
-            raise GoldenDataError(f"{name}: duplicate node ids")
-
-    def decoration(self, node_id: str) -> str:
-        try:
-            return self.rows[node_id].decoration
-        except KeyError:
-            raise GoldenDataError(f"{self.name}: no golden row for {node_id!r}") from None
 
 
 def golden_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -97,23 +79,23 @@ def _read_rows(path: Path, n_fields: int) -> list[list[str]]:
     return out
 
 
-def load_golden_poset(target: str, directory=None) -> GoldenPoset:
-    """Load e6/e7 golden decorations, checked against the live poset of ``target``.
+def load_golden_poset(target: str, directory=None) -> tuple[str, ...]:
+    """The e6/e7 decorations by node index, checked against the live poset of ``target``.
 
     The directory is resolved as :func:`golden_dir` does.  The table is read
     and checked once per process for each target, shared poset and resolved
-    directory, the key :func:`schubflex.verify.certificates` uses, so a
+    directory, the key :func:`schubflex.certify.certificates` uses, so a
     rebuilt poset or another directory gets its own load and check.
     """
     return _load_golden_poset(target, quotient(target), golden_dir(directory))
 
 
 @lru_cache(maxsize=None)
-def _load_golden_poset(target: str, poset: QuotientPoset, directory: Path) -> GoldenPoset:
+def _load_golden_poset(target: str, poset: QuotientPoset, directory: Path) -> tuple[str, ...]:
     stem = GOLDEN_POSETS[target]
     path = directory / f"{stem}.tsv"
     rows = []
-    for node_id, dim_s, deg_s, deco, comment in _read_rows(path, 5):
+    for node_id, dim_s, deg_s, deco, _ in _read_rows(path, 5):
         try:
             dim, deg = int(dim_s), int(deg_s)
         except ValueError:
@@ -126,28 +108,32 @@ def _load_golden_poset(target: str, poset: QuotientPoset, directory: Path) -> Go
             raise GoldenDataError(
                 f"{path.name}: unknown decoration {deco!r} for {node_id!r}"
             )
-        rows.append(GoldenRow(node_id, dim, deg, deco, comment))
-    golden = GoldenPoset(stem, rows)
-    check_against(golden, poset)
-    return golden
+        rows.append((node_id, dim, deg, deco))
+    return check_against(stem, rows, poset)
 
 
-def check_against(golden: GoldenPoset, poset: QuotientPoset) -> None:
-    """Cross-check a golden table against the freshly built poset."""
+def check_against(name: str, rows: list, poset: QuotientPoset) -> tuple[str, ...]:
+    """The decorations by node index of the (id, dim, degree, decoration) rows of table ``name``.
+
+    Every class of ``poset`` needs exactly one row, with its dimension and degree.
+    """
     live = {n.id: n for n in poset.nodes}
-    if set(golden.rows) != set(live):
-        missing = sorted(set(live) - set(golden.rows))
-        extra = sorted(set(golden.rows) - set(live))
-        raise GoldenDataError(
-            f"{golden.name}: node id mismatch (missing {missing}, extra {extra})"
-        )
-    for r in golden.rows.values():
-        node = live[r.node_id]
-        if node.dim != r.dim or node.degree != r.degree:
+    ids = {row[0] for row in rows}
+    if len(ids) != len(rows):
+        raise GoldenDataError(f"{name}: duplicate node ids")
+    if ids != live.keys():
+        missing, extra = sorted(live.keys() - ids), sorted(ids - live.keys())
+        raise GoldenDataError(f"{name}: node id mismatch (missing {missing}, extra {extra})")
+    decorations = [None] * len(poset.nodes)
+    for node_id, dim, degree, decoration in rows:
+        node = live[node_id]
+        if node.dim != dim or node.degree != degree:
             raise GoldenDataError(
-                f"{golden.name}: {r.node_id} is recorded as dim {r.dim} degree "
-                f"{r.degree} but the poset has dim {node.dim} degree {node.degree}"
+                f"{name}: {node_id} is recorded as dim {dim} degree "
+                f"{degree} but the poset has dim {node.dim} degree {node.degree}"
             )
+        decorations[node.index] = decoration
+    return tuple(decorations)
 
 
 def load_transform_table(directory=None) -> list[TransformRow]:
@@ -164,48 +150,61 @@ def load_transform_table(directory=None) -> list[TransformRow]:
 
 
 def is_max_linear(poset: QuotientPoset, node: SchubertNode) -> bool:
-    """Degree-1 class not covered by another degree-1 class."""
+    """Degree-1 class that no degree-1 class of the next dimension covers."""
     if node.degree != 1:
         return False
-    return all(c.degree != 1 for c in poset.upper_covers(node))
+    above = poset.nodes_by_dim(node.dim + 1)
+    return not any(c.degree == 1 and node in poset.lower_covers(c) for c in above)
+
+
+def layer_tokens(poset: QuotientPoset, layer: list[SchubertNode]) -> list:
+    """The token of each class of ``layer``, in its order, or None where the rule names none.
+
+    ``layer`` is the classes of one dimension, or all those of some degrees.
+    A class whose degree no other class shares is ``dim:degree``; of exactly
+    two degree-1 classes, one a maximal linear space, that one is ``dim:1a``
+    and the other ``dim:1b``.
+    """
+    counts = {}
+    for n in layer:
+        counts[n.degree] = counts.get(n.degree, 0) + 1
+    tokens = []
+    for n in layer:
+        tokens.append(f"{n.dim}:{n.degree}" if counts[n.degree] == 1 else None)
+    if counts.get(1) == 2:
+        pair = [k for k, n in enumerate(layer) if n.degree == 1]
+        maximal = [k for k in pair if is_max_linear(poset, layer[k])]
+        if len(maximal) == 1:
+            for k in pair:
+                tokens[k] = f"{layer[k].dim}:1{'a' if k in maximal else 'b'}"
+    return tokens
 
 
 def node_token(poset: QuotientPoset, node: SchubertNode) -> str:
-    """``dim:degree`` plus an a/b suffix when that pair is shared."""
-    peers = poset.find_nodes(node.dim, node.degree)
-    if len(peers) == 1:
-        return f"{node.dim}:{node.degree}"
-    if len(peers) == 2 and sum(is_max_linear(poset, p) for p in peers) == 1:
-        return f"{node.dim}:{node.degree}{'a' if is_max_linear(poset, node) else 'b'}"
-    raise GoldenDataError(
-        f"cannot form a unique token for {node.id} (dim {node.dim}, degree {node.degree})"
-    )
+    """``dim:degree`` plus an a/b suffix when that pair is shared, by :func:`layer_tokens`."""
+    peers = [n for n in poset.nodes_by_dim(node.dim) if n.degree == node.degree]
+    token = layer_tokens(poset, peers)[peers.index(node)]
+    if token is None:
+        raise GoldenDataError(
+            f"cannot form a unique token for {node.id} (dim {node.dim}, degree {node.degree})"
+        )
+    return token
 
 
 def resolve_token(poset: QuotientPoset, token: str) -> SchubertNode:
     """Find the class named by a ``dim:degree[a|b]`` token."""
     body = token.strip()
-    suffix = ""
-    if body and body[-1] in "ab":
-        body, suffix = body[:-1], body[-1]
-    parts = body.split(":")
-    if len(parts) != 2:
-        raise TokenError(f"malformed class token {token!r} (want dim:degree)")
+    suffix = body[-1:] if body[-1:] in ("a", "b") else ""
     try:
-        dim, deg = int(parts[0]), int(parts[1])
-    except ValueError:
+        dim, deg = map(int, body.removesuffix(suffix).split(":"))
+    except ValueError:  # not two integers
         raise TokenError(f"malformed class token {token!r} (want dim:degree)") from None
-    matches = poset.find_nodes(dim, deg)
+    matches = [n for n in poset.nodes_by_dim(dim) if n.degree == deg]
     if not matches:
         raise TokenError(f"no class with dimension {dim} and degree {deg}")
+    tokens, wanted = layer_tokens(poset, matches), f"{dim}:{deg}{suffix}"
+    if wanted in tokens:
+        return matches[tokens.index(wanted)]
     if suffix:
-        maximal = [n for n in matches if is_max_linear(poset, n)]
-        rest = [n for n in matches if not is_max_linear(poset, n)]
-        if len(matches) != 2 or len(maximal) != 1:
-            raise TokenError(f"suffix {suffix!r} does not apply to token {token!r}")
-        return maximal[0] if suffix == "a" else rest[0]
-    if len(matches) > 1:
-        raise TokenError(
-            f"token {token!r} is ambiguous; append 'a' (maximal linear) or 'b'"
-        )
-    return matches[0]
+        raise TokenError(f"suffix {suffix!r} does not apply to token {token!r}")
+    raise TokenError(f"token {token!r} is ambiguous; append 'a' (maximal linear) or 'b'")

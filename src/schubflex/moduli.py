@@ -12,8 +12,13 @@ the transform table compile no index arithmetic.
 
 from __future__ import annotations
 
-from .classical import GrIndex, ann_index, grouped
+from typing import TYPE_CHECKING
+
+from .classical import GrIndex, QuadricIndex, ann_index, grouped
 from .witness import Witness
+
+if TYPE_CHECKING:  # for annotations only: a gr or quad class loads no isotropic code
+    from .isotropic import IsotropicIndex
 
 
 def _case1_position(idx: GrIndex) -> int | None:
@@ -29,14 +34,13 @@ def moduli_witness_gr(idx: GrIndex) -> Witness | None:
     """The cone construction at a case-1 position of the index or its annihilator."""
     u = _case1_position(idx)
     if u is not None:
-        moved = idx.lam[u - 1]
         return Witness(
             "ModuliGr",
             {
                 "index": str(idx),
                 "case": 1,
                 "position": u,
-                "moved_entry": moved,
+                "moved_entry": idx.lam[u - 1],
                 "representative": (
                     "replace the rank condition at the moved entry by incidence "
                     "to a cone, vertex two flag steps down, over a degree-m "

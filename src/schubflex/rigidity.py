@@ -23,8 +23,13 @@ Verdicts carry human-readable reasons naming the failed clauses.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .classical import GrIndex, QuadricIndex, grouped
 from .frozen import Frozen
+
+if TYPE_CHECKING:  # for annotations only; classify imports it past the gr and quad checks
+    from .isotropic import IsotropicIndex
 
 MULTI_RIGID = "MultiRigid"
 FLEXIBLE = "Flexible"
@@ -47,8 +52,8 @@ def _rigid(*reasons: str) -> Verdict:
     return Verdict(MULTI_RIGID, tuple(reasons))
 
 
-def _flexible(reasons: list[str]) -> Verdict:
-    return Verdict(FLEXIBLE, tuple(reasons))
+def _verdict(failures: list[str]) -> Verdict:
+    return Verdict(FLEXIBLE, tuple(failures)) if failures else _rigid()
 
 
 def classify_gr(idx: GrIndex) -> Verdict:
@@ -72,7 +77,7 @@ def classify_gr(idx: GrIndex) -> Verdict:
     mut, it = groups[-1]
     if mut < n - k and it < 2:
         failures.append("last block has multiplicity 1 with mu_t < n-k")
-    return _flexible(failures) if failures else _rigid()
+    return _verdict(failures)
 
 
 def classify_lg(idx: IsotropicIndex) -> Verdict:
@@ -103,11 +108,9 @@ def _classify_isotropic(idx: IsotropicIndex, tail_bound: int, tail_margin: int) 
     if mu1 > 0 and i1 < 2:
         failures.append("first block has multiplicity 1 with mu_1 > 0")
     last = lam[-1]
-    if last < tail_bound and last > idx.n - tail_margin:
-        failures.append(
-            f"last entry {last} falls in the forbidden window below {tail_bound}"
-        )
-    return _flexible(failures) if failures else _rigid()
+    if idx.n - tail_margin < last < tail_bound:
+        failures.append(f"last entry {last} falls in the forbidden window below {tail_bound}")
+    return _verdict(failures)
 
 
 def classify_quadric(idx: QuadricIndex) -> Verdict:
@@ -117,20 +120,16 @@ def classify_quadric(idx: QuadricIndex) -> Verdict:
         return _rigid("point class")
     if idx.kind == "colinear" and idx.j == 0:
         return _rigid("fundamental class")
-    return _flexible([f"{idx.kind} class with parameter {idx.j}"])
+    return _verdict([f"{idx.kind} class with parameter {idx.j}"])
 
 
 def classify(idx) -> Verdict:
-    """Dispatch on index type (Grassmannian, quadric, isotropic).
-
-    :mod:`~schubflex.isotropic` is imported only past the other two types,
-    so classifying a gr or quad index does not compile it.
-    """
+    """Dispatch on index type (Grassmannian, quadric, isotropic)."""
     if isinstance(idx, GrIndex):
         return classify_gr(idx)
     if isinstance(idx, QuadricIndex):
         return classify_quadric(idx)
-    from .isotropic import IsotropicIndex
+    from .isotropic import IsotropicIndex  # only here, so a gr or quad index does not compile it
 
     if isinstance(idx, IsotropicIndex):
         return classify_lg(idx) if idx.family == "lg" else classify_og(idx)

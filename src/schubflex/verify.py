@@ -156,8 +156,8 @@ def verify_table1(golden_dir=None) -> VerifyReport:
         src = psi[y.index]
         dst = transform(ctx71, src)
         injective = injectivity_check(ctx71, src)
-        y_star_live = golden6.decoration(y.id) == "rigid"
-        t_star_live = golden7.decoration(t.id) == "rigid"
+        y_star_live = golden6[y.index] == "rigid"
+        t_star_live = golden7[t.index] == "rigid"
         ok = True
         if dst is not t:
             report.problems.append(

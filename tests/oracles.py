@@ -7,13 +7,15 @@ compare the two.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import fsum, lgamma, log
 
 from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
 from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import quotient
-from schubflex.weyl import CartanDatum, act, reflect, rho
+from schubflex.tits import make_context
+from schubflex.weyl import CartanDatum, act, build_cartan, reflect, rho
 from schubflex.witness import Witness
 from schubflex.witnesses import basic_witness_homes
 
@@ -101,6 +103,30 @@ def _by_id(poset) -> dict:
 def node_by_id(poset, node_id: str):
     """The class of ``poset`` whose id is ``node_id``; KeyError if there is none."""
     return _by_id(poset)[node_id]
+
+
+def scan_tokens(poset) -> dict:
+    """The class token of every class of ``poset`` (None where none), by a scan of all the nodes.
+
+    The rule of :func:`schubflex.golden.layer_tokens`, worked out for each
+    class from every class and every cover of the poset: ``dim:degree`` when
+    no other class has its dimension and degree; of exactly two degree-1
+    classes of one dimension with exactly one maximal linear space (a
+    degree-1 class that no degree-1 class covers), ``dim:1a`` for that one
+    and ``dim:1b`` for the other; None for any other class.
+    """
+    covered = {lo for lo, hi in poset.covers if lo.degree == 1 and hi.degree == 1}
+    tokens = {}
+    for n in poset.nodes:
+        peers = [m for m in poset.nodes if m.dim == n.dim and m.degree == n.degree]
+        maximal = [m for m in peers if m.degree == 1 and m not in covered]
+        if len(peers) == 1:
+            tokens[n] = f"{n.dim}:{n.degree}"
+        elif len(peers) == 2 and len(maximal) == 1:
+            tokens[n] = f"{n.dim}:{n.degree}{'a' if n in maximal else 'b'}"
+        else:
+            tokens[n] = None
+    return tokens
 
 
 def fingerprint(poset, node) -> tuple[int, ...]:
@@ -419,3 +445,123 @@ def poset_json_dict(poset) -> dict:
         ],
         "covers": [[lo.id, hi.id] for lo, hi in poset.covers],
     }
+
+
+# The base posets that Cone payloads name, and the sweep contexts that Tits payloads name.
+_CONE_BASES = {
+    "the 10-dimensional spinor quotient": ("og", 5),
+    "the 16-dimensional 27-class quotient": ("e6",),
+}
+_CONTEXT_LABEL = re.compile(r"([A-G])(\d+)\(P=\{([\d,]+)\},Q=\{([\d,]+)\}\)")
+
+
+def _down_closure(poset, apex) -> set:
+    """The classes <= ``apex``, found through lower covers."""
+    below, stack = {apex}, [apex]
+    while stack:
+        for lo in poset.lower_covers(stack.pop()):
+            if lo not in below:
+                below.add(lo)
+                stack.append(lo)
+    return below
+
+
+# Each context's sweep, worked out once: the context is keyed by its two shared posets.
+_sweep_of = lru_cache(maxsize=None)(sweep_targets)
+
+
+def _named_sweep(label: str):
+    """The context a Tits payload names, and its sweep, each G/Q class swept on its own."""
+    family, rank, p, q = _CONTEXT_LABEL.fullmatch(label).groups()
+    p_marked, q_marked = ({int(x) for x in marked.split(",")} for marked in (p, q))
+    ctx = make_context(build_cartan(family, int(rank)), p_marked, q_marked)
+    return ctx, _sweep_of(ctx)
+
+
+def _moduli_isotropic_problems(poset, base, p) -> list[str]:
+    """A ModuliIsotropic payload: its index names ``base``, its branch's Grassmannian index is right."""
+    family, n, lam = p["index"].split(":")  # og:n:a,b,...
+    idx = IsotropicIndex(family, int(n), tuple(int(x) for x in lam.split(",") if x))
+    named = poset.node_by_fingerprint(og_to_fingerprint(idx))
+    found = [] if named is base else [f"index {p['index']} names {named.id}, not {base.id}"]
+    s = len(idx.lam)
+    if p["branch"] == "a" and p["embedded"] != str(GrIndex(s, idx.n, idx.lam)):
+        found.append(f"embedded {p['embedded']} is not the index in a maximal isotropic space")
+    if p["branch"] == "b" and p["extended"] != str(GrIndex(s + 1, idx.n, idx.lam + (idx.n,))):
+        found.append(f"extended {p['extended']} is not the index extended by n")
+    return found
+
+
+def _base_problems(base_poset, base, witness) -> list[str]:
+    """What is false in ``witness`` as a certificate of the Cone base class ``base``."""
+    if witness.kind == "ModuliIsotropic":
+        return _moduli_isotropic_problems(base_poset, base, witness.payload)
+    if witness.payload["node"] != base.id:
+        return [f"it certifies {witness.payload['node']}, not {base.id}"]
+    return check_certificate(base_poset, witness)
+
+
+def check_certificate(poset, witness, base_witnesses=None) -> list[str]:
+    """What the payload of a certificate of a class of ``poset`` states falsely; [] if nothing.
+
+    Reads the payload, the poset's lower covers, dimensions and degrees, and
+    for a Tits payload the sweep of the context it names, each class swept on
+    its own (:func:`sweep_targets`).  It calls no witness engine.  Checked:
+
+    * Linear: ``ambient`` is an upper cover of ``node``, both of degree 1;
+    * Bertini: ``node`` has dimension >= 1 and a degree, and ``sweep`` is an
+      upper cover of the same degree whose only lower cover is ``node``;
+    * Divisor: ``node`` has codimension 1 in a poset of dimension >= 2;
+    * Cone: dim(node) = dim(base) + 1, equal degrees, node <= apex, and
+      dim(apex) = dim(base poset) + 1.  With ``base_witnesses(base_poset,
+      base)``, the certificates of the base class, one of them must pass in
+      the base poset: a poset certificate of the base class by these checks,
+      or a ModuliIsotropic one whose index names the base class, with its
+      ``embedded`` or ``extended`` index recomputed;
+    * Tits: the context's sweep takes ``source`` to ``node``, ``home`` is an
+      upper cover of ``source``, ``d_tau`` is the context's, and dim(node) =
+      dim(source) + d_tau.
+
+    Any other kind is a violation.
+    """
+    kind, p = witness.kind, witness.payload
+    node = node_by_id(poset, p["node"])
+    found = []
+
+    def check(holds: bool, what: str) -> None:
+        if not holds:
+            found.append(f"{kind} certificate of {node.id}: {what}")
+
+    if kind == "Linear":
+        ambient = node_by_id(poset, p["ambient"])
+        check(node in poset.lower_covers(ambient), "ambient is no upper cover of the class")
+        check(node.degree == ambient.degree == 1, "the class and ambient are not both of degree 1")
+    elif kind == "Bertini":
+        sweep = node_by_id(poset, p["sweep"])
+        check(node.dim >= 1 and node.degree is not None, "the class is a point or has no degree")
+        check(poset.lower_covers(sweep) == (node,), "the class is not the sweep's only lower cover")
+        check(sweep.degree == node.degree, "the sweep's degree differs")
+    elif kind == "Divisor":
+        check(poset.dimension >= 2, "the poset has dimension below 2")
+        check(node.dim == poset.dimension - 1, "the class is not of codimension 1")
+    elif kind == "Cone":
+        base_poset = quotient(*_CONE_BASES[p["base_poset"]])
+        base, apex = node_by_id(base_poset, p["base"]), node_by_id(poset, p["apex"])
+        check(node.dim == base.dim + 1, "the class is not one dimension above its base")
+        check(node.degree == base.degree, "the class and its base differ in degree")
+        check(node in _down_closure(poset, apex), "the class is not below the apex")
+        check(apex.dim == base_poset.dimension + 1, "the apex is not one above the base poset")
+        if base_witnesses is not None:
+            passes = [not _base_problems(base_poset, base, w) for w in base_witnesses(base_poset, base)]
+            check(any(passes), f"the base class {base.id} carries no certificate that passes")
+    elif kind == "Tits":
+        ctx, targets = _named_sweep(p["context"])
+        source, home = node_by_id(ctx.q_poset, p["source"]), node_by_id(ctx.q_poset, p["home"])
+        check(ctx.p_poset is poset, "the context sweeps onto another poset")
+        check(targets[source.id] == node.id, "the source does not sweep onto the class")
+        check(source in ctx.q_poset.lower_covers(home), "home is no upper cover of the source")
+        check(p["d_tau"] == ctx.d_tau, f"d_tau {p['d_tau']} is not the context's {ctx.d_tau}")
+        check(node.dim == source.dim + ctx.d_tau, "the class is not d_tau above its source")
+    else:
+        check(False, "no check for this kind")
+    return found

@@ -11,7 +11,7 @@ from schubflex import weyl
 from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.cli import Command
 from schubflex.frozen import Frozen
-from schubflex.golden import GoldenRow, TransformRow, load_golden_poset
+from schubflex.golden import TransformRow, load_golden_poset
 from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import SchubertNode, quotient
 from schubflex.rigidity import Verdict
@@ -42,7 +42,6 @@ FIELDS = {
     IsotropicIndex: lambda: ("og", 5, (2, 3)),
     QuadricIndex: lambda: (6, "linear", 2),
     Verdict: lambda: ("Flexible", ("blocks 1/2 differ by 1",)),
-    GoldenRow: lambda: ("n001", 1, 1, "plus", ""),
     TransformRow: lambda: ("1:1", False, "14:110", True),
     TitsContext: _context_fields,
     Witness: lambda: ("Linear", {"node": "n001", "cover": "n002"}),

@@ -40,11 +40,23 @@ def e7():
 def test_load_and_crosscheck(e6, e7):
     g6 = load_golden_poset("e6")
     g7 = load_golden_poset("e7")
-    check_against(g6, e6)
-    check_against(g7, e7)
-    counts6, counts7 = (Counter(r.decoration for r in g.rows.values()) for g in (g6, g7))
+    assert (len(g6), len(g7)) == (len(e6.nodes), len(e7.nodes))
+    counts6, counts7 = Counter(g6), Counter(g7)
     assert counts6 == {"rigid": 8, "plus": 14, "star": 2, "T": 3}
     assert counts7 == {"rigid": 14, "plus": 25, "star": 5, "T": 12}
+
+
+def test_check_against_returns_decorations_by_node_and_refuses_a_table_unlike_the_poset(e6):
+    rows = [(n.id, n.dim, n.degree, f"deco{n.index}") for n in e6.nodes]
+    want = tuple(f"deco{k}" for k in range(27))
+    assert check_against("e6_p6", rows, e6) == check_against("e6_p6", rows[::-1], e6) == want
+    with pytest.raises(GoldenDataError, match="^e6_p6: duplicate node ids$"):
+        check_against("e6_p6", rows + rows[:1], e6)
+    with pytest.raises(GoldenDataError, match=r"mismatch \(missing \['n026'\], extra \['n99'\]\)$"):
+        check_against("e6_p6", rows[:-1] + [("n99", 16, 78, "rigid")], e6)
+    node_id, dim, degree, _ = rows[5]
+    with pytest.raises(GoldenDataError, match=f"{node_id} is recorded as dim {dim} degree {degree + 1} "):
+        check_against("e6_p6", rows[:5] + [(node_id, dim, degree + 1, "rigid")] + rows[6:], e6)
 
 
 def test_transform_table_shape(e6, e7):
@@ -62,8 +74,8 @@ def test_star_columns_agree_with_decorations(e6, e7):
     g6 = load_golden_poset("e6")
     g7 = load_golden_poset("e7")
     for r in load_transform_table():
-        assert r.y_star == (g6.decoration(resolve_token(e6, r.y_token).id) == "rigid")
-        assert r.t_star == (g7.decoration(resolve_token(e7, r.t_token).id) == "rigid")
+        assert r.y_star == (g6[resolve_token(e6, r.y_token).index] == "rigid")
+        assert r.t_star == (g7[resolve_token(e7, r.t_token).index] == "rigid")
 
 
 def test_token_roundtrip(e6, e7):
@@ -141,10 +153,10 @@ def test_a_table_is_read_once_per_poset_and_directory(tmp_path, monkeypatch):
     seven = load_golden_poset("e7", tmp_path)
     copy = load_golden_poset("e6", other)
     assert reads == [tmp_path / "e6_p6.tsv", tmp_path / "e7_p7.tsv", other / "e6_p6.tsv"]
-    assert copy is not first and dict(copy.rows) == dict(first.rows)
-    assert seven.name == "e7_p7"
+    assert copy is not first and copy == first
+    assert len(seven) == 56
     with pytest.raises(TypeError):
-        first.rows["n000"] = None  # shared, so read-only
+        first[0] = None  # shared, so read-only
 
 
 def test_a_rebuilt_poset_gets_its_own_load(tmp_path, monkeypatch):

@@ -12,9 +12,11 @@ import shutil
 
 import pytest
 
+from oracles import check_certificate
 from schubflex import certify, moduli, poset, verify
 from schubflex.certify import certificates
 from schubflex.golden import GOLDEN_ENV_VAR, GoldenDataError, golden_dir
+from schubflex.isotropic import fingerprint_to_og
 from schubflex.poset import quotient
 from schubflex.verify import verify_all, verify_e6, verify_e7, verify_table1
 
@@ -156,6 +158,29 @@ def test_table1_star_marks_match_decorations(report_table1):
     assert stars_t == ["10:2", "14:110", "15:98", "18:748", "21:1938", "22:5586"]
 
 
+def _base_witnesses(base_poset, base):
+    """The certificates of a Cone base class: e6's, or og:5's from its index."""
+    if base_poset is quotient("e6"):
+        return certificates("e6").witnesses[base.index]
+    w = moduli.moduli_witness_isotropic(fingerprint_to_og(5, base_poset.fingerprint(base)))
+    return () if w is None else (w,)
+
+
+def test_every_certificate_payload_states_a_true_fact_about_its_poset():
+    kinds = {}
+    for target in ("e6", "e7"):
+        found = certificates(target)
+        for certs in found.witnesses:
+            for w in certs:
+                assert check_certificate(found.poset, w, _base_witnesses) == [], (target, w)
+                kinds[target, w.kind] = kinds.get((target, w.kind), 0) + 1
+    assert kinds == {
+        ("e6", "Tits"): 10, ("e6", "Cone"): 10, ("e6", "Bertini"): 14, ("e6", "Linear"): 4,
+        ("e6", "Divisor"): 1, ("e7", "Tits"): 27, ("e7", "Cone"): 19, ("e7", "Bertini"): 25,
+        ("e7", "Linear"): 5, ("e7", "Divisor"): 1,
+    }
+
+
 def test_verify_all_covers_three_targets():
     reports = verify_all()
     assert [r.target for r in reports] == ["e6", "e7", "table1"]
@@ -190,10 +215,7 @@ def test_certificates_run_once_per_golden_directory(tmp_path, monkeypatch):
     _rewrite_row(dst / "e6_p6.tsv", "n011", 3, "rigid")
     tampered = certificates("e6", golden_dir=dst)
     assert tampered is not shipped
-    assert (shipped.golden.decoration("n011"), tampered.golden.decoration("n011")) == (
-        "plus",
-        "rigid",
-    )
+    assert (shipped.golden[11], tampered.golden[11]) == ("plus", "rigid")
     monkeypatch.setenv(GOLDEN_ENV_VAR, str(dst))
     assert certificates("e6") is tampered  # the same resolved directory
     monkeypatch.setenv(GOLDEN_ENV_VAR, str(golden_dir(None).parent))
