@@ -18,14 +18,13 @@ What a poset holds, and when:
   class's lower covers as a tuple of nodes, by node index.  That serves
   ``lower_covers``, ``lower_interval``, ``nodes_by_dim``, ``top`` and the
   exports.  A node holds its index, its BFS parent's and its letter, no
-  fingerprint and no id string.
+  fingerprint and no id string.  The lower covers are the one cover
+  relation: ``upper_covers`` reads them off the next dimension's classes.
 * Built on first use, then kept: the fingerprints, replayed once in BFS
   order (each the parent's reflected by the letter), with the lookup by
-  fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``);
-  and the upper covers (``upper_covers``).  ``hasse`` builds neither, in
-  any format (class tokens are read one dimension at a time, see
-  :mod:`~schubflex.golden`), and a ``tits`` sweep neither (it replays the
-  fingerprints it needs, see :mod:`~schubflex.tits`).
+  fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``).
+  ``hasse`` builds neither, in any format, and a ``tits`` sweep neither (it
+  replays the fingerprints it needs, see :mod:`~schubflex.tits`).
 * Never held whole: ``covers`` and the exports gather the cover pairs one
   dimension at a time, and the exports write them to a stream a batch of a
   few KiB at a time, with the minimal words replayed in BFS order as they go.
@@ -127,15 +126,6 @@ class QuotientPoset:
     def _by_fp(self) -> dict:
         return dict(zip(self._fingerprints, self.nodes))
 
-    @cached_property
-    def _up(self) -> tuple:
-        """By node index: the upper covers, in index order."""
-        up = [[] for _ in self.nodes]
-        for hi, los in zip(self.nodes, self._down):
-            for lo in los:
-                up[lo.index].append(hi)
-        return tuple(map(tuple, up))
-
     def _layer(self, dim: int) -> tuple:
         """The classes of dimension ``dim``, in index order."""
         if not 0 <= dim <= self.dimension:
@@ -211,7 +201,8 @@ class QuotientPoset:
         return va == r
 
     def upper_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
-        return self._up[node.index]
+        """The classes of the next dimension whose lower covers hold ``node``, in index order."""
+        return tuple(hi for hi in self._layer(node.dim + 1) if node in self._down[hi.index])
 
     def lower_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
         return self._down[node.index]

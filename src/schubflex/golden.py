@@ -151,10 +151,7 @@ def load_transform_table(directory=None) -> list[TransformRow]:
 
 def is_max_linear(poset: QuotientPoset, node: SchubertNode) -> bool:
     """Degree-1 class that no degree-1 class of the next dimension covers."""
-    if node.degree != 1:
-        return False
-    above = poset.nodes_by_dim(node.dim + 1)
-    return not any(c.degree == 1 and node in poset.lower_covers(c) for c in above)
+    return node.degree == 1 and not any(c.degree == 1 for c in poset.upper_covers(node))
 
 
 def layer_tokens(poset: QuotientPoset, layer: list[SchubertNode]) -> list:

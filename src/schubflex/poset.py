@@ -30,7 +30,7 @@ Facts the construction leans on:
   saturated chains from the bottom of its lower order ideal.  Degrees are
   computed exactly there (arbitrary-precision ints) and left as None
   otherwise; intervals of non-minuscule quotients can still be given relative
-  chain counts via :func:`interval_chain_counts`.
+  chain counts (:func:`~schubflex.witnesses.interval_chain_counts`).
 
 :func:`build_quotient_poset` is the one way to obtain a quotient, and
 :func:`quotient_size` checks its class count before anything is built.  It
@@ -242,15 +242,3 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     del below, here, above, index_here, index_above  # not held while the poset builds its maps
     return QuotientPoset(datum, marked, tuple(nodes), down)
 
-
-def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict:
-    """Saturated-chain counts from the bottom, within a lower interval of ``poset``.
-
-    ``interval`` is a class's :meth:`~QuotientPoset.lower_interval`, already
-    walked by the caller.  Defined for any quotient; used to grade intervals
-    of quotients whose global chain counts are not projective degrees.
-    """
-    counts: dict[SchubertNode, int] = {}
-    for n in interval:  # down-closed, in BFS (dim) order
-        counts[n] = sum(counts[lo] for lo in poset.lower_covers(n)) if n.dim else 1
-    return counts

@@ -163,9 +163,8 @@ def tits_flexibility_witness(ctx: TitsContext, p_node: SchubertNode, q_oracle) -
     faithfully.
     """
     for src in ctx.sources[p_node.index]:
-        covers = ctx.q_poset.upper_covers(src)
         for home in q_oracle(src):
-            if home in covers and injectivity_check(ctx, home):
+            if home in ctx.q_poset.upper_covers(src) and injectivity_check(ctx, home):
                 return Witness(
                     "Tits",
                     {

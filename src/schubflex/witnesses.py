@@ -22,7 +22,9 @@ Poset-based engines (on a minuscule quotient poset):
 Embeddings: cone_embedding finds the graded embedding of a smaller
 cominuscule poset under a cone apex, used to transport witnesses into the
 exceptional posets, and interval_isomorphism a graded copy of one onto a
-lower interval.
+lower interval, graded by interval_chain_counts.  Both read the lower
+interval and the stored lower covers of each side, and no other cover
+relation.
 
 The index-based engines of the three classical families are in
 :mod:`~schubflex.moduli`, so the certificate runs of e7 and table1 compile
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import importlib
 
-from .poset import QuotientPoset, SchubertNode, interval_chain_counts
+from .poset import QuotientPoset, SchubertNode
 from .witness import Witness
 
 # The engines of schubflex.moduli whose names resolve here too, where bench/tracer.py reads them.
@@ -120,43 +122,37 @@ def divisor_witness(poset: QuotientPoset, node: SchubertNode) -> Witness | None:
     )
 
 
-def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> tuple | None:
+def _match_graded(sub_items, amb_items, sub_down, amb_down) -> tuple | None:
     """Bijection sub->ambient respecting (dim, degree) labels and covers.
 
-    Items are (node, dim, degree) triples and covers (lo, hi) node pairs;
-    dims must already be aligned.  Returns the images of the sub items'
-    nodes, in the items' order, or None.  Backtracking over same-label
-    orbits, pruning with the already-assigned lower covers.
+    Items are (node, dim, degree) triples, the sub items in dimension order,
+    and ``sub_down(node)`` and ``amb_down(node)`` give a node's lower covers
+    among its side's items; dims must already be aligned.  Returns the images
+    of the sub items' nodes, in the items' order, or None.  Backtracking over
+    same-label orbits: a class's lower covers are placed before it, so each
+    candidate must cover their images.
     """
     if len(sub_items) != len(amb_items):
         return None
     by_label: dict[tuple[int, int], list] = {}
     for key, dim, deg in amb_items:
         by_label.setdefault((dim, deg), []).append(key)
-    sub_sorted = sorted(sub_items, key=lambda it: (it[1], it[0].index))
-    down: dict = {}
-    for lo, hi in sub_covers:
-        down.setdefault(hi, []).append(lo)
 
     assignment: dict = {}
     used: set = set()
     # Depth-first search with an explicit stack, so a poset of any height
-    # needs no recursion: tried[i] counts the candidates of sub_sorted[i]
+    # needs no recursion: tried[i] counts the candidates of sub_items[i]
     # already tried, and i falls back one place when they run out.
-    tried = [0] * len(sub_sorted)
+    tried = [0] * len(sub_items)
     i = 0
-    while 0 <= i < len(sub_sorted):
-        key, dim, deg = sub_sorted[i]
+    while 0 <= i < len(sub_items):
+        key, dim, deg = sub_items[i]
         if key in assignment:  # back from a dead end: free this place's candidate
             used.remove(assignment.pop(key))
         cands = by_label.get((dim, deg), ())
         j = tried[i]
         while j < len(cands) and (
-            cands[j] in used
-            or any(
-                lo in assignment and (assignment[lo], cands[j]) not in amb_covers
-                for lo in down.get(key, ())
-            )
+            cands[j] in used or any(assignment[lo] not in amb_down(cands[j]) for lo in sub_down(key))
         ):
             j += 1
         if j == len(cands):
@@ -169,20 +165,26 @@ def _match_graded(sub_items, amb_items, sub_covers, amb_covers) -> tuple | None:
         i += 1
     if i < 0:
         return None
-    # the label/cover-respecting injection must be a full poset isomorphism
-    mapped = {(assignment[lo], assignment[hi]) for lo, hi in sub_covers}
-    if mapped != set(amb_covers):
+    # A bijection that maps every cover onto a cover is an isomorphism when
+    # both sides have as many covers.
+    if sum(len(sub_down(key)) for key, _, _ in sub_items) != sum(
+        len(amb_down(key)) for key, _, _ in amb_items
+    ):
         return None
     return tuple(assignment[key] for key, _, _ in sub_items)
 
 
-def _interval(ambient: QuotientPoset, apex: SchubertNode):
-    """The lower interval of ``apex`` and its covers, as (lo, hi) pairs.
+def interval_chain_counts(poset: QuotientPoset, interval: list[SchubertNode]) -> dict:
+    """Saturated-chain counts from the bottom, within a lower interval of ``poset``.
 
-    The interval is down-closed, so its classes' lower covers are its covers.
+    ``interval`` is a class's :meth:`~QuotientPoset.lower_interval`, already
+    walked by the caller.  Defined for any quotient; grades intervals of
+    quotients whose global chain counts are not projective degrees.
     """
-    interval = ambient.lower_interval(apex)
-    return interval, {(lo, n) for n in interval for lo in ambient.lower_covers(n)}
+    counts: dict[SchubertNode, int] = {}
+    for n in interval:  # down-closed, in BFS (dim) order
+        counts[n] = sum(counts[lo] for lo in poset.lower_covers(n)) if n.dim else 1
+    return counts
 
 
 def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> tuple | None:
@@ -190,16 +192,17 @@ def interval_isomorphism(sub: QuotientPoset, ambient: QuotientPoset, apex) -> tu
 
     Dimensions must agree on the nose and the interval's relative chain-count
     grading must reproduce the degrees of ``sub`` (the ambient poset need not
-    carry absolute degrees of its own).  Returns the image of each class of
+    carry absolute degrees of its own).  The interval is down-closed, so its
+    classes' lower covers are its covers.  Returns the image of each class of
     ``sub``, by index, or None.
     """
-    interval, amb_covers = _interval(ambient, apex)
+    interval = ambient.lower_interval(apex)
     if len(interval) != len(sub.nodes):
         return None
     rel = interval_chain_counts(ambient, interval)
     amb_items = [(n, n.dim, rel[n]) for n in interval]
     sub_items = [(n, n.dim, n.degree) for n in sub.nodes]
-    return _match_graded(sub_items, amb_items, set(sub.covers), amb_covers)
+    return _match_graded(sub_items, amb_items, sub.lower_covers, ambient.lower_covers)
 
 
 def cone_embedding(sub: QuotientPoset, ambient: QuotientPoset, apex) -> tuple | None:
@@ -207,21 +210,19 @@ def cone_embedding(sub: QuotientPoset, ambient: QuotientPoset, apex) -> tuple | 
 
     The interval must be exactly {ambient bottom} followed by a copy of
     ``sub`` shifted up one dimension, with degrees preserved (a cone has the
-    degree of its base).  Returns the image of each class of ``sub``, by
+    degree of its base), and the bottom's only cover must be phi of the
+    bottom of ``sub``.  Returns the image of each class of ``sub``, by
     index, or None.
     """
-    interval, amb_covers = _interval(ambient, apex)
+    interval = ambient.lower_interval(apex)
     if len(interval) != len(sub.nodes) + 1:
         return None
-    bottom = ambient.bottom()
-    if bottom not in interval:
-        return None
-    amb_items = [(n, n.dim, n.degree) for n in interval if n is not bottom]
+    # The interval's first class is the ambient bottom, and its classes of
+    # dimension 1 are the bottom's covers, which the ambient side leaves out.
+    amb_items = [(n, n.dim, n.degree) for n in interval[1:]]
     sub_items = [(n, n.dim + 1, n.degree) for n in sub.nodes]
-    base_edges = {(lo, hi) for lo, hi in amb_covers if lo is bottom}
-    phi = _match_graded(sub_items, amb_items, set(sub.covers), amb_covers - base_edges)
-    if phi is None:
-        return None
-    if base_edges != {(bottom, phi[sub.bottom().index])}:
+    amb_down = lambda n: ambient.lower_covers(n) if n.dim > 1 else ()
+    phi = _match_graded(sub_items, amb_items, sub.lower_covers, amb_down)
+    if phi is None or [n for n in interval if n.dim == 1] != [phi[0]]:
         return None
     return phi

@@ -29,11 +29,11 @@ from schubflex.poset import (
     GoldenDataError,
     InternalError,
     build_quotient_poset,
-    interval_chain_counts,
     minuscule,
     quotient,
 )
 from schubflex.tits import make_context
+from schubflex.witnesses import interval_chain_counts
 
 
 def _by_dim_then_index(pairs):
@@ -282,6 +282,10 @@ def test_build_peak_bytes_per_class_stay_bounded():
     assert peak <= 340, peak
 
 
+# What QuotientPoset.__init__ stores; every other attribute is a lookup built on first use.
+_CONSTRUCTION_FIELDS = ["_down", "_starts", "datum", "dimension", "marked", "nodes"]
+
+
 def test_hasse_exports_leave_the_fingerprint_replay_unbuilt():
     out = _run(
         """
@@ -290,14 +294,34 @@ from schubflex import cli, poset
 argvs = (["og:9", "--json"], ["gr:5,11", "--dot"], ["og:9"], ["lg:8"], ["e6"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["hasse", *argv]) for argv in argvs]
-built = [
-    sorted(set(vars(poset.quotient(*s))) & {"_fingerprints", "_by_fp", "_up"})
-    for s in (("og", 9), ("gr", 5, 11), ("lg", 8), ("e6",))
-]
+built = [sorted(vars(poset.quotient(*s))) for s in (("og", 9), ("gr", 5, 11), ("lg", 8), ("e6",))]
 print(codes, built)
 """
     )
-    assert out.strip() == "[0, 0, 0, 0, 0] [[], [], [], []]"
+    assert out.strip() == f"[0, 0, 0, 0, 0] {[_CONSTRUCTION_FIELDS] * 4}"
+
+
+def test_verify_all_builds_no_lookup_but_the_og5_cone_gates_fingerprints():
+    # Upper covers are read off the stored lower covers, so the certificates
+    # build no cover map; only the og:5 cone gate reads fingerprints.
+    out = _run(
+        f"""
+import contextlib, gc, io
+from schubflex import cli
+from schubflex.poset import QuotientPoset
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "all"])
+posets = [p for p in gc.get_objects() if isinstance(p, QuotientPoset)]
+built = {{
+    f"{{p.type_label()}}/{{min(p.marked)}}": sorted(set(vars(p)) - set({_CONSTRUCTION_FIELDS!r}))
+    for p in posets
+}}
+print(code, len(posets), sorted(built.items()))
+"""
+    )
+    built = [("D5/5", ["_fingerprints"])]
+    built += [(f"E6/{k}", []) for k in (1, 5, 6)] + [(f"E7/{k}", []) for k in (1, 6, 7)]
+    assert out.strip() == f"0 7 {built}"
 
 
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import ast
 import builtins
 import contextlib
+import functools
 import io
 import os
 import subprocess
 import sys
 import tokenize
-import tracemalloc
 from pathlib import Path
 
 from schubflex import cli
@@ -98,24 +98,33 @@ def test_the_modules_every_command_loads_import_no_later_layer():
 
 
 def _compile_peaks(paths) -> dict[str, tuple[int, int]]:
-    """The traced peak, in bytes, of compiling each module, and its token count, by file name.
+    """The traced peak, in bytes, of compiling each module, and its token count, by file name."""
+    return {path.name: _compile_peak(path) for path in paths}
 
-    Comments, blank lines and the encoding marker are not tokens; a
-    docstring is one.
+
+@functools.lru_cache(maxsize=None)
+def _compile_peak(path: Path) -> tuple[int, int]:
+    """The traced peak, in bytes, of compiling one module, and its token count.
+
+    The module compiles in a fresh interpreter, so what earlier tests loaded
+    or interned does not count for or against it.  Comments, blank lines and
+    the encoding marker are not tokens; a docstring is one.
     """
-    peaks = {}
-    for path in paths:
-        source = path.read_text()
-        skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        count = sum(token.type not in skip for token in tokens)
-        tracemalloc.start()
-        try:
-            compile(source, str(path), "exec")
-            peaks[path.name] = tracemalloc.get_traced_memory()[1], count
-        finally:
-            tracemalloc.stop()
-    return peaks
+    source = path.read_text()
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    count = sum(token.type not in skip for token in tokens)
+    proc = _python(
+        f"""
+import tracemalloc
+source = open({str(path)!r}, encoding="utf-8").read()
+tracemalloc.start()
+compile(source, {str(path)!r}, "exec")
+print(tracemalloc.get_traced_memory()[1])
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout), count
 
 
 # Calibrated on CPython 3.11.7.  cli.py (1,388 KiB) and poset.py (1,234 KiB)
@@ -124,10 +133,12 @@ def _compile_peaks(paths) -> dict[str, tuple[int, int]]:
 # bounded only the modules hasse and degree load, before each was split in
 # two; and so did verify.py (945 KiB, now verify and certify) and
 # witnesses.py (845 KiB, now witnesses, moduli and witness).  The largest
-# module is now diagram.py, at 723 KiB and 1,927 tokens (749 KiB and 2,024
-# while it held the lookup by dimension and degree).  The peak steps up by
-# about 120 KiB where a module passes 2,048 tokens: diagram.py held 756 KiB at
-# 2,042 tokens and 873 KiB at 2,061, and witnesses.py 845 KiB at 2,058.
+# module is now diagram.py, at 709 KiB and 1,870 tokens compiled in a fresh
+# interpreter (735 KiB at 1,927 tokens while it held the upper covers, and
+# 749 KiB at 2,024, traced in the test process, while it held the lookup by
+# dimension and degree).  The peak steps up by about 120 KiB where a module
+# passes 2,048 tokens: diagram.py held 756 KiB at 2,042 tokens and 873 KiB at
+# 2,061, and witnesses.py 845 KiB at 2,058.
 COMPILE_PEAK_BOUND = 768 * 1024
 
 

@@ -16,6 +16,7 @@ from schubflex.moduli import moduli_witness_gr, moduli_witness_isotropic, quadri
 from schubflex.poset import build_quotient_poset, quotient
 from schubflex.rigidity import classify, classify_gr, classify_lg, classify_og, classify_quadric
 from schubflex.witnesses import (
+    _match_graded,
     basic_witness_homes,
     bertini_witness,
     cone_embedding,
@@ -336,6 +337,30 @@ def test_interval_isomorphism_of_posets_past_the_recursion_limit(sub, ambient):
     assert sorted(t.id for t in phi) == sorted(n.id for n in ambient.nodes)
     assert all(t.dim == n.dim for n, t in zip(sub.nodes, phi))
     assert {(phi[lo.index], phi[hi.index]) for lo, hi in sub.covers} == set(ambient.covers)
+
+
+def test_match_graded_refuses_a_missing_cover_by_search_or_by_cover_count():
+    # Two four-class posets with the same (dim, degree) labels: a diamond,
+    # and the diamond without the cover y < t.  The search asks the ambient
+    # side only for the lower covers of candidates for classes that have
+    # some, never the bottom's; the closing cover count asks for every class's.
+    diamond = {"b": (), "x": ("b",), "y": ("b",), "t": ("x", "y")}
+    missing = dict(diamond, t=("x",))
+    items = [("b", 0, 1), ("x", 1, 1), ("y", 1, 1), ("t", 2, 2)]
+
+    def match(sub, amb):
+        asked = []
+
+        def amb_down(node):
+            asked.append(node)
+            return amb[node]
+
+        return _match_graded(items, items, sub.__getitem__, amb_down), "b" in asked
+
+    assert match(diamond, diamond) == (("b", "x", "y", "t"), True)
+    assert match(missing, missing) == (("b", "x", "y", "t"), True)
+    assert match(diamond, missing) == (None, False)  # no image of t covers both x and y
+    assert match(missing, diamond) == (None, True)  # every cover lands on one, 3 covers against 4
 
 
 if __name__ == "__main__":
