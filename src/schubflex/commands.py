@@ -14,9 +14,11 @@ through :func:`_module` on first need, for its own handlers and for those of
 :mod:`~schubflex.specs`.  ``hasse`` loads :mod:`~schubflex.golden` only for
 its text output's class tokens, read a dimension at a time; ``tits`` loads
 :mod:`~schubflex.tits` and ``verify`` :mod:`~schubflex.verify`, which loads
-the rest.  :func:`_module` caches each module, so a process that runs many
-commands through ``cli.main`` runs no import statement after the first
-command of each kind.
+the rest.  With ``--json`` both load :mod:`~schubflex.jsonout`, which spells
+their reports; no command loads the json package, whose modules and
+indented encoder would raise its peak memory.  :func:`_module` caches each
+module, so a process that runs many commands through ``cli.main`` runs no
+import statement after the first command of each kind.
 No package module imports :mod:`schubflex.cli`: ``python -m schubflex.cli``
 runs it as ``__main__``, so an import would compile it a second time.
 """
@@ -118,9 +120,12 @@ def _parse_type(text: str):
 
 
 def _dump_json(blob) -> None:
-    """Print ``blob`` as json.dumps(blob, sort_keys=True, indent=2) does, 256 chunks a write."""
-    encoder = _module("json").JSONEncoder(sort_keys=True, indent=2)
-    _write_batches(sys.stdout, encoder.iterencode(blob))
+    """Print ``blob`` as print(json.dumps(blob, sort_keys=True, indent=2)) does, a batch at a time.
+
+    :mod:`~schubflex.jsonout` spells the text, and :func:`_write_batches`
+    writes its pieces out, ending a batch as the poset exports do.
+    """
+    _write_batches(sys.stdout, _module(".jsonout").chunks(blob))
     sys.stdout.write("\n")
 
 

@@ -4,10 +4,10 @@
 and shares it, so a poset is never mutated after construction, apart from
 the lookups built on first use.  Facts the methods lean on:
 
-* Quotient Bruhat order is the restriction of Bruhat order to minimal
-  representatives; ``leq`` implements the standard lifting recursion on the
-  w^{-1}(rho) vectors it computes from the two minimal words, each read off
-  the parent links.
+* Quotient Bruhat order is the transitive closure of the covers
+  (Bjorner-Brenti, ch. 2), so ``leq`` reads it off the lower covers.  The
+  lifting recursion on w^{-1}(rho) vectors, which reads no cover, stays in
+  the tests as the oracle of both.
 * Right multiplication by w_0 sends fingerprint fp to (-fp[iota(i)])_i, iota
   the opposition involution, so a Poincare dual is one O(rank) lookup.
 
@@ -16,10 +16,11 @@ What a poset holds, and when:
 * Built with it: the nodes, in BFS order (so dimension order, which makes
   each dimension one slice of them), where each slice starts, and each
   class's lower covers as a tuple of nodes, by node index.  That serves
-  ``lower_covers``, ``lower_interval``, ``nodes_by_dim``, ``top`` and the
-  exports.  A node holds its index, its BFS parent's and its letter, no
-  fingerprint and no id string.  The lower covers are the one cover
-  relation: ``upper_covers`` reads them off the next dimension's classes.
+  ``lower_covers``, ``lower_interval``, ``leq``, ``nodes_by_dim``, ``top``
+  and the exports.  A node holds its index, its BFS parent's and its
+  letter, no fingerprint and no id string.  The lower covers are the one
+  cover relation: ``upper_covers`` reads them off the next dimension's
+  classes.
 * Built on first use, then kept: the fingerprints, replayed once in BFS
   order (each the parent's reflected by the letter), with the lookup by
   fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``).
@@ -185,20 +186,12 @@ class QuotientPoset:
     # -- order ------------------------------------------------------------
 
     def leq(self, a: SchubertNode, b: SchubertNode) -> bool:
-        """Bruhat comparison of two classes (containment of Schubert varieties)."""
-        r = weyl.rho(self.datum)
-        words = ([], [])  # the minimal words of a and b, last letter first
-        for x, word in zip((a, b), words):
-            while x.parent is not None:
-                word.append(x.letter)
-                x = self.nodes[x.parent]
-        va, vb = (weyl.act(self.datum, word, r) for word in words)
-        while vb != r:
-            i = next(k for k in range(self.datum.rank) if vb[k] < 0) + 1
-            if va[i - 1] < 0:
-                va = weyl.reflect(self.datum, i, va)
-            vb = weyl.reflect(self.datum, i, vb)
-        return va == r
+        """Bruhat comparison of two classes (containment of Schubert varieties).
+
+        The order is the transitive closure of the covers, so ``a <= b`` when
+        ``a`` is in ``b``'s lower interval.
+        """
+        return a in self.lower_interval(b)
 
     def upper_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
         """The classes of the next dimension whose lower covers hold ``node``, in index order."""

@@ -132,16 +132,16 @@ def reflect(datum: CartanDatum, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def act(datum: CartanDatum, word, v: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply the group element spelled by ``word`` to ``v`` (rightmost letter first)."""
+    """Apply the group element spelled by ``word`` to ``v`` (rightmost letter first).
+
+    No package code calls it: the posets replay their vectors a letter at a
+    time.  The tests' oracles apply whole words with it, and the benchmark's
+    tracer counts its calls by name.
+    """
     out = tuple(v)
     for i in reversed(tuple(word)):
         out = reflect(datum, i, out)
     return out
-
-
-def rho(datum: CartanDatum) -> tuple[int, ...]:
-    """Sum of fundamental weights: the all-ones vector."""
-    return (1,) * datum.rank
 
 
 def marked_weight(datum: CartanDatum, marked) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
 from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import quotient
 from schubflex.tits import make_context
-from schubflex.weyl import CartanDatum, act, build_cartan, reflect, rho
+from schubflex.weyl import CartanDatum, act, build_cartan, reflect
 from schubflex.witness import Witness
 from schubflex.witnesses import basic_witness_homes
 
@@ -29,6 +29,11 @@ POSITIVE_ROOT_COUNTS = {
     "D": lambda n: n * (n - 1),
     "E": lambda n: {6: 36, 7: 63}[n],
 }
+
+
+def rho(datum: CartanDatum) -> tuple[int, ...]:
+    """Sum of the fundamental weights: the all-ones vector."""
+    return (1,) * datum.rank
 
 
 def dense_reflect(datum: CartanDatum, i: int, v) -> tuple[int, ...]:
@@ -93,6 +98,31 @@ def min_word(poset, node) -> tuple[int, ...]:
         letters.append(node.letter)
         node = poset.nodes[node.parent]
     return tuple(reversed(letters))
+
+
+@lru_cache(maxsize=None)
+def _rho_image(poset, node) -> tuple[int, ...]:
+    """w^{-1}(rho) for the class's minimal representative w, applied from its minimal word."""
+    return act(poset.datum, tuple(reversed(min_word(poset, node))), rho(poset.datum))
+
+
+def bruhat_leq(poset, a, b) -> bool:
+    """Bruhat comparison of two classes by the lifting property, without the covers.
+
+    Quotient Bruhat order is the restriction of Bruhat order to minimal
+    representatives.  While b is not the identity it has a left descent s
+    (a negative coordinate of b^{-1}(rho)); then a <= b exactly when a' <= sb,
+    where a' is sa if s is a descent of a too and a otherwise (Bjorner-Brenti,
+    Prop. 2.2.7).  a <= b when a reaches the identity as b does.
+    """
+    datum, r = poset.datum, rho(poset.datum)
+    va, vb = _rho_image(poset, a), _rho_image(poset, b)
+    while vb != r:
+        i = next(k for k in range(datum.rank) if vb[k] < 0) + 1
+        if va[i - 1] < 0:
+            va = reflect(datum, i, va)
+        vb = reflect(datum, i, vb)
+    return va == r
 
 
 @lru_cache(maxsize=None)

@@ -719,30 +719,88 @@ def test_verify_json_matches_schema(tmp_path, capsys):
         jsonschema.validate(reports, schema)
 
 
+def _stdlib_json(blob) -> str:
+    """``blob`` as print(json.dumps(blob, sort_keys=True, indent=2)) prints it."""
+    return json.dumps(blob, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("target", ["e6", "e7", "table1"])  # all: see the batch test below
+def test_verify_json_is_the_stdlib_encoding(target, capsys):
+    from schubflex import verify
+
+    blob = getattr(verify, f"verify_{target}")().to_json_dict()
+    rc, out, _ = run(["verify", target, "--json"], capsys)
+    assert rc == 0 and out == _stdlib_json(blob)
+
+
+def test_verify_json_of_a_failing_report_is_the_stdlib_encoding(tmp_path, capsys):
+    dst = _tamper(tmp_path, 3, "rigid")
+    report = verify_e6(str(dst))
+    assert report.problems
+    rc, out, _ = run(["verify", "e6", "--json", "--golden-dir", str(dst)], capsys)
+    assert rc == 1 and out == _stdlib_json(report.to_json_dict())
+
+
+@pytest.mark.parametrize("rank, p, q", [(6, 6, 1), (7, 7, 6)])
+def test_tits_json_is_the_stdlib_encoding(rank, p, q, capsys):
+    from schubflex.tits import context_json_dict, make_context
+
+    ctx = make_context(weyl.build_cartan("E", rank), {p}, {q})
+    rc, out, _ = run(["tits", f"e{rank}", str(p), str(q), "--json"], capsys)
+    assert rc == 0 and out == _stdlib_json(context_json_dict(ctx))
+
+
+def _assert_batched(items, sep, lead, writes) -> None:
+    """``writes`` spell ``lead + sep.join(items)`` in batches that end as _write_batches ends them.
+
+    A write holds at most BATCH_ITEMS items, and passes BATCH_BYTES only by
+    its last item; a batch ends at whichever bound comes first.
+    """
+    from schubflex import diagram
+
+    k = 0
+    for w, prefix in zip(writes, [lead] + [sep] * len(writes)):
+        assert w.startswith(prefix)
+        m, size = 0, len(prefix) - len(sep)
+        while size + len(sep) < len(w):  # the items this write holds
+            size += len(sep) + len(items[k + m])
+            m += 1
+        batch = items[k : k + m]
+        assert w == prefix + sep.join(batch)
+        assert 1 <= m <= diagram.BATCH_ITEMS
+        assert sum(map(len, batch[:-1])) < diagram.BATCH_BYTES
+        k += m
+        if k < len(items):  # only the last batch may end short of both bounds
+            assert m == diagram.BATCH_ITEMS or sum(map(len, batch)) >= diagram.BATCH_BYTES
+    assert k == len(items) and len(writes) > 1
+
+
 def test_verify_json_is_written_in_batches():
     # Under PYTHONUNBUFFERED each write to stdout is one system call, and the
-    # encoder yields thousands of chunks; they go out 256 to a write.
-    class CountingStdout(io.StringIO):
-        writes = 0
-
-        def write(self, text):
-            self.writes += 1
-            return super().write(text)
-
+    # writer yields hundreds of pieces; they go out in batches, as the poset
+    # exports' items do, and the final newline on its own.
+    from schubflex.jsonout import chunks
     from schubflex.verify import verify_all
 
+    class RecordingStdout(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return super().write(text)
+
     blob = [report.to_json_dict() for report in verify_all()]
-    chunks = len(list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(blob)))
-    out = CountingStdout()
+    out = RecordingStdout()
     with contextlib.redirect_stdout(out):
         assert main(["verify", "all", "--json"]) == 0
-    assert out.getvalue() == json.dumps(blob, sort_keys=True, indent=2) + "\n"
-    assert chunks > 1000 and out.writes == -(-chunks // 256) + 1  # and the final newline
+    assert out.getvalue() == _stdlib_json(blob)
+    assert out.writes[-1] == "\n"
+    _assert_batched(list(chunks(blob)), "", "", out.writes[:-1])
 
 
 def test_hasse_json_is_written_in_bounded_batches(monkeypatch):
-    # A write holds at most 256 items, and passes the byte bound only by its
-    # last item; a batch ends at whichever bound comes first.
     from schubflex import diagram
 
     calls = []  # (items, sep, lead, writes) of each batched list
@@ -764,24 +822,10 @@ def test_hasse_json_is_written_in_bounded_batches(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert main(["hasse", "og:9", "--json"]) == 0
     p = quotient("og", 9)
-    assert out.getvalue() == json.dumps(poset_json_dict(p), sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == _stdlib_json(poset_json_dict(p))
     assert [len(items) for items, *_ in calls] == [len(p.covers), len(p.nodes)]
     for items, sep, lead, writes in calls:
-        k = 0
-        for w, prefix in zip(writes, [lead] + [sep] * len(writes)):
-            assert w.startswith(prefix)
-            m, size = 0, len(prefix) - len(sep)
-            while size + len(sep) < len(w):  # the items this write holds
-                size += len(sep) + len(items[k + m])
-                m += 1
-            batch = items[k : k + m]
-            assert w == prefix + sep.join(batch)
-            assert 1 <= m <= diagram.BATCH_ITEMS
-            assert sum(map(len, batch[:-1])) < diagram.BATCH_BYTES
-            k += m
-            if k < len(items):  # only the last batch may end short of both bounds
-                assert m == diagram.BATCH_ITEMS or sum(map(len, batch)) >= diagram.BATCH_BYTES
-        assert k == len(items) and len(writes) > 1
+        _assert_batched(items, sep, lead, writes)
 
 
 def test_tits_bad_marking_is_usage_error(capsys):

@@ -3,9 +3,10 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bruhat_leq,
     fingerprint,
     heap_quotient,
     is_reduced,
@@ -41,11 +43,11 @@ def _by_dim_then_index(pairs):
 
 
 def pairwise_covers(poset):
-    """Oracle: every pair of classes in adjacent ranks, compared with ``leq``."""
+    """Oracle: every pair of classes in adjacent ranks, compared by :func:`oracles.bruhat_leq`."""
     covers = []
     for lo in poset.nodes:
         for hi in poset.nodes_by_dim(lo.dim + 1):
-            if poset.leq(lo, hi):
+            if bruhat_leq(poset, lo, hi):
                 covers.append((lo, hi))
     return _by_dim_then_index(covers)
 
@@ -402,7 +404,28 @@ def test_leq_matches_cover_closure(e6):
             reach[n.id] |= reach[hi.id]
     for a in e6.nodes:
         for b in e6.nodes:
-            assert e6.leq(a, b) == (b.id in reach[a.id]), f"{a.id} vs {b.id}"
+            assert bruhat_leq(e6, a, b) == (b.id in reach[a.id]), f"{a.id} vs {b.id}"
+
+
+# Every pair of the first quotients, and 5,000 seeded pairs of each of the larger ones.
+LEQ_ALL_PAIRS = (
+    ("E", 6, {6}), ("E", 7, {7}), ("A", 5, {3}), ("D", 5, {5}), ("C", 4, {4}), ("B", 3, {1}),
+)
+LEQ_SAMPLED = (("E", 7, {6}), ("E", 6, {5}), ("E", 7, {2}), ("E", 6, {2, 5}))
+
+
+def test_leq_agrees_with_the_lifting_oracle():
+    # leq reads the order off the covers; the oracle runs the lifting
+    # recursion on w^{-1}(rho) vectors and reads no cover.
+    rng = random.Random(31)
+    for family, rank, marked in LEQ_ALL_PAIRS + LEQ_SAMPLED:
+        p = build_quotient_poset(weyl.build_cartan(family, rank), marked)
+        if (family, rank, marked) in LEQ_ALL_PAIRS:
+            pairs = [(a, b) for a in p.nodes for b in p.nodes]
+        else:
+            pairs = [(rng.choice(p.nodes), rng.choice(p.nodes)) for _ in range(5000)]
+        wrong = [(a.id, b.id) for a, b in pairs if p.leq(a, b) != bruhat_leq(p, a, b)]
+        assert wrong == [], f"{family}{rank}/{sorted(marked)}: {wrong[:5]}"
 
 
 def test_covers_equal_simple_step_edges_on_minuscule():
@@ -477,7 +500,7 @@ def test_covers_equal_pairwise_leq_oracle_random(quotient):
 def test_lower_interval_equals_leq_filter(e6, e7p7, e7p1):
     for p in (e6, e7p7, e7p1):
         for apex in p.nodes:
-            assert p.lower_interval(apex) == [n for n in p.nodes if p.leq(n, apex)]
+            assert p.lower_interval(apex) == [n for n in p.nodes if bruhat_leq(p, n, apex)]
 
 
 def test_order_formula_mismatch_raises_internal_error(monkeypatch):
@@ -546,8 +569,8 @@ def test_poincare_dual_involution_and_complement(e6, g24, og510):
 def test_poincare_dual_reverses_order(e6):
     for a in e6.nodes:
         for b in e6.nodes:
-            if e6.leq(a, b):
-                assert e6.leq(e6.poincare_dual(b), e6.poincare_dual(a))
+            if bruhat_leq(e6, a, b):
+                assert bruhat_leq(e6, e6.poincare_dual(b), e6.poincare_dual(a))
 
 
 # Every single-node marking of these types, plus a few two-node markings.
@@ -627,13 +650,14 @@ def test_build_reflects_once_per_ascent_and_per_lifted_cover(monkeypatch):
 
 def test_meets_and_joins_exist(e6, g24, og510):
     for p in (e6, g24, og510):
+        leq = partial(bruhat_leq, p)
         for a in p.nodes:
             for b in p.nodes:
-                lower = [c for c in p.nodes if p.leq(c, a) and p.leq(c, b)]
-                maximal = [c for c in lower if not any(p.leq(c, d) and c.id != d.id for d in lower)]
+                lower = [c for c in p.nodes if leq(c, a) and leq(c, b)]
+                maximal = [c for c in lower if not any(leq(c, d) and c.id != d.id for d in lower)]
                 assert len(maximal) == 1, f"meet of {a.id},{b.id} not unique in {p.type_label()}"
-                upper = [c for c in p.nodes if p.leq(a, c) and p.leq(b, c)]
-                minimal = [c for c in upper if not any(p.leq(d, c) and c.id != d.id for d in upper)]
+                upper = [c for c in p.nodes if leq(a, c) and leq(b, c)]
+                minimal = [c for c in upper if not any(leq(d, c) and c.id != d.id for d in upper)]
                 assert len(minimal) == 1, f"join of {a.id},{b.id} not unique in {p.type_label()}"
 
 

@@ -26,12 +26,11 @@ def _python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def _imports(path: Path, top_level_only: bool = False):
-    """(line, modules, names) of each import statement in a module's source.
+def _imports(path: Path):
+    """(line, modules, names) of each import statement in a module's source, at any depth.
 
     ``import a, b`` gives modules [a, b] and no names; ``from x import y, z``
-    gives modules [x] and names [y, z].  With ``top_level_only``, imports
-    inside a function body are left out.
+    gives modules [x] and names [y, z].
     """
     stack = list(ast.parse(path.read_text(), filename=str(path)).body)
     while stack:
@@ -40,7 +39,7 @@ def _imports(path: Path, top_level_only: bool = False):
             yield node.lineno, [alias.name for alias in node.names], []
         elif isinstance(node, ast.ImportFrom):
             yield node.lineno, [node.module or ""], [alias.name for alias in node.names]
-        elif not (top_level_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+        else:
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -133,12 +132,13 @@ print(tracemalloc.get_traced_memory()[1])
 # bounded only the modules hasse and degree load, before each was split in
 # two; and so did verify.py (945 KiB, now verify and certify) and
 # witnesses.py (845 KiB, now witnesses, moduli and witness).  The largest
-# module is now diagram.py, at 709 KiB and 1,870 tokens compiled in a fresh
-# interpreter (735 KiB at 1,927 tokens while it held the upper covers, and
-# 749 KiB at 2,024, traced in the test process, while it held the lookup by
-# dimension and degree).  The peak steps up by about 120 KiB where a module
-# passes 2,048 tokens: diagram.py held 756 KiB at 2,042 tokens and 873 KiB at
-# 2,061, and witnesses.py 845 KiB at 2,058.
+# module is now diagram.py, at 659 KiB and 1,703 tokens compiled in a fresh
+# interpreter (709 KiB at 1,870 tokens while it held the rho-vector leq, 735
+# KiB at 1,927 while it held the upper covers, and 749 KiB at 2,024, traced
+# in the test process, while it held the lookup by dimension and degree).
+# jsonout.py, the JSON writer, holds 240 KiB.  The peak steps up by about
+# 120 KiB where a module passes 2,048 tokens: diagram.py held 756 KiB at
+# 2,042 tokens and 873 KiB at 2,061, and witnesses.py 845 KiB at 2,058.
 COMPILE_PEAK_BOUND = 768 * 1024
 
 
@@ -207,17 +207,31 @@ def test_no_package_module_imports_cli():
     )
 
 
-def test_no_package_module_imports_json_at_the_top():
-    # json's pure-Python encoder serves indented output; the poset export
-    # spells its schema out, and only the commands that print other JSON
-    # load it (commands._module).
+def test_no_package_module_imports_json():
+    # json's pure-Python indented encoder and its modules raise a command's
+    # peak memory.  The poset export spells its schema out, and jsonout
+    # spells every other report, so no module imports json, not even inside
+    # a function, and no handler loads it by name (commands._module).
     found = [
         f"{path.name}:{line}"
         for path in _package_modules()
-        for line, modules, _ in _imports(path, top_level_only=True)
+        for line, modules, _ in _imports(path)
         if any(m.split(".")[0] == "json" for m in modules)
     ]
-    assert found == [], f"json imported at module level: {found}"
+    assert found == [], f"json imported in the package: {found}"
+    loaders = {"_module", "import_module", "__import__"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in _package_modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in loaders
+        and any(
+            isinstance(arg, ast.Constant) and str(arg.value).split(".")[0] == "json"
+            for arg in node.args
+        )
+    ]
+    assert found == [], f"json loaded by name in the package: {found}"
 
 
 def test_commands_load_only_what_they_run():
@@ -248,7 +262,7 @@ print(code, out.getvalue().count("RESULT"), loaded())
 
 _LATER = (
     "classical", "isotropic", "golden", "rigidity", "witness", "witnesses", "moduli", "certify",
-    "verify",
+    "verify", "jsonout",
 )
 
 
@@ -267,6 +281,15 @@ print(codes, sorted(name for name in names if name in sys.modules))
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_json_reports_load_the_writer_and_not_json():
+    # tits --json and verify --json spell their reports with jsonout.
+    for argv in (("verify", "all"), ("verify", "e6"), ("tits", "e6", "6", "1")):
+        codes, names = _loaded_after((*argv, "--json")).split(" ", 1)
+        names = ast.literal_eval(names)
+        assert codes == "[0]" and "schubflex.jsonout" in names, (argv, names)
+        assert "json" not in names, (argv, names)
 
 
 def test_hasse_json_dot_and_refusals_load_no_later_module():
@@ -317,6 +340,12 @@ def test_import_help_usage_errors_and_degree_load_no_argument_parser():
         "[0, 2, 2] []"
     )
     assert _loaded_after(("degree", "gr:2,5:1,3"), ("degree", "e7:22:5586")) == (
+        "[0, 0] ['schubflex.classical', 'schubflex.golden']"
+    )
+
+
+def test_dual_loads_only_classical_and_golden():
+    assert _loaded_after(("dual", "gr:2,5:1,3"), ("dual", "e6:9:9")) == (
         "[0, 0] ['schubflex.classical', 'schubflex.golden']"
     )
 

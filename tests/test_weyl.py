@@ -14,6 +14,7 @@ from oracles import (
     length,
     levi_orbit_order,
     longest_element,
+    rho,
 )
 from schubflex import closed_forms, weyl
 from schubflex.closed_forms import InternalError
@@ -181,7 +182,7 @@ def test_longest_element_full_group():
         assert is_reduced(d, w0)
         assert len(w0) == len(weyl.positive_roots(d))
         # w0 sends the dominant chamber to the antidominant one
-        assert all(c < 0 for c in weyl.act(d, w0, weyl.rho(d)))
+        assert all(c < 0 for c in weyl.act(d, w0, rho(d)))
         # and is an involution
         assert length(d, tuple(w0) + tuple(w0)) == 0
 
@@ -286,7 +287,7 @@ def datum_and_word(draw, max_len=12):
 @settings(max_examples=150, deadline=None)
 def test_reflect_is_an_involution(dw):
     d, word = dw
-    v = weyl.act(d, word, weyl.rho(d))  # an arbitrary chamber image
+    v = weyl.act(d, word, rho(d))  # an arbitrary chamber image
     for i in range(1, d.rank + 1):
         assert weyl.reflect(d, i, weyl.reflect(d, i, v)) == v
 
