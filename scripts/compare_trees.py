@@ -40,7 +40,9 @@ stdout to /dev/null: its wall time is measured here, and its peak is the
 ``os.wait4`` will not do: ``subprocess`` starts children with vfork, so that
 figure also holds this process's own high-water mark.)  After the pairs of a
 ``hasse`` SELECTOR one more child per tree builds the selector's Cartan datum
-and loads the modules the command needs, then runs the command through
+and runs the same command on ``gr:1,2``, a quotient of two classes, so that
+the modules it loads on first need (the text output's tokens, the JSON and
+DOT writers) are compiled first.  Then it runs the command through
 ``cli.main`` under tracemalloc and divides the memory still traced by the
 class count: the bytes a class holds (n/a for other commands).  ``footprint``
 exits 1 if any run did not exit 0, so a tree that cannot answer is never read
@@ -115,6 +117,8 @@ WARM_COMMANDS = (
 )
 
 SELECTORS = (
+    "gr:5,11 --json",
+    "lg:8",
     "og:16",
     "og:16 --json",
     "og:16 --dot",
@@ -125,6 +129,7 @@ SELECTORS = (
     "gr:1,2000 --json",
     "tits a2000 1 2000",
     "verify all --json",
+    "verify table1",
     "classify e7:22:5586",
     "tits e7 6 7",
     "tits e7 7 6",
@@ -179,7 +184,7 @@ print(json.dumps(row))
 # Run in the child that measures held bytes, with the hasse argv after -c.
 _HELD = """
 import contextlib, os, sys, tracemalloc
-from schubflex import cli, golden, poset, weyl  # golden: the text output's tokens load it
+from schubflex import cli, poset, weyl
 from schubflex.commands import read_selector
 
 argv = sys.argv[1:]
@@ -187,8 +192,10 @@ head, _, text = argv[1].partition(":")
 params = read_selector(head, text)
 family, rank = poset.QUOTIENTS[head][1](*params, 2**64)[:2]
 weyl.build_cartan(family, rank)
-tracemalloc.start()
 with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+    if cli.main([argv[0], "gr:1,2", *argv[2:]]) != 0:  # loads what this format needs
+        raise SystemExit("the warm-up command failed")
+    tracemalloc.start()
     code = cli.main(argv)
 held = tracemalloc.get_traced_memory()[0]
 tracemalloc.stop()
@@ -393,9 +400,9 @@ def footprint(trees: dict, args) -> int:
         f"scripts/compare_trees.py footprint: {args.runs} pairs per selector, the parent first on "
         "odd pairs; each run a fresh child through bench/cli_op.py, its peak its own VmHWM; held "
         "bytes per class (hasse only) from tracemalloc after the same command run through "
-        "cli.main, Cartan datum and modules loaded first, one child per tree; per metric, both "
-        "medians, the median change/parent ratio over pairs, the parent's IQR and the pairs the "
-        "change won"
+        "cli.main, its Cartan datum built and the command run on gr:1,2 first, one child per "
+        "tree; per metric, both medians, the median change/parent ratio over pairs, the parent's "
+        "IQR and the pairs the change won"
     )
     report(stats, method, runs, args.json)
     for line in failed:

@@ -7,8 +7,10 @@ Subpackages by capability:
   opposition involution, read off a diagram.
 * :mod:`schubflex.poset` -- parabolic-quotient Hasse diagrams, degrees, duals;
   each quotient is built once per process and shared, immutable.
-* :mod:`schubflex.diagram` -- the poset record: classes, order, duality and
-  exports (re-exported by :mod:`schubflex.poset`).
+* :mod:`schubflex.diagram` -- the poset record: classes, order and duality
+  (re-exported by :mod:`schubflex.poset`).
+* :mod:`schubflex.exports` -- the poset's JSON and DOT writers, loaded on the
+  first export.
 * :mod:`schubflex.classical` -- index arithmetic for Grassmannian and quadric
   Schubert classes.
 * :mod:`schubflex.isotropic` -- the same for Lagrangian and orthogonal classes.

@@ -14,25 +14,29 @@ Options are matched by their exact names, as ``--opt value`` or
 command or option, a missing or extra argument, a bad number or choice, and
 ``--json`` with ``--dot`` each raise :class:`SpecError`, so :func:`main`
 reports every usage error in the same one ``error:`` line and exit 2 as a
-malformed spec.  The selector reader and the ``hasse``, ``tits`` and
-``verify`` handlers live in :mod:`~schubflex.commands`, and the class-spec
-grammar, its reader and the ``classify``, ``degree`` and ``dual`` handlers in
-:mod:`~schubflex.specs`.  ``parse_class_spec`` is also bound here, where the
-benchmark's tracer wraps it by name.
+malformed spec.  The table names each handler by its module and function:
+the selector reader and the ``hasse``, ``tits`` and ``verify`` handlers live
+in :mod:`~schubflex.commands`, and the class-spec grammar, its reader and
+the ``classify``, ``degree`` and ``dual`` handlers in :mod:`~schubflex.specs`.
+The parser loads a handler's module on its first dispatch (the cached
+:func:`schubflex.commands._module`), so ``hasse``, ``tits`` and ``verify``
+never compile :mod:`~schubflex.specs`.  ``parse_class_spec`` still resolves
+here, for the benchmark's tracer, which wraps it by that name: the module
+``__getattr__`` loads :mod:`~schubflex.specs` on that lookup.
 
 Each command is one process, so start-up is most of its time, and most of
 start-up is compiling the modules it imports.  Compiling a module holds all
 of its tokens and its syntax tree at once, so the largest module a command
 compiles sets the floor of its peak memory.  That is why this front end, the
-two handler modules (:mod:`~schubflex.commands`, :mod:`~schubflex.specs`),
-the Weyl arithmetic (:mod:`~schubflex.weyl`) and its closed forms
-(:mod:`~schubflex.closed_forms`), and the poset's construction
-(:mod:`~schubflex.poset`) and its diagram (:mod:`~schubflex.diagram`) are
-seven modules: every command compiles all seven, with
-:mod:`~schubflex.frozen`, but no one compile holds more than 768 KiB.
-Beyond those, a command loads only what it runs (see
-:mod:`~schubflex.commands` and :mod:`~schubflex.specs`), and argv is read
-without :mod:`argparse`.
+handlers of :mod:`~schubflex.commands`, the Weyl arithmetic
+(:mod:`~schubflex.weyl`) and its closed forms (:mod:`~schubflex.closed_forms`),
+and the poset's construction (:mod:`~schubflex.poset`) and its diagram
+(:mod:`~schubflex.diagram`) are six modules: every command compiles all six,
+with :mod:`~schubflex.frozen`, but no one compile holds more than 768 KiB.
+Beyond those, a command loads only what it runs: the class-spec commands
+:mod:`~schubflex.specs`, ``hasse --json`` and ``--dot`` the writers of
+:mod:`~schubflex.exports`, and the rest as :mod:`~schubflex.commands` and
+:mod:`~schubflex.specs` say.  argv is read without :mod:`argparse`.
 """
 
 from __future__ import annotations
@@ -41,16 +45,17 @@ import functools
 import os
 import sys
 
-from .commands import SpecError, cmd_hasse, cmd_tits, cmd_verify
+from .commands import SpecError, _module
 from .frozen import Frozen
 from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, GoldenDataError
-# parse_class_spec is bound here for the benchmark's tracer (bench/tracer.py), which wraps it.
-from .specs import cmd_classify, cmd_degree, cmd_dual, parse_class_spec  # noqa: F401
 
 
 class Command(Frozen):
     """One command: its handler, its help line, its positionals and its options.
 
+    ``handler`` is ``(module, function)``: the package module, like
+    ``".commands"``, that holds the handler and loads on the command's first
+    dispatch, and the handler's name there.
     ``args`` holds one ``(NAME, converter, allowed values or None, help)`` per
     positional, and the handler takes their values in that order.  ``options``
     maps each option to ``(keyword, converter, METAVAR, help)``.  A flag has
@@ -67,7 +72,7 @@ _SPEC = ("SPEC", str, None, "a class spec, like gr:2,5:1,3 or e6:9:9")
 
 COMMANDS = {
     "hasse": Command(
-        cmd_hasse,
+        (".commands", "cmd_hasse"),
         "print a quotient poset (text, JSON or DOT)",
         (("SELECTOR", str, None, " ".join(form for form, _ in QUOTIENTS.values())),),
         {
@@ -77,15 +82,17 @@ COMMANDS = {
         },
     ),
     "classify": Command(
-        cmd_classify,
+        (".specs", "cmd_classify"),
         "rigidity verdict and a witness for one class",
         (_SPEC,),
         {"--golden-dir": _GOLDEN_DIR},
     ),
-    "degree": Command(cmd_degree, "degree of one class in its minimal embedding", (_SPEC,), {}),
-    "dual": Command(cmd_dual, "Poincare dual of one class", (_SPEC,), {}),
+    "degree": Command(
+        (".specs", "cmd_degree"), "degree of one class in its minimal embedding", (_SPEC,), {}
+    ),
+    "dual": Command((".specs", "cmd_dual"), "Poincare dual of one class", (_SPEC,), {}),
     "tits": Command(
-        cmd_tits,
+        (".commands", "cmd_tits"),
         "incidence sweep of one quotient into another",
         (
             ("TYPE", str, None, "a family letter and rank, like e6"),
@@ -95,7 +102,7 @@ COMMANDS = {
         {"--json": _JSON},
     ),
     "verify": Command(
-        cmd_verify,
+        (".commands", "cmd_verify"),
         "check the shipped decoration tables from scratch",
         (("TARGET", str, ("e6", "e7", "table1", "all"), "e6, e7, table1 or all"),),
         {"--golden-dir": _GOLDEN_DIR, "--json": _JSON},
@@ -189,7 +196,14 @@ class Parser:
             _convert(name, meta, convert, choices, word)
             for (meta, convert, choices, _), word in zip(command.args, values)
         ]
-        return command.handler, args, keywords
+        module, function = command.handler
+        return getattr(_module(module), function), args, keywords
+
+
+def __getattr__(name):  # bench/tracer.py wraps cli.parse_class_spec; looking it up loads specs
+    if name != "parse_class_spec":
+        raise AttributeError(name)
+    return _module(".specs").parse_class_spec
 
 
 def build_parser() -> Parser:

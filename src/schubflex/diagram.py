@@ -1,4 +1,4 @@
-"""The Hasse diagram of a parabolic quotient W_P \\ W: its classes, order and exports.
+"""The Hasse diagram of a parabolic quotient W_P \\ W: its classes, order and duality.
 
 :func:`schubflex.poset.build_quotient_poset` builds each :class:`QuotientPoset`
 and shares it, so a poset is never mutated after construction, apart from
@@ -28,18 +28,24 @@ What a poset holds, and when:
   replays the fingerprints it needs, see :mod:`~schubflex.tits`).
 * Never held whole: ``covers`` and the exports gather the cover pairs one
   dimension at a time, and the exports write them to a stream a batch of a
-  few KiB at a time, with the minimal words replayed in BFS order as they go.
+  few KiB at a time (:func:`_write_batches`), with the minimal words
+  replayed in BFS order as they go.
 
 Inside the package a class is its node, equal only to itself: maps over
 every class are tuples by node index, and other maps are keyed by node.  Its
 id is formatted when output, golden tables or payloads read it.  This module
 is apart from :mod:`~schubflex.poset` so that neither module's compile is
-large (see :mod:`~schubflex.cli`).
+large (see :mod:`~schubflex.cli`).  The JSON and DOT writers behind
+``to_json`` and ``to_dot`` live in :mod:`~schubflex.exports`, which loads on
+the first export, so only ``hasse --json`` and ``hasse --dot`` compile them;
+the batch writer stays here, since the ``tits`` and ``verify`` reports use it
+too.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import importlib
+from functools import cached_property, lru_cache
 
 from . import closed_forms, weyl
 from .closed_forms import InternalError
@@ -133,13 +139,6 @@ class QuotientPoset:
             return ()
         return self.nodes[self._starts[dim] : self._starts[dim + 1]]
 
-    def _ids(self, dim: int) -> list[str]:
-        """The ids of the classes of dimension ``dim``, in index order.
-
-        Spelled as ``SchubertNode.id`` spells them, without a property call a class.
-        """
-        return ["n" + str(n.index).zfill(n.width) for n in self._layer(dim)]
-
     def _covers_by_lower(self, names):
         """(name of lo, names of its upper covers) of each class lo under the top, by index.
 
@@ -230,56 +229,18 @@ class QuotientPoset:
         return f"{self.datum.family}{self.datum.rank}"
 
     def to_json(self, out) -> None:
-        """Write the poset to ``out`` as json.dumps(..., sort_keys=True, indent=2) writes its schema.
-
-        The document is spelled out and written a batch of items at a time.
-        Every key and string is fixed or an ASCII id, so nothing needs
-        escaping.  Minimal words are replayed in BFS order as the JSON items
-        they spell, each its parent's and one letter more, and each is kept
-        only until the next dimension is written.
-        """
-
-        def nodes():
-            spell = lambda items, i: f"{items},\n        {i}" if items else f"\n        {i}"
-            for n, items in self.replay("", spell):
-                word = f"[{items}\n      ]" if items else "[]"
-                yield (
-                    f'{{\n      "degree": {"null" if n.degree is None else n.degree},'
-                    f'\n      "dim": {n.dim},\n      "id": "{n.id}",'
-                    f'\n      "min_word": {word}\n    }}'
-                )
-
-        out.write('{\n  "covers": ')
-        groups = self._covers_by_lower(self._ids)
-        _write_list(out, (f'[\n      "{lo}",\n      "{hi}"\n    ]' for lo, his in groups for hi in his))
-        out.write(',\n  "nodes": ')
-        _write_list(out, nodes())
-        marked = ",\n    ".join(map(str, sorted(self.marked)))
-        out.write(f',\n  "parabolic": [\n    {marked}\n  ],\n  "type": "{self.type_label()}"\n}}\n')
+        """Write the poset to ``out`` in its JSON schema (:func:`schubflex.exports.to_json`)."""
+        _exports().to_json(self, out)
 
     def to_dot(self, out) -> None:
-        """Write the Hasse diagram to ``out`` as Graphviz input, a batch of lines at a time.
-
-        The edges out of one class are one item: they share its name.
-        """
-        out.write('digraph hasse {\n  rankdir=BT;\n')
-        out.write('  node [shape=plaintext, fontname="Helvetica"];\n')
-        labels = (n.dim if n.degree is None else f"{n.dim}:{n.degree}" for n in self.nodes)
-        _write_batches(out, (f'  {n.id} [label="{to}"];\n' for n, to in zip(self.nodes, labels)))
-        edges = self._covers_by_lower(self._ids)
-        lines = (f"  {lo} -> " + f";\n  {lo} -> ".join(his) + ";\n" for lo, his in edges if his)
-        _write_batches(out, lines)
-        out.write("}\n")
+        """Write the diagram to ``out`` as Graphviz input (:func:`schubflex.exports.to_dot`)."""
+        _exports().to_dot(self, out)
 
 
-def _write_list(out, items) -> None:
-    """Write a JSON array of already-written items, as a value of the document, to ``out``.
-
-    ``items`` must not be empty, and the exports' lists never are: a quotient
-    has at least two classes, so it has a cover too.
-    """
-    _write_batches(out, items, ",\n    ", "[\n    ")
-    out.write("\n  ]")
+@lru_cache(maxsize=None)
+def _exports():
+    """:mod:`~schubflex.exports`, loaded on the first export and then kept."""
+    return importlib.import_module(".exports", __package__)
 
 
 def _write_batches(out, items, sep: str = "", lead: str = "") -> None:

@@ -74,18 +74,19 @@ def test_constructions_and_verification_import_no_classifier():
 
 
 _START_UP = (
-    "cli.py", "commands.py", "specs.py", "weyl.py", "closed_forms.py", "frozen.py", "poset.py",
-    "diagram.py",
+    "cli.py", "commands.py", "weyl.py", "closed_forms.py", "frozen.py", "poset.py", "diagram.py",
 )
 
 
 def test_the_modules_every_command_loads_import_no_later_layer():
-    # cli imports commands and specs (which import weyl and poset) at the
-    # top, weyl imports closed_forms, and poset imports diagram and frozen, so
-    # every command compiles them; what they import, every command compiles too.
+    # cli imports commands (which imports weyl and poset) at the top, weyl
+    # imports closed_forms, and poset imports diagram and frozen, so every
+    # command compiles them; what they import, every command compiles too.
+    # specs loads on the first class-spec command, and exports on the first
+    # poset export.
     later = {
         "classical", "isotropic", "golden", "rigidity", "witness", "witnesses", "moduli", "tits",
-        "certify", "verify",
+        "certify", "verify", "specs", "exports",
     }
     found = [
         f"{name}:{line}"
@@ -131,11 +132,13 @@ print(tracemalloc.get_traced_memory()[1])
 # weyl.py (927 KiB) and classical.py (897 KiB) held over 768 KiB, which then
 # bounded only the modules hasse and degree load, before each was split in
 # two; and so did verify.py (945 KiB, now verify and certify) and
-# witnesses.py (845 KiB, now witnesses, moduli and witness).  The largest
-# module is now diagram.py, at 659 KiB and 1,703 tokens compiled in a fresh
-# interpreter (709 KiB at 1,870 tokens while it held the rho-vector leq, 735
-# KiB at 1,927 while it held the upper covers, and 749 KiB at 2,024, traced
-# in the test process, while it held the lookup by dimension and degree).
+# witnesses.py (845 KiB, now witnesses, moduli and witness).  diagram.py
+# holds 554 KiB at 1,439 tokens compiled in a fresh interpreter, since its
+# JSON and DOT writers moved to exports.py (188 KiB); it held 659 KiB at
+# 1,703 tokens with them, 709 KiB at 1,870 while it held the rho-vector leq,
+# 735 KiB at 1,927 while it held the upper covers, and 749 KiB at 2,024,
+# traced in the test process, while it held the lookup by dimension and
+# degree.  The largest module is now cli.py, at 600 KiB and 1,361 tokens.
 # jsonout.py, the JSON writer, holds 240 KiB.  The peak steps up by about
 # 120 KiB where a module passes 2,048 tokens: diagram.py held 756 KiB at
 # 2,042 tokens and 873 KiB at 2,061, and witnesses.py 845 KiB at 2,058.
@@ -260,9 +263,63 @@ print(code, out.getvalue().count("RESULT"), loaded())
     ]
 
 
+# What each command of a fixed list loads in a fresh interpreter beyond the
+# start-up modules, its exit code, and a bound on the AST nodes of every
+# package module it loads.  A command compiles each module it loads, so the
+# sum pins its start-up work, and unlike a time it does not drift with the
+# machine.  Each bound sits about 1% above the sum when it was set, and
+# classify e6:30:1 is a refused token.
+_PINNED = (
+    (("hasse", "gr:5,11", "--json"), 0, "exports", 8_100),
+    (("hasse", "og:9", "--dot"), 0, "exports", 8_100),
+    (("hasse", "lg:8"), 0, "golden", 9_050),
+    (("tits", "e6", "6", "1", "--json"), 0, "jsonout tits witness", 9_100),
+    (
+        ("verify", "all", "--json"),
+        0,
+        "certify classical golden isotropic jsonout moduli tits verify witness witnesses",
+        16_850,
+    ),
+    (("verify", "table1"), 0, "certify golden tits verify witness witnesses", 13_350),
+    (("classify", "gr:2,5:1,3"), 0, "classical moduli rigidity specs witness", 11_900),
+    (("degree", "gr:2,5:1,3"), 0, "classical specs", 10_350),
+    (("classify", "e7:22:5586"), 0, "certify golden specs tits witness witnesses", 13_400),
+    (("classify", "e6:30:1"), 2, "golden specs", 10_250),
+)
+
+
+def _ast_nodes(name: str) -> int:
+    path = SRC / "schubflex" / f"{name}.py"
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_each_command_loads_its_pinned_modules_and_ast_nodes():
+    # hasse, tits and verify never load specs, and only hasse --json and
+    # --dot load the exports.
+    start_up = [name[:-3] for name in _START_UP]
+    wrong = []
+    for argv, code, later, bound in _PINNED:
+        proc = _python(
+            f"""
+import contextlib, io, sys
+from schubflex.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main({list(argv)!r})
+print(code, *sorted(name[10:] for name in sys.modules if name.startswith("schubflex.")))
+"""
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, *names = proc.stdout.split()
+        nodes = sum(map(_ast_nodes, names))
+        if got != str(code) or names != sorted(start_up + later.split()) or nodes > bound:
+            wrong.append(f"{' '.join(argv)}: exit {got}, {nodes} nodes (bound {bound}), {names}")
+    assert wrong == [], "\n".join(wrong)
+
+
 _LATER = (
     "classical", "isotropic", "golden", "rigidity", "witness", "witnesses", "moduli", "certify",
-    "verify", "jsonout",
+    "verify", "jsonout", "exports",
 )
 
 
@@ -292,9 +349,10 @@ def test_json_reports_load_the_writer_and_not_json():
         assert "json" not in names, (argv, names)
 
 
-def test_hasse_json_dot_and_refusals_load_no_later_module():
+def test_hasse_json_dot_and_refusals_load_no_later_module_but_the_exports():
     commands = (("hasse", "gr:2,5", "--json"), ("hasse", "og:9", "--dot"), ("hasse", "og:40"))
-    assert _loaded_after(*commands) == "[0, 0, 2] []"
+    assert _loaded_after(*commands) == "[0, 0, 2] ['schubflex.exports']"
+    assert _loaded_after(("hasse", "og:40", "--json"),) == "[2] []"  # refused before export
 
 
 def test_class_specs_refused_for_their_family_or_selector_load_no_classical():
