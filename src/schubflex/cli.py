@@ -19,7 +19,7 @@ the selector reader and the ``hasse``, ``tits`` and ``verify`` handlers live
 in :mod:`~schubflex.commands`, and the class-spec grammar, its reader and
 the ``classify``, ``degree`` and ``dual`` handlers in :mod:`~schubflex.specs`.
 The parser loads a handler's module on its first dispatch (the cached
-:func:`schubflex.commands._module`), so ``hasse``, ``tits`` and ``verify``
+:func:`schubflex.diagram._module`), so ``hasse``, ``tits`` and ``verify``
 never compile :mod:`~schubflex.specs`.  ``parse_class_spec`` still resolves
 here, for the benchmark's tracer, which wraps it by that name: the module
 ``__getattr__`` loads :mod:`~schubflex.specs` on that lookup.
@@ -45,7 +45,8 @@ import functools
 import os
 import sys
 
-from .commands import SpecError, _module
+from .commands import SpecError
+from .diagram import _module
 from .frozen import Frozen
 from .poset import DEFAULT_SIZE_CAP, QUOTIENTS, GoldenDataError
 

@@ -10,31 +10,29 @@ raises :class:`SpecError`.
 
 This module imports only :mod:`~schubflex.weyl` and :mod:`~schubflex.poset`
 (with what they import), which every command needs, and loads the rest
-through :func:`_module` on first need: for :mod:`schubflex.cli`, the module
-of each handler on its first dispatch (so only the class-spec commands load
-:mod:`~schubflex.specs`), and for its own handlers and those of
-:mod:`~schubflex.specs`, what they run.  ``hasse`` loads
+through :func:`schubflex.diagram._module` on first need: for
+:mod:`schubflex.cli`, the module of each handler on its first dispatch (so
+only the class-spec commands load :mod:`~schubflex.specs`), and for its own
+handlers and those of :mod:`~schubflex.specs`, what they run.  ``hasse`` loads
 :mod:`~schubflex.golden` only for its text output's class tokens, read a
 dimension at a time, and with ``--json`` or ``--dot`` the poset loads its
 writers (:mod:`~schubflex.exports`); ``tits`` loads :mod:`~schubflex.tits`
 and ``verify`` :mod:`~schubflex.verify`, which loads the rest.  With
 ``--json`` both load :mod:`~schubflex.jsonout`, which spells their reports;
 no command loads the json package, whose modules and indented encoder would
-raise its peak memory.  :func:`_module` caches each module, so a process
-that runs many commands through ``cli.main`` runs no import statement after
-the first command of each kind.
+raise its peak memory.  ``_module`` caches each module, so a process that
+runs many commands through ``cli.main`` runs no import statement after the
+first command of each kind.
 No package module imports :mod:`schubflex.cli`: ``python -m schubflex.cli``
 runs it as ``__main__``, so an import would compile it a second time.
 """
 
 from __future__ import annotations
 
-import importlib
 import sys
-from functools import lru_cache
 
 from . import weyl
-from .diagram import _write_batches
+from .diagram import _module, _write_batches
 from .poset import (
     DEFAULT_SIZE_CAP,
     GOLDEN_POSETS,
@@ -42,12 +40,6 @@ from .poset import (
     QuotientPoset,
     quotient,
 )
-
-
-@lru_cache(maxsize=None)
-def _module(name: str):
-    """The module ``name`` (``.x`` for a package module), imported on first use."""
-    return importlib.import_module(name, __package__)
 
 
 class SpecError(ValueError):

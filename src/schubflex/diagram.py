@@ -13,17 +13,18 @@ the lookups built on first use.  Facts the methods lean on:
 
 What a poset holds, and when:
 
-* Built with it: the nodes, in BFS order (so dimension order, which makes
-  each dimension one slice of them), where each slice starts, and each
-  class's lower covers as a tuple of nodes, by node index.  That serves
-  ``lower_covers``, ``lower_interval``, ``leq``, ``nodes_by_dim``, ``top``
+* Built with it, by the BFS of :func:`schubflex.poset._quotient`, which
+  passes them in finished: the nodes, in BFS order (so dimension order,
+  which makes each dimension one slice of them), where each slice starts,
+  and each class's lower covers as a tuple of nodes, by node index.  That
+  serves ``lower_covers``, ``lower_interval``, ``leq``, ``nodes_by_dim``, ``top``
   and the exports.  A node holds its index, its BFS parent's and its
   letter, no fingerprint and no id string.  The lower covers are the one
   cover relation: ``upper_covers`` reads them off the next dimension's
   classes.
 * Built on first use, then kept: the fingerprints, replayed once in BFS
   order (each the parent's reflected by the letter), with the lookup by
-  fingerprint (``fingerprint``, ``node_by_fingerprint``, ``poincare_dual``).
+  fingerprint (``fingerprint``, ``poincare_dual``).
   ``hasse`` builds neither, in any format, and a ``tits`` sweep neither (it
   replays the fingerprints it needs, see :mod:`~schubflex.tits`).
 * Never held whole: ``covers`` and the exports gather the cover pairs one
@@ -39,7 +40,8 @@ large (see :mod:`~schubflex.cli`).  The JSON and DOT writers behind
 ``to_json`` and ``to_dot`` live in :mod:`~schubflex.exports`, which loads on
 the first export, so only ``hasse --json`` and ``hasse --dot`` compile them;
 the batch writer stays here, since the ``tits`` and ``verify`` reports use it
-too.
+too.  So does :func:`_module`, the package's one cached module loader, since
+every command loads this module.
 """
 
 from __future__ import annotations
@@ -85,29 +87,30 @@ class SchubertNode(Frozen):
 class QuotientPoset:
     """Bruhat poset of W_P \\ W for a marked node set, built by build_quotient_poset.
 
-    ``down[i]`` lists the indices of the lower covers of ``nodes[i]``; the
-    poset takes the lists over and drops each one once its covers are
-    stored, so the two copies are never held whole.  Shared between callers,
-    so never mutated after construction, apart from the lookups built on
-    first use.
+    ``lower[i]`` holds the lower covers of ``nodes[i]`` in index order, and
+    ``nodes[starts[d]:starts[d + 1]]`` are the classes of dimension ``d``;
+    the constructor stores both as given and checks each class against its
+    slice.  Shared between callers, so never mutated after construction,
+    apart from the lookups built on first use.
     """
 
-    def __init__(self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, down: list):
+    def __init__(
+        self, datum: CartanDatum, marked: frozenset[int], nodes: tuple, lower: tuple, starts: tuple
+    ):
         self.datum = datum
         self.marked = marked
         self.nodes = nodes
-        lower = []  # by node index: the lower covers, in index order
-        starts = []  # nodes[starts[d]:starts[d + 1]] are the classes of dimension d
-        for k, n in enumerate(nodes):
-            lower.append(tuple(map(nodes.__getitem__, sorted(down[k]))))
-            down[k] = None
-            if n.dim == len(starts):
-                starts.append(k)
-            elif n.dim != len(starts) - 1:
-                raise InternalError(f"class {n.id} of dim {n.dim} is out of BFS order")
-        self._down = tuple(lower)
-        self._starts = (*starts, len(nodes))
-        self.dimension = len(starts) - 1
+        self._down = lower
+        self._starts = starts
+        self.dimension = len(starts) - 2
+        if starts[0] != 0 or starts[-1] != len(nodes):
+            raise InternalError(
+                f"dimension slices span {starts[0]}..{starts[-1]} of {len(nodes)} classes"
+            )
+        for dim in range(self.dimension + 1):
+            for n in self._layer(dim):
+                if n.dim != dim:
+                    raise InternalError(f"class {n.id} of dim {n.dim} is out of BFS order")
 
     def replay(self, start, step):
         """Yield (node, value) of every class in BFS order: ``start`` at the bottom, else
@@ -162,9 +165,6 @@ class QuotientPoset:
         return tuple((lo, hi) for lo, his in self._covers_by_lower(self._layer) for hi in his)
 
     # -- lookup -----------------------------------------------------------
-
-    def node_by_fingerprint(self, fp) -> SchubertNode:
-        return self._by_fp[tuple(fp)]
 
     def fingerprint(self, node: SchubertNode) -> tuple[int, ...]:
         """u^{-1}(lambda_P) for the class's minimal representative u."""
@@ -230,17 +230,17 @@ class QuotientPoset:
 
     def to_json(self, out) -> None:
         """Write the poset to ``out`` in its JSON schema (:func:`schubflex.exports.to_json`)."""
-        _exports().to_json(self, out)
+        _module(".exports").to_json(self, out)
 
     def to_dot(self, out) -> None:
         """Write the diagram to ``out`` as Graphviz input (:func:`schubflex.exports.to_dot`)."""
-        _exports().to_dot(self, out)
+        _module(".exports").to_dot(self, out)
 
 
 @lru_cache(maxsize=None)
-def _exports():
-    """:mod:`~schubflex.exports`, loaded on the first export and then kept."""
-    return importlib.import_module(".exports", __package__)
+def _module(name: str):
+    """The module ``name`` (``.x`` for a package module), imported on first use."""
+    return importlib.import_module(name, __package__)
 
 
 def _write_batches(out, items, sep: str = "", lead: str = "") -> None:

@@ -23,8 +23,11 @@ Facts the construction leans on:
   and zs covered by p; conversely y covered by p with ys > y gives ys <= u
   by lifting.  The BFS computes u's covers, and its degree, as it finds u:
   each ys has dimension dim(u) - 1 and was found while a class of dimension
-  dim(u) - 2 was expanded, before p was.  That costs O(#covers * rank), and
-  the BFS holds fingerprints for three consecutive dimensions only.
+  dim(u) - 2 was expanded, before p was.  That costs O(#covers * rank).
+  The BFS makes one pass per dimension and holds the fingerprints of three
+  consecutive dimensions only.  It stores each class's lower covers once,
+  as a tuple of nodes in index order, notes where each dimension starts,
+  and passes both to :class:`QuotientPoset` finished.
 * For quotients by a minuscule maximal parabolic, the projective degree of a
   Schubert variety in the minimal homogeneous embedding equals the number of
   saturated chains from the bottom of its lower order ideal.  Degrees are
@@ -48,6 +51,7 @@ form and its quotient; :func:`quotient` serves every caller that names a family.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 from . import closed_forms, weyl
 from .closed_forms import InternalError
@@ -55,6 +59,8 @@ from .diagram import QuotientPoset, SchubertNode
 from .weyl import CartanDatum
 
 DEFAULT_SIZE_CAP = 10**6
+
+_index = attrgetter("index")
 
 
 # Marked nodes (Bourbaki) whose maximal parabolic quotient carries a minuscule
@@ -199,46 +205,41 @@ def _quotient(datum: CartanDatum, marked: frozenset[int]) -> QuotientPoset:
     expected = _order_formula(datum, marked)
     width = max(3, len(str(expected - 1)))
     nodes = [SchubertNode(0, 0, None, None, 1 if graded else None, width)]
-    down: list[list[int]] = [[]]
-    # The fingerprints of dims d - 1, d and d + 1 by index from their layer's
-    # start, and the coset index of dims d and d + 1, while dim d is expanded.
-    below, here, above = [], [lam], []
-    base_below, base_here, base_above = 0, 0, 1
-    index_here, index_above = {lam: 0}, {}
+    lower = [()]  # by node index: the lower covers, in index order
+    starts = [0]  # nodes[starts[d]:starts[d + 1]] are the classes of dimension d
+    # While dim d is expanded: the fingerprints of dim d - 1 by class, and
+    # the classes of dims d and d + 1 by fingerprint.
+    below, here = {}, {lam: nodes[0]}
     try:
-        # nodes is its own BFS queue, so classes are expanded in order of
-        # dimension.  A child of dim d + 1 found from node idx (dim d) by
-        # letter i lifts the covers y of idx with y[i] > 0 to covers ys of
-        # dim d.  Those were found while classes of dim d - 1 were expanded,
-        # all before idx, so each is already indexed and has its degree.
-        # Nothing reaches further than one dimension down or up, so a layer's
-        # fingerprints are dropped once the BFS is two dimensions past it.
-        for node in nodes:
-            idx = node.index  # each child's parent shares the int
-            if idx == base_above:  # the first class of dim d + 1: shift the layers
-                below, here, above = here, above, []
-                base_below, base_here, base_above = base_here, base_above, len(nodes)
-                index_here, index_above = index_above, {}
-            fp = here[idx - base_here]
-            for i in range(1, datum.rank + 1):
-                if fp[i - 1] > 0:
-                    child = weyl.reflect(datum, i, fp)
-                    if child not in index_above:
-                        los = [idx]
-                        for y in down[idx]:
-                            yfp = below[y - base_below]
-                            if yfp[i - 1] > 0:
-                                los.append(index_here[weyl.reflect(datum, i, yfp)])
-                        degree = sum(nodes[lo].degree for lo in los) if graded else None
-                        k = index_above[child] = len(nodes)
-                        nodes.append(SchubertNode(node.dim + 1, k, idx, i, degree, width))
-                        above.append(child)
-                        down.append(los)
+        # One pass per dimension, in index order.  A child of dim d + 1 found
+        # from a class of dim d by letter i lifts that class's covers y with
+        # y[i] > 0 to covers ys of dim d, each found, with its degree, on the
+        # pass before.  Nothing reaches further than one dimension down or
+        # up, so a dimension's fingerprints are dropped two passes after it.
+        while here:
+            above, dim = {}, len(starts)  # the children's dimension, starting here
+            starts.append(len(nodes))
+            for fp, node in here.items():
+                for i, c in enumerate(fp, 1):
+                    if c > 0:
+                        child = weyl.reflect(datum, i, fp)
+                        if child not in above:
+                            los = [node]
+                            for y in lower[node.index]:
+                                yfp = below[y]
+                                if yfp[i - 1] > 0:
+                                    los.append(here[weyl.reflect(datum, i, yfp)])
+                            los.sort(key=_index)
+                            degree = sum(lo.degree for lo in los) if graded else None
+                            new = SchubertNode(dim, len(nodes), node.index, i, degree, width)
+                            nodes.append(new)
+                            lower.append(tuple(los))
+                            above[child] = new
+            below, here = dict(zip(here.values(), here)), above
     except KeyError as exc:
         raise InternalError(f"fingerprint {exc.args[0]} is not a coset of the quotient") from None
 
     if len(nodes) != expected:
         raise InternalError(f"enumerated {len(nodes)} cosets, order formula says {expected}")
-    del below, here, above, index_here, index_above  # not held while the poset builds its maps
-    return QuotientPoset(datum, marked, tuple(nodes), down)
-
+    nodes = tuple(nodes)  # the list goes before the covers are copied, lowering the peak
+    return QuotientPoset(datum, marked, nodes, tuple(lower), tuple(starts))

@@ -23,7 +23,7 @@ e6/e7 token; ``classify`` adds :mod:`~schubflex.rigidity`, and
 :mod:`~schubflex.moduli` for a flexible class, or for an e6/e7 class the
 certificate pipeline (:mod:`~schubflex.certify`, which loads the rest) once
 its token has resolved, so a refused token loads nothing more.  Each loads
-through :func:`schubflex.commands._module` on first need.  This module is
+through :func:`schubflex.diagram._module` on first need.  This module is
 apart from :mod:`~schubflex.commands` so that neither module's compile is
 large (see :mod:`~schubflex.cli`).
 """
@@ -35,7 +35,8 @@ import sys
 from functools import partial
 
 from . import weyl
-from .commands import SpecError, _module, read_selector
+from .commands import SpecError, read_selector
+from .diagram import _module
 from .poset import GOLDEN_POSETS, QUOTIENTS, check_quotient, quotient
 
 

@@ -34,8 +34,7 @@ names still resolve here, loading that module when first read.
 
 from __future__ import annotations
 
-import importlib
-
+from .diagram import _module
 from .poset import QuotientPoset, SchubertNode
 from .witness import Witness
 
@@ -46,7 +45,7 @@ _MODULI = ("moduli_witness_gr", "moduli_witness_isotropic", "quadric_witness")
 def __getattr__(name: str):
     """An index-based engine of :mod:`~schubflex.moduli`, loaded when it is first read here."""
     if name in _MODULI:
-        return getattr(importlib.import_module(".moduli", __package__), name)
+        return getattr(_module(".moduli"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

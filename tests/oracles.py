@@ -135,6 +135,14 @@ def node_by_id(poset, node_id: str):
     return _by_id(poset)[node_id]
 
 
+def node_by_fingerprint(poset, fp):
+    """The class of ``poset`` whose fingerprint is ``fp``; KeyError(tuple(fp)) if there is none.
+
+    It reads the lookup that the poset builds on first use for its duals.
+    """
+    return poset._by_fp[tuple(fp)]
+
+
 def scan_tokens(poset) -> dict:
     """The class token of every class of ``poset`` (None where none), by a scan of all the nodes.
 
@@ -187,7 +195,8 @@ def word_bfs(datum: CartanDatum, marked) -> dict[tuple[int, ...], tuple[int, ...
 
 def word_dual(poset, node):
     """Poincare dual of ``node``: its fingerprint moved by w_0, spelled as a word and applied."""
-    return poset.node_by_fingerprint(act(poset.datum, _w0_word(poset.datum), fingerprint(poset, node)))
+    fp = act(poset.datum, _w0_word(poset.datum), fingerprint(poset, node))
+    return node_by_fingerprint(poset, fp)
 
 
 def heap_quotient(datum: CartanDatum, marked):
@@ -289,8 +298,8 @@ def sweep_targets(ctx) -> dict[str, str]:
     lam_p = tuple(1 if (i + 1) in ctx.p_poset.marked else 0 for i in range(ctx.datum.rank))
     w0q = w0q_word(ctx)
     return {
-        node.id: ctx.p_poset.node_by_fingerprint(
-            act(ctx.datum, tuple(reversed(w0q + min_word(ctx.q_poset, node))), lam_p)
+        node.id: node_by_fingerprint(
+            ctx.p_poset, act(ctx.datum, tuple(reversed(w0q + min_word(ctx.q_poset, node))), lam_p)
         ).id
         for node in ctx.q_poset.nodes
     }
@@ -413,7 +422,7 @@ def og_degree_by_chains(idx: IsotropicIndex) -> int:
     What :func:`schubflex.isotropic.og_degree` works out by Schur's formula,
     here found by building the whole 2^(n-1)-class poset.
     """
-    return quotient("og", idx.n).node_by_fingerprint(og_to_fingerprint(idx)).degree
+    return node_by_fingerprint(quotient("og", idx.n), og_to_fingerprint(idx)).degree
 
 
 def gr_pairing(a: GrIndex, b: GrIndex) -> int:
@@ -512,7 +521,7 @@ def _moduli_isotropic_problems(poset, base, p) -> list[str]:
     """A ModuliIsotropic payload: its index names ``base``, its branch's Grassmannian index is right."""
     family, n, lam = p["index"].split(":")  # og:n:a,b,...
     idx = IsotropicIndex(family, int(n), tuple(int(x) for x in lam.split(",") if x))
-    named = poset.node_by_fingerprint(og_to_fingerprint(idx))
+    named = node_by_fingerprint(poset, og_to_fingerprint(idx))
     found = [] if named is base else [f"index {p['index']} names {named.id}, not {base.id}"]
     s = len(idx.lam)
     if p["branch"] == "a" and p["embedded"] != str(GrIndex(s, idx.n, idx.lam)):

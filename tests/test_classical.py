@@ -15,6 +15,7 @@ from oracles import (
     fingerprint_to_gr,
     gr_pairing,
     gr_to_fingerprint,
+    node_by_fingerprint,
     og_degree_by_chains,
     og_to_fingerprint,
     pairwise_gr_degree_log10,
@@ -308,7 +309,7 @@ def test_og_fingerprint_round_trip_and_dims():
             for lam in combinations(range(1, n), size):
                 idx = IsotropicIndex("og", n, lam)
                 fp = og_to_fingerprint(idx)
-                node = poset.node_by_fingerprint(fp)
+                node = node_by_fingerprint(poset, fp)
                 assert node.dim == isotropic.isotropic_dimension(idx), f"{idx} vs {node}"
                 assert isotropic.fingerprint_to_og(n, fp) == idx
                 seen.add(node.id)

@@ -20,6 +20,7 @@ from oracles import (
     is_reduced,
     longest_element,
     min_word,
+    node_by_fingerprint,
     node_by_id,
     poset_json_dict,
     scan_tokens,
@@ -30,6 +31,7 @@ from schubflex import closed_forms, golden, poset, weyl
 from schubflex.poset import (
     GoldenDataError,
     InternalError,
+    QuotientPoset,
     build_quotient_poset,
     minuscule,
     quotient,
@@ -62,7 +64,7 @@ def bfs_edges(poset):
         fp = fingerprint(poset, n)
         for i in range(1, poset.datum.rank + 1):
             if fp[i - 1] > 0:
-                child = poset.node_by_fingerprint(weyl.reflect(poset.datum, i, fp))
+                child = node_by_fingerprint(poset, weyl.reflect(poset.datum, i, fp))
                 edges.add((n, child))
     return _by_dim_then_index(edges)
 
@@ -179,7 +181,7 @@ def test_lookups_built_on_first_use_agree_with_a_scan_of_the_nodes():
         label, nodes, covers = p.type_label(), p.nodes, p.covers
         below = {m: set(p.lower_covers(m)) for m in nodes}
         for n in nodes:
-            assert p.node_by_fingerprint(list(p.fingerprint(n))) is n, label
+            assert node_by_fingerprint(p, list(p.fingerprint(n))) is n, label
             assert p.upper_covers(n) == tuple(m for m in nodes if n in below[m]), label
             assert p.lower_covers(n) == tuple(lo for lo, hi in covers if hi is n)
         for dim in range(-1, p.dimension + 2):
@@ -187,7 +189,7 @@ def test_lookups_built_on_first_use_agree_with_a_scan_of_the_nodes():
         assert [p.top()] == [n for n in nodes if n.dim == p.dimension], label
         for fp in ((0,) * p.datum.rank, [2] * p.datum.rank):
             with pytest.raises(KeyError) as exc:
-                p.node_by_fingerprint(fp)
+                node_by_fingerprint(p, fp)
             assert exc.value.args == (tuple(fp),)
 
 
@@ -275,13 +277,46 @@ print(code, tracemalloc.get_traced_memory()[0] / len(poset.quotient("og", 12).no
 
 
 def test_build_peak_bytes_per_class_stay_bounded():
-    # The BFS keeps fingerprints and the coset index for three dimensions
-    # only, and builds the nodes as it finds them, so the build peaks little
-    # above what the poset holds: measured at 295 B a class on og:12, 349
-    # with an id string in each node and 569 while the index held every
-    # fingerprint.
+    # The BFS keeps fingerprints for three dimensions only, and builds each
+    # node and its tuple of lower covers as it finds the class, so the build
+    # peaks at about what the poset holds: measured at 235 B a class on
+    # og:12, 295 while the poset turned lists of cover indices into node
+    # tuples, 349 with an id string in each node and 569 while the index
+    # held every fingerprint.
     peak = _og12_bytes_per_class()[0]
-    assert peak <= 340, peak
+    assert peak <= 270, peak
+
+
+def test_a_class_outside_its_dimension_slice_is_refused():
+    # The poset checks every class against its dimension's slice, not only
+    # the slices' ends: og:9 has 4 classes of dim 6 and 5 of dim 7, and the
+    # second of each trade places; then the slices stop one class short.
+    p = quotient("og", 9)
+    nodes, (six, seven) = list(p.nodes), (p._starts[6] + 1, p._starts[7] + 1)
+    nodes[six], nodes[seven] = nodes[seven], nodes[six]
+    with pytest.raises(InternalError, match=r"class n\d+ of dim 7 is out of BFS order"):
+        QuotientPoset(p.datum, p.marked, tuple(nodes), p._down, p._starts)
+    with pytest.raises(InternalError, match="dimension slices span 0..255 of 256 classes"):
+        QuotientPoset(p.datum, p.marked, p.nodes, p._down, (*p._starts[:-1], 255))
+    QuotientPoset(p.datum, p.marked, p.nodes, p._down, p._starts)  # as built, it passes
+
+
+def test_a_lifted_cover_that_is_no_coset_is_refused(monkeypatch):
+    # The BFS reflects each class's fingerprint by each ascending letter once
+    # to find its children, and the lift of a cover y by letter i repeats
+    # one of y's reflections; a reflection that answers wrong when repeated
+    # lifts a cover off the quotient.
+    seen, reflect = set(), weyl.reflect
+
+    def wrong_on_repeat(datum, i, v):
+        if (i, tuple(v)) in seen:
+            return (9,) * datum.rank
+        seen.add((i, tuple(v)))
+        return reflect(datum, i, v)
+
+    monkeypatch.setattr(poset.weyl, "reflect", wrong_on_repeat)
+    with pytest.raises(InternalError, match=r"fingerprint \(9, 9, 9, 9, 9\) is not a coset"):
+        poset._quotient.__wrapped__(weyl.build_cartan("D", 5), frozenset({5}))
 
 
 # What QuotientPoset.__init__ stores; every other attribute is a lookup built on first use.
@@ -365,7 +400,7 @@ def test_replayed_fingerprints_lookups_and_duals_match_the_word_oracle():
         assert len(by_fp) == len(p.nodes), label
         for n, fp in zip(p.nodes, fps):
             assert p.fingerprint(n) == fp, (label, n.id)
-            assert p.node_by_fingerprint(fp) is n, (label, n.id)
+            assert node_by_fingerprint(p, fp) is n, (label, n.id)
             assert p.poincare_dual(n) is by_fp[weyl.act(p.datum, w0, fp)], (label, n.id)
 
 

@@ -214,7 +214,7 @@ def test_no_package_module_imports_json():
     # json's pure-Python indented encoder and its modules raise a command's
     # peak memory.  The poset export spells its schema out, and jsonout
     # spells every other report, so no module imports json, not even inside
-    # a function, and no handler loads it by name (commands._module).
+    # a function, and no handler loads it by name (diagram._module).
     found = [
         f"{path.name}:{line}"
         for path in _package_modules()
