@@ -5,7 +5,7 @@ Run with:  python3 demos/classify_tour.py
 
 from __future__ import annotations
 
-from schubflex.classical import GrIndex, QuadricIndex, quadric_classes
+from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.isotropic import IsotropicIndex
 from schubflex.rigidity import classify
 
@@ -23,8 +23,9 @@ def main():
     show(GrIndex(3, 6, (1, 3, 5)))
 
     print("\nEvery class on a quadric is settled by a four-entry list:")
-    for idx in quadric_classes(4):
-        show(idx)
+    for kind, j in (("linear", 1), ("linear", 2), ("max-plus", None), ("max-minus", None),
+                    ("colinear", 1), ("colinear", 0)):
+        show(QuadricIndex(4, kind, j))
 
     print("\nLagrangian classes add a window condition on the last entry:")
     show(IsotropicIndex("lg", 3, ()))

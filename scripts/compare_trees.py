@@ -43,8 +43,15 @@ figure also holds this process's own high-water mark.)  After the pairs of a
 and runs the same command on ``gr:1,2``, a quotient of two classes, so that
 the modules it loads on first need (the text output's tokens, the JSON and
 DOT writers) are compiled first.  Then it runs the command through
-``cli.main`` under tracemalloc and divides the memory still traced by the
-class count: the bytes a class holds (n/a for other commands).  ``footprint``
+``cli.main`` under tracemalloc, with a full ``gc.collect()`` just before
+tracing starts and again after the command, and divides the memory still
+traced by the class count: the bytes a class holds (n/a for other
+commands).  That figure counts what the command leaves reachable, mostly the
+shared poset and the caches it filled.  A full collection also empties
+CPython's free lists.  Without the first, the command reuses blocks parked
+there before tracing began, which tracemalloc never sees; without the
+second, blocks the command parked there count as held.  Either way the
+figure would move with what ran before, with no change to the poset.  ``footprint``
 exits 1 if any run did not exit 0, so a tree that cannot answer is never read
 as a measurement.
 
@@ -183,7 +190,7 @@ print(json.dumps(row))
 
 # Run in the child that measures held bytes, with the hasse argv after -c.
 _HELD = """
-import contextlib, os, sys, tracemalloc
+import contextlib, gc, os, sys, tracemalloc
 from schubflex import cli, poset, weyl
 from schubflex.commands import read_selector
 
@@ -195,8 +202,10 @@ weyl.build_cartan(family, rank)
 with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
     if cli.main([argv[0], "gr:1,2", *argv[2:]]) != 0:  # loads what this format needs
         raise SystemExit("the warm-up command failed")
+    gc.collect()  # a full collection also empties CPython's free lists
     tracemalloc.start()
     code = cli.main(argv)
+gc.collect()
 held = tracemalloc.get_traced_memory()[0]
 tracemalloc.stop()
 print(code, held / len(poset.quotient(head, *params).nodes))

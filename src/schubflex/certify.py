@@ -10,13 +10,15 @@ the decorations to those certificates, and ``classify`` of an e6/e7 class
 prints one row of them, loading this module and not the reports.
 
 Only the og:5 cone gate of e6 runs index arithmetic, so it alone loads
-:mod:`~schubflex.isotropic` and :mod:`~schubflex.moduli`.
+:mod:`~schubflex.isotropic` and :mod:`~schubflex.moduli`, through the cached
+:func:`schubflex.diagram._module` as every first-need load in the package.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .diagram import _module
 from .frozen import Frozen
 from .golden import golden_dir as resolve_golden_dir, load_golden_poset, node_token, resolve_token
 from .poset import QuotientPoset, SchubertNode, quotient
@@ -192,9 +194,7 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
     certs = _basic_certificates(poset)
     if target == "e6":
         # loaded here alone: e7 and table1 run no index arithmetic
-        from .isotropic import fingerprint_to_og
-        from .moduli import moduli_witness_isotropic
-
+        isotropic, moduli = _module(".isotropic"), _module(".moduli")
         og5 = quotient("og", 5)
         _cone_certificates(
             certs,
@@ -202,7 +202,9 @@ def _certificates(target: str, poset: QuotientPoset, directory) -> Certificates:
             poset,
             og5,
             resolve_token(poset, "11:12"),
-            lambda s: moduli_witness_isotropic(fingerprint_to_og(5, og5.fingerprint(s))) is not None,
+            lambda s: moduli.moduli_witness_isotropic(
+                isotropic.fingerprint_to_og(5, og5.fingerprint(s))
+            ) is not None,
             "the 10-dimensional spinor quotient",
         )
         ctx61 = make_context(poset.datum, {6}, {1})

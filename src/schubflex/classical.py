@@ -173,16 +173,6 @@ class QuadricIndex(Frozen):
         return f"quad:{self.n}:{self.kind}-{self.j}"
 
 
-def quadric_classes(n: int) -> list[QuadricIndex]:
-    """The full class list of Q^n: n+1 classes for odd n, n+2 for even n."""
-    out = [QuadricIndex(n, "linear", j) for j in range(1, ((n + 1) // 2 if n % 2 else n // 2) + 1)]
-    if n % 2 == 0:
-        out.append(QuadricIndex(n, "max-plus"))
-        out.append(QuadricIndex(n, "max-minus"))
-    out.extend(QuadricIndex(n, "colinear", j) for j in range(((n - 1) // 2 if n % 2 else n // 2 - 1), -1, -1))
-    return out
-
-
 def quadric_dimension(idx: QuadricIndex) -> int:
     if idx.kind == "linear":
         return idx.j - 1

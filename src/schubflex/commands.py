@@ -33,13 +33,7 @@ import sys
 
 from . import weyl
 from .diagram import _module, _write_batches
-from .poset import (
-    DEFAULT_SIZE_CAP,
-    GOLDEN_POSETS,
-    QUOTIENTS,
-    QuotientPoset,
-    quotient,
-)
+from .poset import DEFAULT_SIZE_CAP, GOLDEN_POSETS, QUOTIENTS, quotient
 
 
 class SpecError(ValueError):
@@ -72,17 +66,13 @@ def read_selector(head: str, params: str) -> tuple[int, ...]:
     return k, n
 
 
-def build_selector(selector: str, size_cap: int = DEFAULT_SIZE_CAP) -> QuotientPoset:
+def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_CAP) -> int:
     head, _, params = selector.partition(":")
     params = read_selector(head, params)
     try:
-        return quotient(head, *params, size_cap=size_cap)
+        poset = quotient(head, *params, size_cap=size_cap)
     except ValueError as exc:
         raise SpecError(f"bad selector {selector!r}: {exc}") from None
-
-
-def cmd_hasse(selector: str, output: str = "text", size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    poset = build_selector(selector, size_cap)
     if output == "json":
         poset.to_json(sys.stdout)
         return 0

@@ -15,11 +15,12 @@ What a poset holds, and when:
 
 * Built with it, by the BFS of :func:`schubflex.poset._quotient`, which
   passes them in finished: the nodes, in BFS order (so dimension order,
-  which makes each dimension one slice of them), where each slice starts,
-  and each class's lower covers as a tuple of nodes, by node index.  That
-  serves ``lower_covers``, ``lower_interval``, ``leq``, ``nodes_by_dim``, ``top``
-  and the exports.  A node holds its index, its BFS parent's and its
-  letter, no fingerprint and no id string.  The lower covers are the one
+  which makes each dimension one slice of them, the tuple ``nodes_by_dim``
+  returns), where each slice starts, and each class's lower covers as a
+  tuple of nodes, by node index.  That serves ``lower_covers``,
+  ``lower_interval``, ``leq``, ``nodes_by_dim``, ``top`` and the exports.
+  A node holds its index, its BFS parent's and its letter, no fingerprint
+  and no id string.  The lower covers are the one
   cover relation: ``upper_covers`` reads them off the next dimension's
   classes.
 * Built on first use, then kept: the fingerprints, replayed once in BFS
@@ -108,7 +109,7 @@ class QuotientPoset:
                 f"dimension slices span {starts[0]}..{starts[-1]} of {len(nodes)} classes"
             )
         for dim in range(self.dimension + 1):
-            for n in self._layer(dim):
+            for n in self.nodes_by_dim(dim):
                 if n.dim != dim:
                     raise InternalError(f"class {n.id} of dim {n.dim} is out of BFS order")
 
@@ -136,12 +137,6 @@ class QuotientPoset:
     def _by_fp(self) -> dict:
         return dict(zip(self._fingerprints, self.nodes))
 
-    def _layer(self, dim: int) -> tuple:
-        """The classes of dimension ``dim``, in index order."""
-        if not 0 <= dim <= self.dimension:
-            return ()
-        return self.nodes[self._starts[dim] : self._starts[dim + 1]]
-
     def _covers_by_lower(self, names):
         """(name of lo, names of its upper covers) of each class lo under the top, by index.
 
@@ -154,7 +149,7 @@ class QuotientPoset:
         for dim in range(self.dimension):
             los, his = his, names(dim + 1)
             base, up = self._starts[dim], [[] for _ in los]
-            for hi, named in zip(self._layer(dim + 1), his):
+            for hi, named in zip(self.nodes_by_dim(dim + 1), his):
                 for lo in self._down[hi.index]:
                     up[lo.index - base].append(named)
             yield from zip(los, up)
@@ -162,7 +157,7 @@ class QuotientPoset:
     @property
     def covers(self) -> tuple[tuple[SchubertNode, SchubertNode], ...]:
         """(lo, hi) of every cover, sorted: lo in index order, then hi."""
-        return tuple((lo, hi) for lo, his in self._covers_by_lower(self._layer) for hi in his)
+        return tuple((lo, hi) for lo, his in self._covers_by_lower(self.nodes_by_dim) for hi in his)
 
     # -- lookup -----------------------------------------------------------
 
@@ -174,13 +169,16 @@ class QuotientPoset:
         return self.nodes[0]
 
     def top(self) -> SchubertNode:
-        tops = self._layer(self.dimension)
+        tops = self.nodes_by_dim(self.dimension)
         if len(tops) != 1:
             raise InternalError(f"quotient poset has {len(tops)} maximal classes")
         return tops[0]
 
-    def nodes_by_dim(self, dim: int) -> list[SchubertNode]:
-        return list(self._layer(dim))
+    def nodes_by_dim(self, dim: int) -> tuple[SchubertNode, ...]:
+        """The classes of dimension ``dim``, in index order: a slice of ``nodes``."""
+        if not 0 <= dim <= self.dimension:
+            return ()
+        return self.nodes[self._starts[dim] : self._starts[dim + 1]]
 
     # -- order ------------------------------------------------------------
 
@@ -194,7 +192,7 @@ class QuotientPoset:
 
     def upper_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
         """The classes of the next dimension whose lower covers hold ``node``, in index order."""
-        return tuple(hi for hi in self._layer(node.dim + 1) if node in self._down[hi.index])
+        return tuple(hi for hi in self.nodes_by_dim(node.dim + 1) if node in self._down[hi.index])
 
     def lower_covers(self, node: SchubertNode) -> tuple[SchubertNode, ...]:
         return self._down[node.index]

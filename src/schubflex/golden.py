@@ -154,7 +154,9 @@ def is_max_linear(poset: QuotientPoset, node: SchubertNode) -> bool:
     return node.degree == 1 and not any(c.degree == 1 for c in poset.upper_covers(node))
 
 
-def layer_tokens(poset: QuotientPoset, layer: list[SchubertNode]) -> list:
+def layer_tokens(
+    poset: QuotientPoset, layer: tuple[SchubertNode, ...] | list[SchubertNode]
+) -> list:
     """The token of each class of ``layer``, in its order, or None where the rule names none.
 
     ``layer`` is the classes of one dimension, or all those of some degrees.

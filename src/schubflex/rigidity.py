@@ -26,9 +26,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .classical import GrIndex, QuadricIndex, grouped
+from .diagram import _module
 from .frozen import Frozen
 
-if TYPE_CHECKING:  # for annotations only; classify imports it past the gr and quad checks
+if TYPE_CHECKING:  # for annotations only; classify loads it past the gr and quad checks
     from .isotropic import IsotropicIndex
 
 MULTI_RIGID = "MultiRigid"
@@ -124,13 +125,16 @@ def classify_quadric(idx: QuadricIndex) -> Verdict:
 
 
 def classify(idx) -> Verdict:
-    """Dispatch on index type (Grassmannian, quadric, isotropic)."""
+    """Dispatch on index type (Grassmannian, quadric, isotropic): the verdict ``classify`` prints.
+
+    :mod:`~schubflex.isotropic` loads past the gr and quad checks, through the
+    cached :func:`schubflex.diagram._module`, so a gr or quad index never
+    compiles it and no call runs an import statement.
+    """
     if isinstance(idx, GrIndex):
         return classify_gr(idx)
     if isinstance(idx, QuadricIndex):
         return classify_quadric(idx)
-    from .isotropic import IsotropicIndex  # only here, so a gr or quad index does not compile it
-
-    if isinstance(idx, IsotropicIndex):
+    if isinstance(idx, _module(".isotropic").IsotropicIndex):
         return classify_lg(idx) if idx.family == "lg" else classify_og(idx)
     raise TypeError(f"cannot classify {type(idx).__name__}")

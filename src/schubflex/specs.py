@@ -19,7 +19,8 @@ classical quotient.  A malformed spec raises
 
 A class spec loads :mod:`~schubflex.classical` (gr, quad) or
 :mod:`~schubflex.isotropic` (lg, og), or :mod:`~schubflex.golden` for an
-e6/e7 token; ``classify`` adds :mod:`~schubflex.rigidity`, and
+e6/e7 token; ``classify`` adds :mod:`~schubflex.rigidity`, whose
+:func:`~schubflex.rigidity.classify` gives every classical verdict, and
 :mod:`~schubflex.moduli` for a flexible class, or for an e6/e7 class the
 certificate pipeline (:mod:`~schubflex.certify`, which loads the rest) once
 its token has resolved, so a refused token loads nothing more.  Each loads
@@ -63,9 +64,9 @@ def _quadric_index(n: int, body: str):
     return classical.QuadricIndex(n, kind, j)
 
 
-def _verdict(indices: str, dimension: str, classifier: str, witness: str, idx, golden_dir) -> int:
+def _verdict(indices: str, dimension: str, witness: str, idx, golden_dir) -> int:
     """Print a classical class's verdict, and a witness if it is flexible."""
-    verdict = getattr(_module(".rigidity"), classifier)(idx)
+    verdict = _module(".rigidity").classify(idx)
     dim = getattr(_module(indices), dimension)(idx)
     print(f"class: {idx}\ndimension: {dim}\nverdict: {verdict}")
     if not verdict.rigid:
@@ -130,27 +131,28 @@ def _token_dual(cls) -> str:
 #: One row per class family: (reader, classify, degree, dual).  A classical
 #: reader takes the selector's parameters and the class part, and its index
 #: type comes from classical (gr, quad) or isotropic (lg, og); an e6/e7 class
-#: is read as (head, poset, node).  Every slot looks up what it calls when
-#: called, so each module loads on first need and bench/tracer.py sees it.
+#: is read as (head, poset, node), and both share one row.  A classical
+#: classify names the functions of the class's dimension and witness; its
+#: verdict is :func:`schubflex.rigidity.classify`'s.  Every slot looks up what
+#: it calls when called, so each module loads on first need and
+#: bench/tracer.py sees it.
 FAMILIES = {
     "gr": (lambda k, n, body: _module(".classical").GrIndex(k, n, _parse_lam(body)),
-           partial(_verdict, ".classical", "gr_dimension", "classify_gr", "moduli_witness_gr"),
+           partial(_verdict, ".classical", "gr_dimension", "moduli_witness_gr"),
            _gr_degree, lambda idx: _module(".classical").dual_index(idx)),
     "lg": (lambda n, body: _module(".isotropic").IsotropicIndex("lg", n, _parse_lam(body)),
-           partial(_verdict, ".isotropic", "isotropic_dimension", "classify_lg",
-                   "moduli_witness_isotropic"),
+           partial(_verdict, ".isotropic", "isotropic_dimension", "moduli_witness_isotropic"),
            _lg_degree, lambda idx: _module(".isotropic").isotropic_dual(idx)),
     "og": (lambda n, body: _module(".isotropic").IsotropicIndex("og", n, _parse_lam(body)),
-           partial(_verdict, ".isotropic", "isotropic_dimension", "classify_og",
-                   "moduli_witness_isotropic"),
+           partial(_verdict, ".isotropic", "isotropic_dimension", "moduli_witness_isotropic"),
            _og_degree, lambda idx: _module(".isotropic").isotropic_dual(idx)),
     "quad": (_quadric_index,
-             partial(_verdict, ".classical", "quadric_dimension", "classify_quadric",
-                     "quadric_witness"),
+             partial(_verdict, ".classical", "quadric_dimension", "quadric_witness"),
              lambda idx: _module(".classical").quadric_degree(idx),
              lambda idx: _module(".classical").quadric_dual(idx)),
-    "e6": (None, _certificate_row, lambda cls: cls[2].degree, _token_dual),
-    "e7": (None, _certificate_row, lambda cls: cls[2].degree, _token_dual),
+    **dict.fromkeys(
+        GOLDEN_POSETS, (None, _certificate_row, lambda cls: cls[2].degree, _token_dual)
+    ),
 }
 
 

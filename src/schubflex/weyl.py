@@ -2,9 +2,11 @@
 
 Conventions (Bourbaki numbering throughout):
 
-* Simple roots are labelled 1..rank.  cartan[i][j] (0-based) is
-  <alpha_{i+1}, alpha_{j+1}^vee>; a datum stores only its off-diagonal
-  nonzero entries, as the neighbour lists bonds[i] = ((j, cartan[i][j]), ...).
+* Simple roots are labelled 1..rank.  The Cartan matrix has
+  cartan[i][j] = <alpha_{i+1}, alpha_{j+1}^vee> (0-based); a datum holds only
+  its off-diagonal nonzero entries, as the neighbour lists
+  bonds[i] = ((j, cartan[i][j]), ...), and no dense matrix (the tests'
+  oracles rebuild one).
 * Weights are integer tuples in fundamental-weight coordinates:
   v[i] = <v, alpha_{i+1}^vee>.  The simple reflection acts by
   s_i(v) = v - v[i] * (row i of the Cartan matrix), so it moves only
@@ -46,15 +48,6 @@ class CartanDatum(Frozen):
     """
 
     __slots__ = ("family", "rank", "bonds")
-
-    @property
-    def cartan(self) -> tuple[tuple[int, ...], ...]:
-        """The dense Cartan matrix, rebuilt from ``bonds`` on each read."""
-        rows = [[2 if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
-        for i, bonds in enumerate(self.bonds):
-            for j, c in bonds:
-                rows[i][j] = c
-        return tuple(map(tuple, rows))
 
     def __repr__(self) -> str:
         return f"CartanDatum({self.family}{self.rank})"
@@ -155,22 +148,26 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
 
     Enumerated on first request per datum, at O(rank^4) for the classical
     families (O(rank^2) roots, each reflected in rank directions at O(rank)
-    apiece).  No package code calls it: dimensions come from the closed-form
-    root counts.  It stays here only because the benchmark's tracer wraps it
-    by name, and moves to the tests' oracles with the next benchmark change.
+    apiece).  A root's pairings <c, alpha_i^vee> are 2 c_i plus what its
+    coordinates' bonds add.  No package code calls it: dimensions come from
+    the closed-form root counts.  It stays here only because the benchmark's
+    tracer wraps it by name, and moves to the tests' oracles with the next
+    benchmark change.
     """
     n = datum.rank
-    cartan = datum.cartan
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen = set(simples)
     frontier = list(simples)
     while frontier:
         nxt = []
         for c in frontier:
+            pairing = [2 * x for x in c]
+            for j, x in enumerate(c):
+                for i, a in datum.bonds[j]:
+                    pairing[i] += x * a
             for i in range(n):
-                pairing = sum(c[j] * cartan[j][i] for j in range(n))
                 image = list(c)
-                image[i] -= pairing
+                image[i] -= pairing[i]
                 image = tuple(image)
                 if image not in seen:
                     seen.add(image)

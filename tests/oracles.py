@@ -11,7 +11,7 @@ import re
 from functools import lru_cache
 from math import fsum, lgamma, log
 
-from schubflex.classical import GrIndex, dual_index, gr_dimension, shifted
+from schubflex.classical import GrIndex, QuadricIndex, dual_index, gr_dimension, shifted
 from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import quotient
 from schubflex.tits import make_context
@@ -36,9 +36,18 @@ def rho(datum: CartanDatum) -> tuple[int, ...]:
     return (1,) * datum.rank
 
 
+def dense_cartan(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
+    """The dense Cartan matrix, rebuilt from the datum's ``bonds``: 2 on the diagonal."""
+    rows = [[2 if i == j else 0 for j in range(datum.rank)] for i in range(datum.rank)]
+    for i, bonds in enumerate(datum.bonds):
+        for j, c in bonds:
+            rows[i][j] = c
+    return tuple(map(tuple, rows))
+
+
 def dense_reflect(datum: CartanDatum, i: int, v) -> tuple[int, ...]:
     """s_i(v) = v - v[i] * (row i of the dense Cartan matrix), every coordinate rebuilt."""
-    row = datum.cartan[i - 1]
+    row = dense_cartan(datum)[i - 1]
     c = v[i - 1]
     return tuple(v[j] - c * row[j] for j in range(datum.rank))
 
@@ -216,7 +225,7 @@ def heap_quotient(datum: CartanDatum, marked):
     Returns ``classes``, fingerprint -> (dimension, linear extensions), and
     ``covers``, the set of (lower fingerprint, upper fingerprint) pairs.
     """
-    n, cartan, r = datum.rank, datum.cartan, rho(datum)
+    n, cartan, r = datum.rank, dense_cartan(datum), rho(datum)
     levi = [i for i in range(1, n + 1) if i not in marked]
     d = act(datum, longest_element(datum, range(1, n + 1)) + longest_element(datum, levi), r)
     peeled = []
@@ -350,6 +359,17 @@ def scan_depth2_oracle(rev, targets):
         return homes
 
     return oracle
+
+
+def quadric_classes(n: int) -> list[QuadricIndex]:
+    """The full class list of Q^n: n+1 classes for odd n, n+2 for even n."""
+    out = [QuadricIndex(n, "linear", j) for j in range(1, ((n + 1) // 2 if n % 2 else n // 2) + 1)]
+    if n % 2 == 0:
+        out.append(QuadricIndex(n, "max-plus"))
+        out.append(QuadricIndex(n, "max-minus"))
+    top = (n - 1) // 2 if n % 2 else n // 2 - 1
+    out.extend(QuadricIndex(n, "colinear", j) for j in range(top, -1, -1))
+    return out
 
 
 def ungroup(groups) -> tuple[int, ...]:

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import bruhat_leq, fingerprint, fingerprint_to_gr, gr_pairing
-from schubflex.classical import GrIndex, gr_degree, quadric_classes
+from oracles import bruhat_leq, fingerprint, fingerprint_to_gr, gr_pairing, quadric_classes
+from schubflex.classical import GrIndex, gr_degree
 from schubflex.golden import node_token, resolve_token
 from schubflex.isotropic import IsotropicIndex
 from schubflex.poset import build_quotient_poset

@@ -19,6 +19,7 @@ from oracles import (
     og_degree_by_chains,
     og_to_fingerprint,
     pairwise_gr_degree_log10,
+    quadric_classes,
     ungroup,
 )
 from schubflex import classical, isotropic, weyl
@@ -256,13 +257,13 @@ def test_isotropic_dual_involution_and_complement(idx):
 
 
 def test_quadric_class_lists():
-    q5 = classical.quadric_classes(5)
+    q5 = quadric_classes(5)
     assert len(q5) == 6
     assert [classical.quadric_dimension(c) for c in q5] == [0, 1, 2, 3, 4, 5]
-    q6 = classical.quadric_classes(6)
+    q6 = quadric_classes(6)
     assert len(q6) == 8
     assert sorted(classical.quadric_dimension(c) for c in q6) == [0, 1, 2, 3, 3, 4, 5, 6]
-    q2 = classical.quadric_classes(2)
+    q2 = quadric_classes(2)
     assert len(q2) == 4
     kinds = {c.kind for c in q2}
     assert kinds == {"linear", "max-plus", "max-minus", "colinear"}
@@ -277,7 +278,7 @@ def test_quadric_degrees():
 
 def test_quadric_dual_involution_and_complement():
     for n in range(1, 11):
-        for c in classical.quadric_classes(n):
+        for c in quadric_classes(n):
             d = classical.quadric_dual(c)
             assert classical.quadric_dimension(c) + classical.quadric_dimension(d) == n
             assert classical.quadric_dual(d) == c
@@ -357,7 +358,7 @@ def test_quadric_class_count_matches_quotient_poset():
     for n in [1, 3, 4, 5, 6, 8, 9]:
         family, rank = quadric_poset_family(n)
         p = build_quotient_poset(weyl.build_cartan(family, rank), {1})
-        classes = classical.quadric_classes(n)
+        classes = quadric_classes(n)
         assert len(p.nodes) == len(classes), f"Q^{n}"
         assert sorted(n_.dim for n_ in p.nodes) == sorted(
             classical.quadric_dimension(c) for c in classes

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poset_json_dict, word_dual
-from schubflex import classical, cli, moduli, poset, weyl
+from schubflex import classical, cli, moduli, poset, rigidity, weyl
 from schubflex.isotropic import IsotropicIndex, isotropic_dimension, isotropic_dual
 from schubflex.cli import main
 from schubflex.golden import golden_dir, node_token
@@ -439,6 +439,24 @@ def test_classify_quadric(capsys):
     rc, out, _ = run(["classify", "quad:6:max-plus"], capsys)
     assert rc == 0
     assert "verdict: MultiRigid" in out
+
+
+def test_classical_classify_verdicts_come_from_rigidity_classify(monkeypatch, capsys):
+    # The one dispatch from a class index to its classifier: a gr, lg, og or
+    # quad class's printed verdict is what rigidity.classify returned for it.
+    verdicts, original = [], rigidity.classify
+
+    def recording(idx):
+        verdict = original(idx)
+        verdicts.append((str(idx), f"verdict: {verdict}"))
+        return verdict
+
+    monkeypatch.setattr(rigidity, "classify", recording)
+    specs = ["gr:2,5:1,3", "lg:3:1,2", "og:5:2,3", "quad:7:linear-2"]
+    runs = [run(["classify", spec], capsys) for spec in specs]
+    assert [spec for spec, _ in verdicts] == specs
+    for (rc, out, _), (spec, line) in zip(runs, verdicts):
+        assert rc == 0 and line in out.splitlines(), (spec, out)
 
 
 def test_degree_values(capsys):

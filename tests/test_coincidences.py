@@ -28,7 +28,7 @@ import functools
 
 import pytest
 
-from oracles import fingerprint, fingerprint_to_gr
+from oracles import fingerprint, fingerprint_to_gr, quadric_classes
 from schubflex import classical, isotropic, moduli, rigidity, witnesses
 from schubflex.classical import GrIndex, QuadricIndex
 from schubflex.commands import read_selector
@@ -91,7 +91,7 @@ def side(selector: str):
         return poset, {c.id: [isotropic.fingerprint_to_og(n, fingerprint(poset, c))] for c in poset.nodes}
     if head == "quad":
         by_dim: dict[int, list] = {}
-        for idx in classical.quadric_classes(*params):
+        for idx in quadric_classes(*params):
             by_dim.setdefault(classical.quadric_dimension(idx), []).append(idx)
         return poset, {n.id: by_dim[n.dim] for n in poset.nodes}
     (n,) = params

@@ -185,7 +185,7 @@ def test_lookups_built_on_first_use_agree_with_a_scan_of_the_nodes():
             assert p.upper_covers(n) == tuple(m for m in nodes if n in below[m]), label
             assert p.lower_covers(n) == tuple(lo for lo, hi in covers if hi is n)
         for dim in range(-1, p.dimension + 2):
-            assert p.nodes_by_dim(dim) == [n for n in nodes if n.dim == dim], (label, dim)
+            assert list(p.nodes_by_dim(dim)) == [n for n in nodes if n.dim == dim], (label, dim)
         assert [p.top()] == [n for n in nodes if n.dim == p.dimension], label
         for fp in ((0,) * p.datum.rank, [2] * p.datum.rank):
             with pytest.raises(KeyError) as exc:

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from schubflex.classical import GrIndex, ann_index, quadric_classes
+from oracles import quadric_classes
+from schubflex.classical import GrIndex, ann_index
 from schubflex.isotropic import IsotropicIndex
 from schubflex.rigidity import (
     FLEXIBLE,

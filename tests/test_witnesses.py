@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import fingerprint, fingerprint_to_gr
+from oracles import fingerprint, fingerprint_to_gr, quadric_classes
 from schubflex import weyl
-from schubflex.classical import GrIndex, quadric_classes, quadric_dimension
+from schubflex.classical import GrIndex, quadric_dimension
 from schubflex.golden import node_token, resolve_token
 from schubflex.isotropic import IsotropicIndex, fingerprint_to_og, isotropic_dimension
 from schubflex.moduli import moduli_witness_gr, moduli_witness_isotropic, quadric_witness
